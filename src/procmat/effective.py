@@ -17,11 +17,12 @@ fixed-basis instruments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .instruments import Instrument, born_probability, cq_instrument
-from .process import ProcessMatrix, SystemLayout, validate_process
+from .process import ProcessMatrix, validate_process
 from .tensor import hermitian_eig, partial_transpose
 
 ORTHONORMALITY_TOL = 1e-10
@@ -92,22 +93,34 @@ class EffectiveProcess:
     matrix: ProcessMatrix
 
 
-def _input_frame(layout: SystemLayout, basis_a1: MeasurementBasis, basis_b1: MeasurementBasis) -> np.ndarray:
-    """Unitary rotating the two input factors into their measurement bases."""
-    return np.kron(
-        np.kron(basis_a1.vectors, np.eye(layout.d_a2)),
-        np.kron(basis_b1.vectors, np.eye(layout.d_b2)),
-    )
+def _in_frame(matrix: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
+    """Product frame of ``bases`` and ``matrix`` rotated into it as a 2n-index tensor.
+
+    ``bases`` has one entry per factor: a :class:`MeasurementBasis`, or the
+    factor's dimension for a factor kept in its own frame.
+    """
+    measured = [isinstance(b, MeasurementBasis) for b in bases]
+    dims = tuple(b.dim if m else int(b) for b, m in zip(bases, measured))
+    frame = reduce(np.kron, [b.vectors if m else np.eye(b) for b, m in zip(bases, measured)])
+    return frame, (frame.conj().T @ matrix @ frame).reshape(dims + dims)
 
 
-def _input_block_tensor(w: ProcessMatrix, basis_a1, basis_b1) -> np.ndarray:
-    """Eight-index view of W in the measurement frame of both inputs."""
-    layout = w.layout
-    ba1 = as_basis(basis_a1, layout.d_a1)
-    bb1 = as_basis(basis_b1, layout.d_b1)
-    frame = _input_frame(layout, ba1, bb1)
-    rotated = frame.conj().T @ w.matrix @ frame
-    return rotated.reshape(layout.dims + layout.dims)
+def _dephase(matrix: np.ndarray, bases) -> np.ndarray:
+    """Non-selective update sum_k P_k M P_k on every factor given a basis.
+
+    In the product frame this keeps exactly the entries that are diagonal
+    on each measured factor; factors given by their dimension are untouched.
+    """
+    frame, t = _in_frame(matrix, bases)
+    n = len(bases)
+    for f, b in enumerate(bases):
+        if isinstance(b, MeasurementBasis):
+            shape = [1] * (2 * n)
+            shape[f] = shape[n + f] = b.dim
+            t = t * np.eye(b.dim, dtype=bool).reshape(shape)
+    side = frame.shape[0]
+    out = frame @ t.reshape(side, side) @ frame.conj().T
+    return (out + out.conj().T) / 2.0
 
 
 def luders_input_dephase(w: ProcessMatrix, basis_a1, basis_b1) -> EffectiveProcess:
@@ -119,17 +132,7 @@ def luders_input_dephase(w: ProcessMatrix, basis_a1, basis_b1) -> EffectiveProce
     layout = w.layout
     ba1 = as_basis(basis_a1, layout.d_a1)
     bb1 = as_basis(basis_b1, layout.d_b1)
-    frame = _input_frame(layout, ba1, bb1)
-    t = (frame.conj().T @ w.matrix @ frame).reshape(layout.dims + layout.dims)
-
-    eye_a = np.eye(layout.d_a1, dtype=bool)
-    eye_b = np.eye(layout.d_b1, dtype=bool)
-    t = t * eye_a[:, None, None, None, :, None, None, None]
-    t = t * eye_b[None, None, :, None, None, None, :, None]
-
-    side = layout.d_total
-    dephased = frame @ t.reshape(side, side) @ frame.conj().T
-    dephased = (dephased + dephased.conj().T) / 2.0
+    dephased = _dephase(w.matrix, (ba1, layout.d_a2, bb1, layout.d_b2))
     return EffectiveProcess(w, ba1, bb1, ProcessMatrix(layout, dephased))
 
 
@@ -140,19 +143,8 @@ def classical_effective(w: ProcessMatrix, basis_a1, basis_a2, basis_b1, basis_b2
     equals input dephasing followed by the same update on both outputs.
     """
     layout = w.layout
-    bases = [
-        as_basis(basis_a1, layout.d_a1),
-        as_basis(basis_a2, layout.d_a2),
-        as_basis(basis_b1, layout.d_b1),
-        as_basis(basis_b2, layout.d_b2),
-    ]
-    frame = bases[0].vectors
-    for b in bases[1:]:
-        frame = np.kron(frame, b.vectors)
-    rotated = frame.conj().T @ w.matrix @ frame
-    diagonal = np.diag(np.diag(rotated).real).astype(complex)
-    back = frame @ diagonal @ frame.conj().T
-    return ProcessMatrix(layout, (back + back.conj().T) / 2.0)
+    bases = [as_basis(b, d) for b, d in zip((basis_a1, basis_a2, basis_b1, basis_b2), layout.dims)]
+    return ProcessMatrix(layout, _dephase(w.matrix, bases))
 
 
 def is_input_diagonal(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-10):
@@ -162,7 +154,8 @@ def is_input_diagonal(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-10):
     Frobenius norm among blocks <n, m| W |n', m'> with (n, m) != (n', m').
     """
     layout = w.layout
-    t = _input_block_tensor(w, basis_a1, basis_b1)
+    bases = (as_basis(basis_a1, layout.d_a1), layout.d_a2, as_basis(basis_b1, layout.d_b1), layout.d_b2)
+    _, t = _in_frame(w.matrix, bases)
     # block_norms[n, m, n', m'] over the A2/B2 entries of each input block
     block_norms = np.sqrt(np.einsum("arbsctdu->abcd", (t * t.conj()).real))
     eye_a = np.eye(layout.d_a1, dtype=bool)
@@ -243,13 +236,7 @@ def dephase_state(rho, basis_a, basis_b) -> np.ndarray:
     da, db = ba.dim, bb.dim
     if r.shape != (da * db, da * db):
         raise ValueError(f"state has shape {r.shape}, expected {(da * db, da * db)}")
-    frame = np.kron(ba.vectors, bb.vectors)
-    t = (frame.conj().T @ r @ frame).reshape(da, db, da, db)
-    eye_a = np.eye(da, dtype=bool)
-    eye_b = np.eye(db, dtype=bool)
-    t = t * eye_a[:, None, :, None] * eye_b[None, :, None, :]
-    out = frame @ t.reshape(da * db, da * db) @ frame.conj().T
-    return (out + out.conj().T) / 2.0
+    return _dephase(r, (ba, bb))
 
 
 def ppt_check(rho, dims: tuple[int, int] = (2, 2), tol: float = 1e-10):

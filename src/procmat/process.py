@@ -57,14 +57,6 @@ class TermMask:
     def allows(self, pattern: Iterable[int]) -> bool:
         return frozenset(pattern) in self.allowed
 
-    def forbidden(self) -> frozenset[frozenset[int]]:
-        everything = frozenset(
-            frozenset(s)
-            for mask in range(16)
-            for s in [tuple(f for f in range(4) if mask >> f & 1)]
-        )
-        return everything - self.allowed
-
 
 def allowed_term_mask(variant: str = "general") -> TermMask:
     """Mask of allowed term patterns: ``general``, ``a_before_b`` or ``b_before_a``.
@@ -107,11 +99,6 @@ class SystemLayout:
     @property
     def d_total(self) -> int:
         return math.prod(self.dims)
-
-    @property
-    def d_prime(self) -> int:
-        """Total dimension written as d * d_a2 * d_b2 (equal to d_total)."""
-        return self.d * self.d_a2 * self.d_b2
 
     @property
     def target_trace(self) -> int:

@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .effective import MeasurementBasis, as_basis, is_input_diagonal
+from .games import _EYE2, _SIGMA_X, _SIGMA_Z
 from .process import (
     ProcessMatrix,
     SystemLayout,
@@ -49,10 +50,6 @@ from .tensor import (
 SEPARABLE = "separable"
 NOT_SEPARABLE = "not-separable-up-to-tolerance"
 INCONCLUSIVE = "inconclusive"
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_EYE2 = np.eye(2, dtype=complex)
 
 
 class NotInputDiagonalError(ValueError):
@@ -362,7 +359,7 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
             shifted_b = (vb * m2_bar[n, m, :]) @ vb.conj().T
             kappa2_bar += tensor_product([ba1.projector(n), eye_a2, bb1.projector(m), shifted_b])
 
-    p = float(np.trace(kappa1_bar).real) / layout.d_prime
+    p = float(np.trace(kappa1_bar).real) / layout.d_total
     edge = 1e-12
     if p <= edge:
         decomposition = CausalDecomposition(0.0, None, w_eff)
@@ -422,7 +419,9 @@ def _span_rows(dims: tuple[int, ...], variant: str):
         row = tensor_product([stack[t] for stack, t in zip(stacks, idx)]).ravel()
         (allowed_rows if allowed_mask[idx] else forbidden_rows).append(row)
     allowed = np.array(allowed_rows)
-    out = (allowed, allowed.conj(), np.array(forbidden_rows).conj())
+    # Explicit width: layouts with trivial outputs have no forbidden rows.
+    forbidden = np.array(forbidden_rows, dtype=complex).reshape(-1, allowed.shape[1])
+    out = (allowed, allowed.conj(), forbidden.conj())
     for block in out:
         block.setflags(write=False)
     return out

@@ -4,7 +4,7 @@ All operators are plain complex numpy arrays living on a tensor product of
 finite-dimensional factors.  Factor dimensions are passed as a sequence such
 as ``(2, 2, 2, 2)``; the factor order is fixed globally and never reordered
 implicitly.  Alongside Kronecker products, partial trace/transpose and a
-cyclic Jacobi eigensolver, this module provides decompositions over the
+checked Hermitian eigensolver, this module provides decompositions over the
 product Hilbert-Schmidt basis (identity plus traceless Hermitian elements
 per factor), which downstream code uses to reason about which tensor
 factors an operator acts on nontrivially.
@@ -113,60 +113,16 @@ def frobenius_inner(a, b) -> complex:
     return complex(np.vdot(am, bm))
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def hermitian_eig(matrix, max_sweeps: int = 100, off_tol: float = 1e-13):
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi rotations.
+def hermitian_eig(matrix):
+    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and
     ascending and eigenvectors as the corresponding orthonormal columns.
-    Each rotation zeroes one off-diagonal pair via a phased 2x2 rotation;
-    sweeps repeat until the off-diagonal Frobenius norm drops below
-    ``off_tol`` (scaled by the matrix norm) or ``max_sweeps`` is reached.
-    Sized for operators up to a few hundred rows, where robustness matters
-    more than speed.
+    The input must be Hermitian to ``HERMITICITY_TOL``; it is Hermitised
+    before the solve so only its exact Hermitian part is diagonalised.
     """
     a = require_hermitian(matrix, name="matrix")
-    n = a.shape[0]
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-
-    threshold = off_tol * max(1.0, float(np.linalg.norm(a)))
-    skip = max(threshold / (n * n), 1e-300)
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= skip:
-                    continue
-                phase = apq / mag
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * mag)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # 2x2 unitary [[c, s], [-s conj(phase), c conj(phase)]] diagonalizes
-                # the (p, q) submatrix; apply it to columns, its adjoint to rows.
-                j = np.array([[c, s], [-s * np.conj(phase), c * np.conj(phase)]])
-                a[:, [p, q]] = a[:, [p, q]] @ j
-                a[[p, q], :] = j.conj().T @ a[[p, q], :]
-                v[:, [p, q]] = v[:, [p, q]] @ j
-
-    evals = np.real(np.diag(a))
-    order = np.argsort(evals, kind="stable")
-    return evals[order], v[:, order]
+    return np.linalg.eigh((a + a.conj().T) / 2.0)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,30 @@ from conftest import EYE2, SIGMA_Z, bell_state
 Z2 = MeasurementBasis.computational(2)
 
 
+ORACLE_LAYOUTS = pytest.mark.parametrize(
+    "dims", [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2)], ids=lambda dims: "-".join(map(str, dims))
+)
+
+
 def ocb_dephased_expected():
     return (np.eye(16) + tensor_product([EYE2, SIGMA_Z, SIGMA_Z, EYE2]) / np.sqrt(2)) / 4.0
+
+
+def projector_sum(matrix, factors):
+    """Reference non-selective update: the sum of P M P over product projectors.
+
+    ``factors`` holds a MeasurementBasis for each measured factor and the
+    dimension of each untouched one.
+    """
+    choices = [
+        [f.projector(k) for k in range(f.dim)] if isinstance(f, MeasurementBasis) else [np.eye(f)]
+        for f in factors
+    ]
+    total = np.zeros_like(matrix, dtype=complex)
+    for projectors in itertools.product(*choices):
+        proj = tensor_product(projectors)
+        total += proj @ matrix @ proj
+    return total
 
 
 class TestMeasurementBasis:
@@ -60,16 +84,14 @@ class TestLudersInputDephase:
         eff = luders_input_dephase(w, Z2, Z2)
         assert np.allclose(eff.matrix.matrix, w.matrix)
 
-    def test_matches_projector_sum_oracle(self):
-        w = random_process(31)
-        ba = MeasurementBasis.random(2, 1)
-        bb = MeasurementBasis.random(2, 2)
+    @ORACLE_LAYOUTS
+    def test_matches_projector_sum_oracle(self, dims):
+        layout = SystemLayout(*dims)
+        w = random_process(31, layout)
+        ba = MeasurementBasis.random(layout.d_a1, 1)
+        bb = MeasurementBasis.random(layout.d_b1, 2)
         eff = luders_input_dephase(w, ba, bb)
-        total = np.zeros((16, 16), dtype=complex)
-        for n in range(2):
-            for m in range(2):
-                proj = tensor_product([ba.projector(n), EYE2, bb.projector(m), EYE2])
-                total += proj @ w.matrix @ proj
+        total = projector_sum(w.matrix, [ba, layout.d_a2, bb, layout.d_b2])
         assert np.linalg.norm(eff.matrix.matrix - total) < 1e-12
 
     def test_preserves_trace_positivity_validity(self):
@@ -107,6 +129,14 @@ class TestClassicalEffective:
                 luders_input_dephase(w, Z2, Z2).matrix, Z2, Z2, Z2, Z2
             )
             assert np.allclose(direct.matrix, via_input.matrix, atol=1e-12)
+
+    @ORACLE_LAYOUTS
+    def test_matches_projector_sum_oracle(self, dims):
+        layout = SystemLayout(*dims)
+        w = random_process(32, layout)
+        bases = [MeasurementBasis.random(d, 10 + f) for f, d in enumerate(dims)]
+        out = classical_effective(w, *bases)
+        assert np.linalg.norm(out.matrix - projector_sum(w.matrix, bases)) < 1e-12
 
 
 class TestIsInputDiagonal:
@@ -239,6 +269,14 @@ class TestStateDephasingAnalogy:
             bb = MeasurementBasis.random(2, rng.integers(1 << 30))
             flag, _ = ppt_check(dephase_state(rho, ba, bb))
             assert flag
+
+    def test_matches_projector_sum_oracle_2x3(self, rng):
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        ba = MeasurementBasis.random(2, 20)
+        bb = MeasurementBasis.random(3, 21)
+        assert np.linalg.norm(dephase_state(rho, ba, bb) - projector_sum(rho, [ba, bb])) < 1e-12
 
     def test_large_dims_unsupported(self):
         with pytest.raises(ValueError, match="2x3"):

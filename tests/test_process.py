@@ -30,7 +30,6 @@ class TestLayout:
         lay = SystemLayout(3, 2, 3, 2)
         assert lay.d == 9
         assert lay.d_total == 36
-        assert lay.d_prime == lay.d_total
         assert lay.target_trace == 4
 
     def test_positive_dims_required(self):

@@ -241,6 +241,19 @@ class TestDykstraSeparability:
         with pytest.raises(ValueError):
             dykstra_separability(bad)
 
+    @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 1, 2, 1), (3, 1, 2, 1)],
+                             ids=lambda dims: "-".join(map(str, dims)))
+    def test_trivial_output_layouts_separable(self, dims):
+        # One-dimensional outputs leave no forbidden span terms at all.
+        layout = SystemLayout(*dims)
+        tol = 1e-8
+        check_tol = max(100.0 * tol, 1e-6)
+        for w in (identity_process(layout), random_process(410, layout)):
+            report = dykstra_separability(w, tol=tol)
+            assert report.status == SEPARABLE
+            check = verify_decomposition(w, report.decomposition, tol=check_tol, psd_tol=check_tol)
+            assert check.ok
+
 
 class TestNoisyFixtureThreshold:
     """Mixing the violating fixture with noise loses separability exactly at
