@@ -288,6 +288,8 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_check_sep(args) -> int:
+    if args.max_iter < 1:
+        raise CliError(f"--max-iter must be at least 1, got {args.max_iter}")
     w, _, digest = _read_input(args)
     basis_a1, basis_b1 = _load_basis_pair(args, w.layout)
     run = RunReport(

@@ -391,51 +391,43 @@ class FeasibilityReport:
 
 
 def _negative_part_norm(evals: np.ndarray) -> float:
-    neg = np.clip(evals, None, 0.0)
-    return float(np.sqrt(np.sum(neg * neg)))
+    neg = np.minimum(evals, 0.0)
+    return float(np.sqrt(neg @ neg))
 
 
-def _psd_project(m: np.ndarray):
-    """Projection onto the positive cone plus the distance to it."""
-    h = (m + m.conj().T) / 2.0
-    evals, vecs = np.linalg.eigh(h)
-    clipped = np.clip(evals, 0.0, None)
-    return (vecs * clipped) @ vecs.conj().T, _negative_part_norm(evals)
+def _psd_project(m: np.ndarray) -> np.ndarray:
+    """Projection of the Hermitian part of ``m`` onto the positive cone."""
+    evals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return (vecs * np.maximum(evals, 0.0)) @ vecs.conj().T
 
 
 @lru_cache(maxsize=None)
-def _span_rows(dims: tuple[int, ...], variant: str):
-    """Flattened product-basis elements split by the mask, conjugates precomputed.
+def _span_rows(dims: tuple[int, ...], variant: str) -> np.ndarray:
+    """Orthonormal real rows spanning the allowed Hilbert-Schmidt terms.
 
-    Returns ``(allowed, allowed_conj, forbidden_conj)`` where each row is
-    vec(B_T) for one coefficient index T, so span projections and span
-    distances reduce to thin matrix-vector products in the
-    alternating-projection inner loop.
+    Row T is vec(B_T) / sqrt(d_total) for one allowed coefficient index T,
+    viewed as float64 (real and imaginary parts interleaved).  For Hermitian
+    matrices the HS inner product is the real dot product of such views, so
+    with v = m.reshape(-1).view(float64) the span projection is
+    ``(Q @ v) @ Q`` and the span distance is the norm of v minus that.
     """
-    allowed_mask = _allowed_coefficient_mask(dims, variant)
-    stacks = [hermitian_basis(d) for d in dims]
-    allowed_rows, forbidden_rows = [], []
-    for idx in np.ndindex(allowed_mask.shape):
-        row = tensor_product([stack[t] for stack, t in zip(stacks, idx)]).ravel()
-        (allowed_rows if allowed_mask[idx] else forbidden_rows).append(row)
-    allowed = np.array(allowed_rows)
-    # Explicit width: layouts with trivial outputs have no forbidden rows.
-    forbidden = np.array(forbidden_rows, dtype=complex).reshape(-1, allowed.shape[1])
-    out = (allowed, allowed.conj(), forbidden.conj())
-    for block in out:
-        block.setflags(write=False)
-    return out
+    idx = np.argwhere(_allowed_coefficient_mask(dims, variant))
+    factors = [hermitian_basis(d)[idx[:, f]] for f, d in enumerate(dims)]
+    # Row-wise Kronecker product of the four factor elements.
+    rows = np.einsum("nab,ncd,nef,ngh->nacegbdfh", *factors).reshape(len(idx), -1)
+    table = rows.view(np.float64) / math.sqrt(math.prod(dims))
+    table.setflags(write=False)
+    return table
 
 
-def _span_project_fast(m: np.ndarray, rows: np.ndarray, rows_conj: np.ndarray,
-                       total_dim: int) -> np.ndarray:
-    v = m.ravel()
-    coefficients = rows_conj @ v
-    return ((coefficients @ rows) / total_dim).reshape(m.shape)
+def _span_project(m: np.ndarray, table: np.ndarray) -> np.ndarray:
+    v = m.reshape(-1).view(np.float64)
+    return ((table @ v) @ table).view(complex).reshape(m.shape)
 
 
-def _span_distance_fast(m: np.ndarray, forbidden_conj: np.ndarray, total_dim: int) -> float:
-    return float(np.linalg.norm(forbidden_conj @ m.ravel())) / math.sqrt(total_dim)
+def _span_distance(m: np.ndarray, table: np.ndarray) -> float:
+    v = m.reshape(-1).view(np.float64)
+    return float(np.linalg.norm(v - (table @ v) @ table))
 
 
 def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50_000) -> FeasibilityReport:
@@ -444,62 +436,59 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     Looks for X with: X positive, X in the B2-trivial allowed span, W - X
     positive and W - X in the A2-trivial allowed span; any such X equals
     p * w_ab of a causal decomposition.  Starting from X = W / 2, the four
-    projections are cycled with Dykstra correction terms and the four
-    membership residuals are tracked per cycle.  All residuals below ``tol``
+    projections are cycled and the four membership residuals are tracked
+    per cycle.  Only the two PSD steps carry Dykstra correction terms; the
+    span steps are plain projections, computed on the real Hilbert-Schmidt
+    coordinates of the Hermitian iterates.  All residuals below ``tol``
     count as separable and the decomposition is extracted; at the iteration
-    cap the run reports not-separable when the residual has plateaued above
-    10 * tol over the last tenth of the run, and inconclusive otherwise
-    (alternating projections cannot certify infeasibility).
+    cap (``max_iter`` >= 1 sweeps) the run reports not-separable when the
+    residual has plateaued above 10 * tol over the last tenth of the run,
+    and inconclusive otherwise (alternating projections cannot certify
+    infeasibility).
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     report = validate_process(w)
     if not report.overall:
         raise ValueError("dykstra_separability needs a valid process matrix")
 
-    layout = w.layout
-    dims = layout.dims
-    total_dim = layout.d_total
-    rows_ab, rows_ab_conj, forb_ab_conj = _span_rows(dims, "a_before_b")
-    rows_ba, rows_ba_conj, forb_ba_conj = _span_rows(dims, "b_before_a")
+    dims = w.layout.dims
+    rows_ab = _span_rows(dims, "a_before_b")
+    rows_ba = _span_rows(dims, "b_before_a")
     target = w.matrix
 
     x = target / 2.0
-    corrections = [np.zeros_like(x) for _ in range(4)]
+    # A Dykstra correction on a linear or affine set lies in its orthogonal
+    # complement and never changes the iterate (Boyle & Dykstra 1986), so
+    # only the PSD steps keep one.
+    correction_x = np.zeros_like(x)
+    correction_rest = np.zeros_like(x)
     history = np.empty(max_iter)
     iterations = 0
     converged = False
 
     for it in range(max_iter):
-        # Cycle: PSD(X), span(X), PSD(W - X), span(W - X), each with its
-        # Dykstra correction.
-        shifted = x + corrections[0]
-        y, _ = _psd_project(shifted)
-        corrections[0] = shifted - y
-        x = y
+        # Cycle: PSD(X), span(X), PSD(W - X), span(W - X).
+        shifted = x + correction_x
+        x = _psd_project(shifted)
+        correction_x = shifted - x
 
-        shifted = x + corrections[1]
-        y = _span_project_fast(shifted, rows_ab, rows_ab_conj, total_dim)
-        corrections[1] = shifted - y
-        x = y
+        x = _span_project(x, rows_ab)
 
-        shifted = x + corrections[2]
-        z, _ = _psd_project(target - shifted)
-        y = target - z
-        corrections[2] = shifted - y
-        x = y
+        shifted = x + correction_rest
+        x = target - _psd_project(target - shifted)
+        correction_rest = shifted - x
 
-        shifted = x + corrections[3]
-        z = _span_project_fast(target - shifted, rows_ba, rows_ba_conj, total_dim)
-        y = target - z
-        corrections[3] = shifted - y
-        x = y
+        x = target - _span_project(target - x, rows_ba)
 
         x = (x + x.conj().T) / 2.0
         remainder = target - x
+        spectra = np.linalg.eigvalsh(np.stack((x, remainder)))
         residual = max(
-            _negative_part_norm(np.linalg.eigvalsh(x)),
-            _span_distance_fast(x, forb_ab_conj, total_dim),
-            _negative_part_norm(np.linalg.eigvalsh(remainder)),
-            _span_distance_fast(remainder, forb_ba_conj, total_dim),
+            _negative_part_norm(spectra[0]),
+            _span_distance(x, rows_ab),
+            _negative_part_norm(spectra[1]),
+            _span_distance(remainder, rows_ba),
         )
         history[it] = residual
         iterations = it + 1
@@ -508,7 +497,7 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
             break
 
     history = history[:iterations]
-    best = float(history.min()) if iterations else float("inf")
+    best = float(history.min())
 
     if converged:
         decomposition = _extract_decomposition(w, x, tol)
@@ -522,7 +511,7 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
         return FeasibilityReport(SEPARABLE, float(history[-1]), iterations, decomposition)
 
     window = max(1, iterations // 10)
-    plateau = float(history[-window:].min()) if iterations else float("inf")
+    plateau = float(history[-window:].min())
     status = NOT_SEPARABLE if plateau > 10.0 * tol else INCONCLUSIVE
     return FeasibilityReport(status, best, iterations, None, plateau_residual=plateau)
 

@@ -81,6 +81,17 @@ class TestCli:
         assert code == 2
         assert "not-separable-up-to-tolerance" in out
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_check_sep_rejects_cap_below_one(self, tmp_path, capsys, cap):
+        doc = tmp_path / "ocb.json"
+        run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
+        code, out, err = run_cli(
+            ["check-sep", "--input", str(doc), "--max-iter", cap, "--json"], capsys
+        )
+        assert code == 1
+        assert "--max-iter" in err
+        assert "Infinity" not in out
+
     def test_dephase_then_separate_reports_pure_channel(self, tmp_path, capsys):
         ocb = tmp_path / "ocb.json"
         dephased = tmp_path / "dephased.json"

@@ -23,9 +23,16 @@ from procmat import (
     w0_process,
 )
 from procmat.games import ocb_process
-from procmat.separability import NOT_SEPARABLE, SEPARABLE
+from procmat.process import project_to_valid_span
+from procmat.separability import (
+    NOT_SEPARABLE,
+    SEPARABLE,
+    _span_distance,
+    _span_project,
+    _span_rows,
+)
 
-from conftest import EYE2, SIGMA_Z
+from conftest import EYE2, SIGMA_Z, random_hermitian
 
 Z2 = MeasurementBasis.computational(2)
 
@@ -241,6 +248,11 @@ class TestDykstraSeparability:
         with pytest.raises(ValueError):
             dykstra_separability(bad)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_cap_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            dykstra_separability(identity_process(), max_iter=max_iter)
+
     @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 1, 2, 1), (3, 1, 2, 1)],
                              ids=lambda dims: "-".join(map(str, dims)))
     def test_trivial_output_layouts_separable(self, dims):
@@ -255,10 +267,34 @@ class TestDykstraSeparability:
             assert check.ok
 
 
+class TestSpanTables:
+    """The real-coordinate span table against the HS-mask reference projector."""
+
+    @pytest.mark.parametrize("variant", ["a_before_b", "b_before_a"])
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2), (2, 1, 2, 1)],
+                             ids=lambda dims: "-".join(map(str, dims)))
+    def test_matches_project_to_valid_span(self, dims, variant, rng):
+        layout = SystemLayout(*dims)
+        table = _span_rows(dims, variant)
+        for _ in range(3):
+            m = random_hermitian(rng, layout.d_total)
+            reference = project_to_valid_span(m, layout, variant)
+            projected = _span_project(m, table)
+            assert np.max(np.abs(projected - reference)) <= 1e-12
+            assert np.max(np.abs(_span_project(projected, table) - projected)) <= 1e-12
+            assert abs(_span_distance(m, table) - np.linalg.norm(m - reference)) <= 1e-12
+            assert _span_distance(projected, table) <= 1e-12
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            _span_rows((2, 2, 2, 2), "a_before_b")[0, 0] = 1.0
+
+
 class TestNoisyFixtureThreshold:
     """Mixing the violating fixture with noise loses separability exactly at
     visibility 1/sqrt(2); the boundary case forces thousands of projection
-    sweeps, which exercises the correction terms properly."""
+    sweeps, which exercises the correction terms properly.  Only the two
+    PSD steps carry corrections; the span steps are plain projections."""
 
     @staticmethod
     def _noisy(q):
@@ -284,3 +320,21 @@ class TestNoisyFixtureThreshold:
         report = dykstra_separability(self._noisy(0.75), tol=1e-8, max_iter=3000)
         assert report.status == NOT_SEPARABLE
         assert report.plateau_residual > 1e-3
+
+    @pytest.mark.parametrize("q, iterations", [(0.7, 7), (0.7065, 69), (0.707, 382)])
+    def test_converged_sweep_counts_pinned(self, q, iterations):
+        # Counts and plateaus of the sweep with corrections on all four
+        # steps; dropping the span corrections must not move them.  The
+        # residual one sweep before the stop is at least 6.5e-7, far above
+        # tol, so the count does not hinge on rounding.
+        report = dykstra_separability(self._noisy(q), tol=1e-8, max_iter=1000)
+        assert report.status == SEPARABLE
+        assert report.iterations == iterations
+
+    @pytest.mark.parametrize("q, plateau", [(0.7072, 6.214769611738228e-05),
+                                            (0.75, 0.02896773238725622)])
+    def test_capped_plateaus_pinned(self, q, plateau):
+        report = dykstra_separability(self._noisy(q), tol=1e-8, max_iter=1000)
+        assert report.status == NOT_SEPARABLE
+        assert report.iterations == 1000
+        assert report.plateau_residual == pytest.approx(plateau, rel=1e-6)
