@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -35,7 +36,9 @@ from .process import (
     validate_process,
 )
 from .separability import (
+    INCONCLUSIVE,
     SEPARABLE,
+    DecompositionError,
     EigenstructureError,
     NotInputDiagonalError,
     constructive_decomposition,
@@ -276,7 +279,7 @@ def _cmd_separate(args) -> int:
     )
     try:
         decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=args.tol)
-    except (NotInputDiagonalError, EigenstructureError, ValueError) as err:
+    except (NotInputDiagonalError, EigenstructureError, DecompositionError, ValueError) as err:
         run.status = "check-failed"
         run.results["error"] = str(err)
         _emit_report(args, run, file_output=False)
@@ -306,6 +309,9 @@ def _cmd_check_sep(args) -> int:
         decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=args.tol)
         run.results["path"] = "constructive"
         run.results["status"] = SEPARABLE
+    except DecompositionError as err:
+        # Input-diagonal, so a projection search could only pass at a looser tolerance.
+        run.results.update(path="constructive", status=INCONCLUSIVE, error=str(err))
     except (NotInputDiagonalError, EigenstructureError):
         report = dykstra_separability(w, tol=args.tol, max_iter=args.max_iter)
         run.results["path"] = "dykstra"
@@ -460,6 +466,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise CliError(f"--tol must be a positive finite number, got {args.tol}")
         return args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

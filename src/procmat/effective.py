@@ -21,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from .instruments import Instrument, born_probability, cq_instrument
+from .instruments import Instrument, cq_instrument, probability_table
 from .process import ProcessMatrix, validate_process
 from .tensor import hermitian_eig, partial_transpose
 
@@ -97,12 +97,13 @@ def _in_frame(matrix: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
     """Product frame of ``bases`` and ``matrix`` rotated into it as a 2n-index tensor.
 
     ``bases`` has one entry per factor: a :class:`MeasurementBasis`, or the
-    factor's dimension for a factor kept in its own frame.
+    factor's dimension for a factor kept in its own frame.  A stack of
+    matrices keeps its leading axes.
     """
     measured = [isinstance(b, MeasurementBasis) for b in bases]
     dims = tuple(b.dim if m else int(b) for b, m in zip(bases, measured))
     frame = reduce(np.kron, [b.vectors if m else np.eye(b) for b, m in zip(bases, measured)])
-    return frame, (frame.conj().T @ matrix @ frame).reshape(dims + dims)
+    return frame, (frame.conj().T @ matrix @ frame).reshape(matrix.shape[:-2] + dims + dims)
 
 
 def _dephase(matrix: np.ndarray, bases) -> np.ndarray:
@@ -156,13 +157,16 @@ def is_input_diagonal(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-10):
     layout = w.layout
     bases = (as_basis(basis_a1, layout.d_a1), layout.d_a2, as_basis(basis_b1, layout.d_b1), layout.d_b2)
     _, t = _in_frame(w.matrix, bases)
-    # block_norms[n, m, n', m'] over the A2/B2 entries of each input block
-    block_norms = np.sqrt(np.einsum("arbsctdu->abcd", (t * t.conj()).real))
-    eye_a = np.eye(layout.d_a1, dtype=bool)
-    eye_b = np.eye(layout.d_b1, dtype=bool)
-    off = ~(eye_a[:, None, :, None] & eye_b[None, :, None, :])
-    max_off = float(block_norms[off].max()) if off.any() else 0.0
+    max_off = float(np.sqrt(_off_block_norms2(t).max()))
     return max_off <= tol, max_off
+
+
+def _off_block_norms2(t: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms [..., n, m, n', m'] of an in-frame tensor's off-diagonal input blocks."""
+    norms2 = np.einsum("...arbsctdu->...abcd", (t * t.conj()).real)
+    d_a1, d_b1 = norms2.shape[-4:-2]
+    on = np.eye(d_a1, dtype=bool)[:, None, :, None] & np.eye(d_b1, dtype=bool)[None, :, None, :]
+    return np.where(on, 0.0, norms2)
 
 
 def selective_update(w: ProcessMatrix, n: int, m: int, basis_a1, basis_b1):
@@ -221,10 +225,9 @@ def indistinguishability_residual(w: ProcessMatrix, effective: EffectiveProcess,
         rng = np.random.default_rng(child)
         instr_a = random_cq_instrument(effective.basis_a1, layout.d_a2, rng)
         instr_b = random_cq_instrument(effective.basis_b1, layout.d_b2, rng)
-        for m_a in instr_a.outcomes:
-            for m_b in instr_b.outcomes:
-                delta = abs(born_probability(w, m_a, m_b) - born_probability(effective.matrix, m_a, m_b))
-                worst = max(worst, delta)
+        delta = (probability_table(w, instr_a, instr_b).entries
+                 - probability_table(effective.matrix, instr_a, instr_b).entries)
+        worst = max(worst, float(np.abs(delta).max()))
     return worst
 
 

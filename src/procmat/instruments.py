@@ -232,27 +232,38 @@ def check_instrument(instrument: Instrument, tol: float = COMPLETENESS_TOL) -> I
     )
 
 
+def _check_layout(w: ProcessMatrix, alice, bob) -> None:
+    """Alice's and Bob's maps (or instruments) must fit the process layout."""
+    lay = w.layout
+    for name, op, expected in (("Alice", alice, (lay.d_a1, lay.d_a2)), ("Bob", bob, (lay.d_b1, lay.d_b2))):
+        got = (op.input_dim, op.output_dim)
+        if got != expected:
+            raise ValueError(f"{name} map has dimensions {got}, layout expects {expected}")
+
+
+def _real_probabilities(values: np.ndarray) -> np.ndarray:
+    worst = float(np.max(np.abs(values.imag)))
+    if worst > IMAG_TOL:
+        raise NumericIntegrityError(f"Born probability has imaginary part {worst:.3e} beyond {IMAG_TOL:.1e}")
+    return values.real
+
+
 def born_probability(w: ProcessMatrix, m_a: CPMap, m_b: CPMap) -> float:
-    """Joint probability Tr[W (M_A (x) M_B)] for one outcome pair."""
-    layout = w.layout
-    if (m_a.input_dim, m_a.output_dim) != (layout.d_a1, layout.d_a2):
-        raise ValueError(f"Alice map has dimensions {(m_a.input_dim, m_a.output_dim)}, "
-                         f"layout expects {(layout.d_a1, layout.d_a2)}")
-    if (m_b.input_dim, m_b.output_dim) != (layout.d_b1, layout.d_b2):
-        raise ValueError(f"Bob map has dimensions {(m_b.input_dim, m_b.output_dim)}, "
-                         f"layout expects {(layout.d_b1, layout.d_b2)}")
-    value = complex(np.einsum("ij,ji->", w.matrix, np.kron(m_a.cj, m_b.cj)))
-    if abs(value.imag) > IMAG_TOL:
-        raise NumericIntegrityError(
-            f"Born probability has imaginary part {value.imag:.3e} beyond {IMAG_TOL:.1e}"
-        )
-    return value.real
+    """Joint probability Tr[W (M_A (x) M_B)] for one outcome pair; reference for ``probability_table``."""
+    _check_layout(w, m_a, m_b)
+    return float(_real_probabilities(np.einsum("ij,ji->", w.matrix, np.kron(m_a.cj, m_b.cj))))
 
 
 def probability_table(w: ProcessMatrix, instr_a: Instrument, instr_b: Instrument) -> ProbabilityTable:
-    """All pairwise Born probabilities for two instruments."""
-    entries = np.empty((len(instr_a), len(instr_b)))
-    for i, m_a in enumerate(instr_a.outcomes):
-        for j, m_b in enumerate(instr_b.outcomes):
-            entries[i, j] = born_probability(w, m_a, m_b)
-    return ProbabilityTable(entries)
+    """All pairwise Born probabilities for two instruments.
+
+    With alpha = A1 A2 and beta = B1 B2, p(i, j) = sum W[alpha beta, alpha' beta']
+    M_A^i[alpha', alpha] M_B^j[beta', beta]: two matrix products over all outcome pairs.
+    """
+    _check_layout(w, instr_a, instr_b)
+    d_a = instr_a.input_dim * instr_a.output_dim
+    d_b = instr_b.input_dim * instr_b.output_dim
+    cj_a = np.stack([m.cj for m in instr_a.outcomes]).transpose(0, 2, 1).reshape(len(instr_a), -1)
+    cj_b = np.stack([m.cj for m in instr_b.outcomes]).transpose(2, 1, 0).reshape(-1, len(instr_b))
+    w_pairs = w.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    return ProbabilityTable(_real_probabilities(cj_a @ w_pairs @ cj_b))

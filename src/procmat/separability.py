@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .effective import MeasurementBasis, as_basis, is_input_diagonal
+from .effective import MeasurementBasis, _in_frame, _off_block_norms2, as_basis, is_input_diagonal
 from .games import _EYE2, _SIGMA_X, _SIGMA_Z
 from .process import (
     ProcessMatrix,
@@ -43,7 +43,6 @@ from .tensor import (
     hermitian_eig,
     hs_decompose,
     hs_reconstruct,
-    partial_trace,
     tensor_product,
 )
 
@@ -150,15 +149,17 @@ class EigenStructure:
     eigen_residual: float
 
 
-def _input_blocks(kappa: np.ndarray, layout: SystemLayout, ua1: np.ndarray, ub1: np.ndarray) -> np.ndarray:
-    """Diagonal input blocks <n, m| kappa |n, m> as matrices on A2 (x) B2."""
-    t = kappa.reshape(layout.dims + layout.dims)
-    blocks = np.einsum(
-        "in,jn,km,lm,irksjtlu->nmrstu",
-        ua1.conj(), ua1, ub1.conj(), ub1, t, optimize=True,
-    )
-    d_out = layout.d_a2 * layout.d_b2
-    return blocks.reshape(layout.d_a1, layout.d_b1, d_out, d_out)
+def _product_vectors(basis_a1: MeasurementBasis, a_bases: np.ndarray,
+                     basis_b1: MeasurementBasis, b_bases: np.ndarray) -> np.ndarray:
+    """Joint eigenvectors psi[:, n, a, m, b] = u_n (x) a (x) v_m (x) b.
+
+    ``a`` runs over the columns of a_bases[n, m] and ``b`` over those of
+    b_bases[n, m]; psi[:, n, a, m, b] has eigenvalue m1[n, a, m] under
+    kappa1 and m2[n, m, b] under kappa2.
+    """
+    psi = np.einsum("in,nmra,jm,nmsb->irjsnamb", basis_a1.vectors, a_bases, basis_b1.vectors, b_bases)
+    side = math.prod(psi.shape[:4])
+    return psi.reshape((side,) + psi.shape[4:])
 
 
 def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
@@ -167,7 +168,10 @@ def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
 
     Requires ``w_eff`` to be input-diagonal in the given bases; raises
     :class:`EigenstructureError` when a block fails the A (x) 1 / 1 (x) B
-    product form or a commutation residual exceeds ``tol``.
+    product form or a commutation residual exceeds ``tol``.  All blocks are
+    handled at once in the input frame: the diagonal input blocks of both
+    kappas come from one rotation, and one eigensolver call per kappa
+    diagonalizes the whole stack of block operators.
     """
     layout = split.layout
     ba1 = as_basis(basis_a1, layout.d_a1)
@@ -179,71 +183,43 @@ def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
         )
 
     d_a2, d_b2 = layout.d_a2, layout.d_b2
-    blocks1 = _input_blocks(split.kappa1, layout, ba1.vectors, bb1.vectors)
-    blocks2 = _input_blocks(split.kappa2, layout, ba1.vectors, bb1.vectors)
-
-    block_a = np.zeros((layout.d_a1, layout.d_b1, d_a2, d_a2), dtype=complex)
-    block_b = np.zeros((layout.d_a1, layout.d_b1, d_b2, d_b2), dtype=complex)
-    m1 = np.zeros((layout.d_a1, d_a2, layout.d_b1))
-    m2 = np.zeros((layout.d_a1, layout.d_b1, d_b2))
-    a_bases = np.zeros((layout.d_a1, layout.d_b1, d_a2, d_a2), dtype=complex)
-    b_bases = np.zeros((layout.d_a1, layout.d_b1, d_b2, d_b2), dtype=complex)
-
-    product_residual = 0.0
-    for n in range(layout.d_a1):
-        for m in range(layout.d_b1):
-            b1 = blocks1[n, m]
-            a_op = partial_trace(b1, (d_a2, d_b2), keep={0}) / d_b2
-            res_a = float(np.linalg.norm(b1 - np.kron(a_op, np.eye(d_b2))))
-            b2_ = blocks2[n, m]
-            b_op = partial_trace(b2_, (d_a2, d_b2), keep={1}) / d_a2
-            res_b = float(np.linalg.norm(b2_ - np.kron(np.eye(d_a2), b_op)))
-            product_residual = max(product_residual, res_a, res_b)
-            if res_a > tol or res_b > tol:
-                raise EigenstructureError(
-                    f"block ({n}, {m}) is not of product form: residuals {res_a:.3e}, {res_b:.3e}"
-                )
-            evals_a, vecs_a = hermitian_eig(a_op)
-            evals_b, vecs_b = hermitian_eig(b_op)
-            block_a[n, m] = a_op
-            block_b[n, m] = b_op
-            m1[n, :, m] = evals_a
-            m2[n, m, :] = evals_b
-            a_bases[n, m] = vecs_a
-            b_bases[n, m] = vecs_b
+    # t[k] is kappa_(k+1) in the input frame, indices (A1 A2 B1 B2, A1' A2' B1' B2').
+    kappas = np.stack((split.kappa1, split.kappa2))
+    _, t = _in_frame(kappas, (ba1, d_a2, bb1, d_b2))
+    # blocks[k, n, m] = <n, m| kappa_(k+1) |n, m> with indices (A2 B2, A2' B2').
+    blocks = np.einsum("karbsatbu->kabrstu", t)
+    block_a = np.einsum("abrsts->abrt", blocks[0]) / d_b2
+    block_b = np.einsum("abrsru->absu", blocks[1]) / d_a2
+    defects = np.stack((blocks[0] - block_a[:, :, :, None, :, None] * np.eye(d_b2)[:, None, :],
+                        blocks[1] - np.eye(d_a2)[:, None, :, None] * block_b[:, :, None, :, None, :]))
+    res = np.linalg.norm(defects.reshape(defects.shape[:3] + (-1,)), axis=-1)  # [kappa, n, m]
+    bad = np.argwhere((res > tol).any(axis=0))
+    if len(bad):
+        n, m = bad[0]
+        raise EigenstructureError(
+            f"block ({n}, {m}) is not of product form: residuals {res[0, n, m]:.3e}, {res[1, n, m]:.3e}"
+        )
+    evals_a, a_bases = hermitian_eig(block_a)
+    m1 = evals_a.transpose(0, 2, 1)  # m1[n, a, m]
+    m2, b_bases = hermitian_eig(block_b)
 
     comm_kappa = commutator_norm(split.kappa1, split.kappa2)
-    comm_proj = 0.0
-    eye_a2 = np.eye(d_a2, dtype=complex)
-    eye_b2 = np.eye(d_b2, dtype=complex)
-    for n in range(layout.d_a1):
-        for m in range(layout.d_b1):
-            p_nm = tensor_product([ba1.projector(n), eye_a2, bb1.projector(m), eye_b2])
-            comm_proj = max(
-                comm_proj,
-                commutator_norm(split.kappa1, p_nm),
-                commutator_norm(p_nm, split.kappa2),
-            )
+    # ||[K, P]||^2 = ||(1 - P) K P||^2 + ||P K (1 - P)||^2 for the input-block
+    # projector P = P_(n,m): the off-diagonal blocks in column and row (n, m).
+    # The Frobenius norm is the same in every frame.
+    off = _off_block_norms2(t)
+    comm_proj = float(np.sqrt(off.sum(axis=(3, 4)) + off.sum(axis=(1, 2))).max())
     if comm_kappa > tol or comm_proj > tol:
         raise EigenstructureError(
             f"commutation residuals too large: [k1, k2] = {comm_kappa:.3e}, "
             f"max [k, P] = {comm_proj:.3e}"
         )
 
-    eigen_residual = 0.0
-    for n in range(layout.d_a1):
-        for m in range(layout.d_b1):
-            for a in range(d_a2):
-                for b in range(d_b2):
-                    psi = tensor_product([
-                        ba1.vector(n).reshape(-1, 1),
-                        a_bases[n, m][:, a].reshape(-1, 1),
-                        bb1.vector(m).reshape(-1, 1),
-                        b_bases[n, m][:, b].reshape(-1, 1),
-                    ]).reshape(-1)
-                    r1 = float(np.linalg.norm(split.kappa1 @ psi - m1[n, a, m] * psi))
-                    r2 = float(np.linalg.norm(split.kappa2 @ psi - m2[n, m, b] * psi))
-                    eigen_residual = max(eigen_residual, r1, r2)
+    psi = _product_vectors(ba1, a_bases, bb1, b_bases)
+    side = layout.d_total
+    images = (kappas @ psi.reshape(side, side)).reshape((2,) + psi.shape)
+    defect = images - np.stack((psi * m1[..., None], psi * m2[:, None]))
+    eigen_residual = float(np.linalg.norm(defect, axis=1).max())
 
     return EigenStructure(
         basis_a1=ba1,
@@ -254,7 +230,7 @@ def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
         m2=m2,
         a_bases=a_bases,
         b_bases=b_bases,
-        product_form_residual=product_residual,
+        product_form_residual=float(res.max()),
         kappa_commutator=comm_kappa,
         projector_commutator=comm_proj,
         eigen_residual=eigen_residual,
@@ -344,20 +320,14 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
             f"min m2_bar {m2_bar.min():.3e}"
         )
 
+    # Sum_(n,a,m,b) of m_bar psi psi^dag over the joint product eigenvectors,
+    # which is sum_(n,m) P_n (x) shifted block (x) P_m (x) 1 (or its mirror).
     side = layout.d_total
-    ba1, bb1 = structure.basis_a1, structure.basis_b1
-    eye_a2 = np.eye(layout.d_a2, dtype=complex)
-    eye_b2 = np.eye(layout.d_b2, dtype=complex)
-    kappa1_bar = (1.0 + split.lambda0) * np.eye(side, dtype=complex)
-    kappa2_bar = np.zeros((side, side), dtype=complex)
-    for n in range(layout.d_a1):
-        for m in range(layout.d_b1):
-            va = structure.a_bases[n, m]
-            shifted_a = (va * m1_bar[n, :, m]) @ va.conj().T
-            kappa1_bar += tensor_product([ba1.projector(n), shifted_a, bb1.projector(m), eye_b2])
-            vb = structure.b_bases[n, m]
-            shifted_b = (vb * m2_bar[n, m, :]) @ vb.conj().T
-            kappa2_bar += tensor_product([ba1.projector(n), eye_a2, bb1.projector(m), shifted_b])
+    psi = _product_vectors(structure.basis_a1, structure.a_bases, structure.basis_b1, structure.b_bases)
+    psi_dag = psi.reshape(side, side).conj().T
+    kappa1_bar = (psi * m1_bar[..., None]).reshape(side, side) @ psi_dag
+    kappa1_bar += (1.0 + split.lambda0) * np.eye(side)
+    kappa2_bar = (psi * m2_bar[:, None]).reshape(side, side) @ psi_dag
 
     p = float(np.trace(kappa1_bar).real) / layout.d_total
     edge = 1e-12

@@ -44,13 +44,16 @@ def check_factor_dims(matrix: np.ndarray, dims: Sequence[int], name: str = "matr
 
 
 def hermiticity_defect(matrix) -> float:
-    """Max-entry distance from ``matrix`` to its own conjugate transpose."""
+    """Max-entry distance from ``matrix`` (or any member of a stack) to its conjugate transpose."""
     m = np.asarray(matrix, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
 
 
 def require_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    m = as_square_matrix(matrix, name)
+    """Coerce to complex and check Hermiticity; a ``(..., n, n)`` stack is checked member by member."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
     if defect > tol:
         raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {defect:.3e} > {tol:.1e}")
@@ -119,10 +122,12 @@ def hermitian_eig(matrix):
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and
     ascending and eigenvectors as the corresponding orthonormal columns.
     The input must be Hermitian to ``HERMITICITY_TOL``; it is Hermitised
-    before the solve so only its exact Hermitian part is diagonalised.
+    before the solve so only its exact Hermitian part is diagonalised.  A
+    ``(..., n, n)`` stack is checked member by member and solved in one
+    call, with results stacked the same way.
     """
     a = require_hermitian(matrix, name="matrix")
-    return np.linalg.eigh((a + a.conj().T) / 2.0)
+    return np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
 
 
 @lru_cache(maxsize=None)
@@ -186,45 +191,41 @@ class HSDecomposition:
         return math.prod(self.dims)
 
 
-_EINSUM_PATHS: dict = {}
+def _factor_transform(t: np.ndarray, dims: tuple[int, ...], tables) -> np.ndarray:
+    """Apply one (d^2, d^2) table per factor to a tensor of shape (d_1^2, ..., d_n^2).
 
-
-def _cached_einsum(key, operands, output_labels):
-    """einsum with the contraction path computed once per (dims, direction)."""
-    args: list = []
-    for op, labels in operands:
-        args.extend([op, labels])
-    args.append(output_labels)
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(*args, optimize="optimal")[0]
-        _EINSUM_PATHS[key] = path
-    return np.einsum(*args, optimize=path)
+    Each step multiplies the leading factor index and rotates it to the
+    back, so after n steps the factor order is restored.
+    """
+    for d, table in zip(dims, tables):
+        t = (table @ t.reshape(d * d, -1)).T
+    return t.reshape(tuple(d * d for d in dims))
 
 
 def hs_decompose(matrix, dims: Sequence[int]) -> HSDecomposition:
     """Expand a Hermitian matrix over the product Hilbert-Schmidt basis.
 
     Coefficients are c_T = Tr(M B_T) / ||B_T||_F^2 and are real for Hermitian
-    input; ``hs_reconstruct`` inverts the expansion exactly.
+    input; ``hs_reconstruct`` inverts the expansion exactly.  The trace is
+    taken one factor at a time, over that factor's (row, column) index pair.
     """
     m = require_hermitian(matrix)
     dims = check_factor_dims(m, dims)
-    n = len(dims)
-    operands = [(m.reshape(dims + dims), list(range(2 * n)))]
-    for f, d in enumerate(dims):
-        operands.append((hermitian_basis(d), [2 * n + f, n + f, f]))
-    coeffs = _cached_einsum(("dec", dims), operands, list(range(2 * n, 3 * n)))
-    return HSDecomposition(dims, np.real(coeffs) / math.prod(dims))
+    # Pair each factor's row and column indices: (i_1, j_1, ..., i_n, j_n).
+    paired = m.reshape(dims + dims).transpose([k for f in range(len(dims)) for k in (f, len(dims) + f)])
+    tables = [hermitian_basis(d).transpose(0, 2, 1).reshape(d * d, d * d) for d in dims]
+    coeffs = _factor_transform(paired, dims, tables)
+    return HSDecomposition(dims, coeffs.real / math.prod(dims))
 
 
 def hs_reconstruct(decomposition: HSDecomposition) -> np.ndarray:
     """Rebuild the Hermitian matrix from its product-basis coefficients."""
     dims = decomposition.dims
     n = len(dims)
-    operands = [(decomposition.coefficients, list(range(2 * n, 3 * n)))]
-    for f, d in enumerate(dims):
-        operands.append((hermitian_basis(d), [2 * n + f, f, n + f]))
-    t = _cached_einsum(("rec", dims), operands, list(range(2 * n)))
+    tables = [hermitian_basis(d).reshape(d * d, d * d).T for d in dims]
+    paired = _factor_transform(decomposition.coefficients, dims, tables)
+    # Unpair (i_1, j_1, ..., i_n, j_n) back into rows then columns.
+    t = paired.reshape([d for d in dims for _ in range(2)])
+    t = t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
     side = math.prod(dims)
     return np.ascontiguousarray(t.reshape(side, side))

@@ -3,6 +3,7 @@ import pytest
 
 from procmat import (
     Instrument,
+    SystemLayout,
     born_probability,
     channel_process,
     check_instrument,
@@ -263,3 +264,21 @@ class TestProbabilityTable:
             table = probability_table(w, instr_a, instr_b)
             assert abs(table.total - 1.0) < 1e-9
             assert table.entries.min() > -1e-10
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 2, 3), (2, 3, 3, 1)],
+                             ids=lambda dims: "-".join(map(str, dims)))
+    def test_matches_per_pair_born_rule(self, dims, rng):
+        d_a1, d_a2, d_b1, d_b2 = dims
+        w = random_process(210, SystemLayout(*dims))
+        instr_a = random_cptp_instrument(rng, d_a1, d_a2, 3)
+        instr_b = random_cptp_instrument(rng, d_b1, d_b2, 2)
+        table = probability_table(w, instr_a, instr_b)
+        assert table.entries.shape == (3, 2)
+        for i, m_a in enumerate(instr_a.outcomes):
+            for j, m_b in enumerate(instr_b.outcomes):
+                assert abs(table.entries[i, j] - born_probability(w, m_a, m_b)) <= 1e-14
+
+    def test_dimension_mismatch(self, rng):
+        w = identity_process()
+        with pytest.raises(ValueError, match="Bob map has dimensions"):
+            probability_table(w, random_cptp_instrument(rng, 2, 2, 2), random_cptp_instrument(rng, 3, 2, 2))

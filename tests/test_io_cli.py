@@ -92,6 +92,30 @@ class TestCli:
         assert "--max-iter" in err
         assert "Infinity" not in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_rejects_non_positive_or_non_finite_tol(self, tmp_path, capsys, tol):
+        doc = tmp_path / "ocb.json"
+        run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
+        code, out, err = run_cli(["validate", "--input", str(doc), f"--tol={tol}", "--json"], capsys)
+        assert code == 1
+        assert "--tol" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["separate", "check-sep"])
+    def test_failed_constructive_check_is_reported(self, tmp_path, capsys, command):
+        # At tol 1e-15 the split of this input-diagonal matrix is built but
+        # fails its own verification (a DecompositionError).
+        source = tmp_path / "random.json"
+        dephased = tmp_path / "dephased.json"
+        run_cli(["gen-random", "--seed", "3", "--output", str(source)], capsys)
+        run_cli(["dephase", "--input", str(source), "--output", str(dephased)], capsys)
+        code, out, _ = run_cli([command, "--input", str(dephased), "--tol", "1e-15", "--json"], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["status"] == "check-failed"
+        assert "failed verification" in report["results"]["error"]
+        assert "iterations" not in report["results"]  # no projection-search fallback
+
     def test_dephase_then_separate_reports_pure_channel(self, tmp_path, capsys):
         ocb = tmp_path / "ocb.json"
         dephased = tmp_path / "dephased.json"

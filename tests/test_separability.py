@@ -13,7 +13,9 @@ from procmat import (
     eigenstructure,
     identity_process,
     kappa_split,
+    hermitian_eig,
     luders_input_dephase,
+    partial_trace,
     random_process,
     tensor_product,
     validate_process,
@@ -155,6 +157,97 @@ class TestConstructiveDecomposition:
     def test_rejects_non_diagonal(self):
         with pytest.raises(NotInputDiagonalError):
             constructive_decomposition(ocb_process(), Z2, Z2)
+
+
+def loop_eigenstructure(split, ba, bb):
+    """Per-block reference for ``eigenstructure``: one block, projector and vector at a time."""
+    lay = split.layout
+    d_a1, d_a2, d_b1, d_b2 = lay.dims
+    eye_a2, eye_b2 = np.eye(d_a2), np.eye(d_b2)
+    m1 = np.zeros((d_a1, d_a2, d_b1))
+    m2 = np.zeros((d_a1, d_b1, d_b2))
+    a_bases = np.zeros((d_a1, d_b1, d_a2, d_a2), dtype=complex)
+    b_bases = np.zeros((d_a1, d_b1, d_b2, d_b2), dtype=complex)
+    product = projector = eigen = 0.0
+    for n in range(d_a1):
+        for m in range(d_b1):
+            iso = np.kron(np.kron(ba.vector(n)[:, None], eye_a2), np.kron(bb.vector(m)[:, None], eye_b2))
+            block1 = iso.conj().T @ split.kappa1 @ iso
+            block2 = iso.conj().T @ split.kappa2 @ iso
+            a_op = partial_trace(block1, (d_a2, d_b2), keep={0}) / d_b2
+            b_op = partial_trace(block2, (d_a2, d_b2), keep={1}) / d_a2
+            product = max(product, np.linalg.norm(block1 - np.kron(a_op, eye_b2)),
+                          np.linalg.norm(block2 - np.kron(eye_a2, b_op)))
+            m1[n, :, m], a_bases[n, m] = hermitian_eig(a_op)
+            m2[n, m, :], b_bases[n, m] = hermitian_eig(b_op)
+            p_nm = tensor_product([ba.projector(n), eye_a2, bb.projector(m), eye_b2])
+            projector = max(projector, commutator_norm(split.kappa1, p_nm),
+                            commutator_norm(p_nm, split.kappa2))
+    for n in range(d_a1):
+        for m in range(d_b1):
+            for a in range(d_a2):
+                for b in range(d_b2):
+                    psi = np.kron(np.kron(ba.vector(n), a_bases[n, m][:, a]),
+                                  np.kron(bb.vector(m), b_bases[n, m][:, b]))
+                    eigen = max(eigen,
+                                np.linalg.norm(split.kappa1 @ psi - m1[n, a, m] * psi),
+                                np.linalg.norm(split.kappa2 @ psi - m2[n, m, b] * psi))
+    residuals = (product, commutator_norm(split.kappa1, split.kappa2), projector, eigen)
+    return m1, m2, a_bases, b_bases, residuals
+
+
+def loop_parts(w, ba, bb):
+    """Per-block reference for the parts of ``constructive_decomposition``."""
+    lay = w.layout
+    split = kappa_split(w)
+    m1, m2, a_bases, b_bases, _ = loop_eigenstructure(split, ba, bb)
+    shift = m1.min(axis=1)
+    m1_bar = m1 - shift[:, None, :]
+    m2_bar = m2 + shift[:, :, None]
+    kappa1_bar = (1.0 + split.lambda0) * np.eye(lay.d_total, dtype=complex)
+    kappa2_bar = np.zeros((lay.d_total, lay.d_total), dtype=complex)
+    for n in range(lay.d_a1):
+        for m in range(lay.d_b1):
+            va, vb = a_bases[n, m], b_bases[n, m]
+            kappa1_bar += tensor_product([ba.projector(n), (va * m1_bar[n, :, m]) @ va.conj().T,
+                                          bb.projector(m), np.eye(lay.d_b2)])
+            kappa2_bar += tensor_product([ba.projector(n), np.eye(lay.d_a2),
+                                          bb.projector(m), (vb * m2_bar[n, m, :]) @ vb.conj().T])
+    p = float(np.trace(kappa1_bar).real) / lay.d_total
+    return p, kappa1_bar / (p * lay.d), kappa2_bar / ((1.0 - p) * lay.d)
+
+
+class TestBlockwiseAgainstLoopOracle:
+    """The blockwise eigenstructure and split against per-block loops, to 1e-12."""
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2), (2, 2, 3, 3), (2, 1, 2, 1), (1, 1, 1, 1)],
+        ids=lambda dims: "-".join(map(str, dims)),
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_eigenstructure_and_parts(self, dims, seed):
+        lay = SystemLayout(*dims)
+        ba = MeasurementBasis.random(dims[0], 500 + seed)
+        bb = MeasurementBasis.random(dims[2], 600 + seed)
+        w = luders_input_dephase(random_process(700 + seed, lay), ba, bb).matrix
+        structure = eigenstructure(kappa_split(w), ba, bb, w)
+        m1, m2, _, _, residuals = loop_eigenstructure(kappa_split(w), ba, bb)
+        assert np.max(np.abs(structure.m1 - m1)) <= 1e-12
+        assert np.max(np.abs(structure.m2 - m2)) <= 1e-12
+        got = (structure.product_form_residual, structure.kappa_commutator,
+               structure.projector_commutator, structure.eigen_residual)
+        assert np.max(np.abs(np.subtract(got, residuals))) <= 1e-12
+
+        dec = constructive_decomposition(w, ba, bb)
+        p, w_ab, w_ba = loop_parts(w, ba, bb)
+        assert abs(dec.p - p) <= 1e-12
+        if dims == (1, 1, 1, 1):
+            # One input block and no output: the whole weight sits on the
+            # identity side, p = 1.
+            assert dec.p == 1.0 and dec.w_ba is None
+            return
+        assert np.max(np.abs(dec.w_ab.matrix - w_ab)) <= 1e-12
+        assert np.max(np.abs(dec.w_ba.matrix - w_ba)) <= 1e-12
 
 
 class TestVerifyDecomposition:

@@ -146,6 +146,29 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_matches_member_calls(self):
+        rng = np.random.default_rng(12)
+        stack = np.stack([[random_hermitian(rng, 3) for _ in range(4)] for _ in range(2)])
+        evals, vecs = hermitian_eig(stack)
+        assert evals.shape == (2, 4, 3) and vecs.shape == (2, 4, 3, 3)
+        for k in range(2):
+            for j in range(4):
+                member_evals, member_vecs = hermitian_eig(stack[k, j])
+                assert np.max(np.abs(evals[k, j] - member_evals)) <= 1e-14
+                assert np.max(np.abs(vecs[k, j] - member_vecs)) <= 1e-14
+
+    def test_stack_with_one_non_hermitian_member_rejected(self):
+        rng = np.random.default_rng(13)
+        stack = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+        stack[1, 0, 2] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(stack)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (5, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eig(np.zeros(shape))
+
 
 class TestHermitianBasis:
     def test_qubit_basis_is_pauli(self):
@@ -214,6 +237,19 @@ class TestHSDecomposition:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             hs_decompose(np.eye(8), (2, 2, 2, 2))
+
+    @pytest.mark.parametrize("dims", [(3, 2, 3, 2), (2, 3, 2, 2), (3, 2)],
+                             ids=lambda dims: "-".join(map(str, dims)))
+    def test_coefficients_match_trace_oracle(self, dims):
+        # c_T = Tr(M B_T) / ||B_T||^2 term by term; a swapped row/column or
+        # factor index that decompose and reconstruct share would pass the
+        # round trip but not this.
+        m = random_hermitian(np.random.default_rng(14), int(np.prod(dims)))
+        coeffs = hs_decompose(m, dims).coefficients
+        for index in np.ndindex(coeffs.shape):
+            b_t = tensor_product([hermitian_basis(d)[t] for d, t in zip(dims, index)])
+            expected = np.trace(m @ b_t).real / np.vdot(b_t, b_t).real
+            assert abs(coeffs[index] - expected) <= 1e-12
 
 
 class TestFrobeniusInner:
