@@ -21,9 +21,9 @@ from functools import reduce
 
 import numpy as np
 
-from .instruments import Instrument, cq_instrument, probability_table
+from .instruments import Instrument, _cq_born_tables, cq_instrument
 from .process import ProcessMatrix, validate_process
-from .tensor import hermitian_eig, partial_transpose
+from .tensor import _eigvalsh, partial_transpose
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -197,16 +197,19 @@ def selective_update(w: ProcessMatrix, n: int, m: int, basis_a1, basis_b1):
     return pm, validate_process(pm)
 
 
+def _cq_draws(rngs, d_in: int, output_dim: int, n_outcomes: int = 2):
+    """Stacked table and unit-trace Wishart states of one cq instrument per generator, drawn in that order."""
+    raw = np.stack([rng.uniform(0.1, 1.0, size=(n_outcomes, d_in)) for rng in rngs])
+    gauss = np.stack([rng.standard_normal((n_outcomes, 2, output_dim, output_dim)) for rng in rngs])
+    g = gauss[:, :, 0] + 1j * gauss[:, :, 1]
+    wish = g @ g.conj().swapaxes(-1, -2)
+    return raw / raw.sum(axis=-2, keepdims=True), wish / np.trace(wish, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_cq_instrument(basis: MeasurementBasis, output_dim: int, rng, n_outcomes: int = 2) -> Instrument:
     """Random fixed-basis instrument: stochastic outcome table, Wishart repreparations."""
-    raw = rng.uniform(0.1, 1.0, size=(n_outcomes, basis.dim))
-    p = raw / raw.sum(axis=0)
-    states = []
-    for _ in range(n_outcomes):
-        g = rng.standard_normal((output_dim, output_dim)) + 1j * rng.standard_normal((output_dim, output_dim))
-        wish = g @ g.conj().T
-        states.append(wish / np.trace(wish).real)
-    return cq_instrument(basis.vectors, p, states)
+    p, states = _cq_draws([rng], basis.dim, output_dim, n_outcomes)
+    return cq_instrument(basis.vectors, p[0], states[0])
 
 
 def indistinguishability_residual(w: ProcessMatrix, effective: EffectiveProcess,
@@ -216,19 +219,17 @@ def indistinguishability_residual(w: ProcessMatrix, effective: EffectiveProcess,
     Samples pairs of random fixed-basis instruments in the dephasing bases
     and returns the max over samples and outcome pairs of
     |P_W - P_Weff|.  Vanishes (numerically) whenever the effective matrix
-    was produced by input dephasing in the same bases.
+    was produced by input dephasing in the same bases.  Sample k draws
+    Alice's and then Bob's instrument from child k of ``SeedSequence(seed)``,
+    as ``random_cq_instrument`` would; all tables come from one contraction.
     """
-    layout = w.layout
-    children = np.random.SeedSequence(seed).spawn(samples)
-    worst = 0.0
-    for child in children:
-        rng = np.random.default_rng(child)
-        instr_a = random_cq_instrument(effective.basis_a1, layout.d_a2, rng)
-        instr_b = random_cq_instrument(effective.basis_b1, layout.d_b2, rng)
-        delta = (probability_table(w, instr_a, instr_b).entries
-                 - probability_table(effective.matrix, instr_a, instr_b).entries)
-        worst = max(worst, float(np.abs(delta).max()))
-    return worst
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(samples)]
+    ba, bb = effective.basis_a1, effective.basis_b1
+    tables = _cq_born_tables((w, effective.matrix), (ba.vectors, *_cq_draws(rngs, ba.dim, w.layout.d_a2)),
+                             (bb.vectors, *_cq_draws(rngs, bb.dim, w.layout.d_b2)))
+    return float(np.abs(tables[0] - tables[1]).max())
 
 
 def dephase_state(rho, basis_a, basis_b) -> np.ndarray:
@@ -253,6 +254,5 @@ def ppt_check(rho, dims: tuple[int, int] = (2, 2), tol: float = 1e-10):
         raise ValueError(f"PPT is only decisive for 2x2 and 2x3 systems, got {da}x{db}")
     r = np.asarray(rho, dtype=complex)
     pt = partial_transpose(r, (da, db), {1})
-    evals, _ = hermitian_eig(pt)
-    min_eig = float(evals[0])
+    min_eig = float(_eigvalsh(pt)[0])
     return min_eig >= -tol, min_eig

@@ -107,12 +107,8 @@ def evaluate_game(w: ProcessMatrix, game: CausalGame, strategy: Strategy) -> Gam
         instr_a = strategy.alice(a)
         for b, b_prime in game.bob_inputs:
             instr_b = strategy.bob(b, b_prime)
-            table = probability_table(w, instr_a, instr_b)
-            win = 0.0
-            for x in range(len(instr_a)):
-                for y in range(len(instr_b)):
-                    if game.success(a, b, b_prime, x, y):
-                        win += float(table.entries[x, y])
+            table = probability_table(w, instr_a, instr_b).entries
+            win = sum(float(table[x, y]) for x, y in np.ndindex(table.shape) if game.success(a, b, b_prime, x, y))
             conditions.append(((a, b, b_prime), win))
             total += win
     value = total / n_conditions

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .process import ProcessMatrix
-from .tensor import as_square_matrix, hermitian_eig, partial_trace
+from .tensor import _eigvalsh, as_square_matrix, partial_trace
 
 COMPLETENESS_TOL = 1e-9
 CP_TOL = 1e-9
@@ -28,6 +28,13 @@ IMAG_TOL = 1e-10
 
 class NumericIntegrityError(ArithmeticError):
     """A quantity that must be real came out with a significant imaginary part."""
+
+
+def _require_cp(cj: np.ndarray) -> None:
+    """Every CJ matrix of a ``(..., side, side)`` stack must be positive to ``CP_TOL``."""
+    worst = float(_eigvalsh(cj)[..., 0].min())
+    if worst < -CP_TOL:
+        raise ValueError(f"cj is not completely positive: min eigenvalue {worst:.3e}")
 
 
 @dataclass(frozen=True)
@@ -43,9 +50,7 @@ class CPMap:
         side = self.input_dim * self.output_dim
         if m.shape != (side, side):
             raise ValueError(f"cj has shape {m.shape}, expected {(side, side)}")
-        evals, _ = hermitian_eig(m)
-        if evals[0] < -CP_TOL:
-            raise ValueError(f"cj is not completely positive: min eigenvalue {evals[0]:.3e}")
+        _require_cp(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "cj", m)
@@ -163,13 +168,8 @@ def classical_instrument(p, basis_in, basis_out) -> Instrument:
 
     in_proj = np.einsum("il,jl->lij", bin_m, bin_m.conj())
     out_proj = np.einsum("it,jt->tij", bout_m, bout_m.conj())
-    maps = []
-    for k in range(n_out):
-        cj = np.einsum("tl,lij,tmn->imjn", table[k], in_proj, out_proj).reshape(
-            d_in * d_out, d_in * d_out
-        )
-        maps.append(CPMap(d_in, d_out, cj))
-    return Instrument(tuple(maps))
+    maps = np.einsum("ktl,lij,tmn->kimjn", table, in_proj, out_proj).reshape(n_out, d_in * d_out, d_in * d_out)
+    return Instrument(tuple(CPMap(d_in, d_out, cj) for cj in maps))
 
 
 def cq_instrument(basis_in, p, states: Sequence[np.ndarray]) -> Instrument:
@@ -189,35 +189,32 @@ def cq_instrument(basis_in, p, states: Sequence[np.ndarray]) -> Instrument:
     basis = np.asarray(basis_in, dtype=complex)
     if basis.shape != (d_in, d_in):
         raise ValueError(f"basis has shape {basis.shape}, expected {(d_in, d_in)}")
+    rhos = np.stack([as_square_matrix(rho, f"states[{i}]") for i, rho in enumerate(states)])
+    maps = _cq_maps(basis, table, rhos)
+    not_psd = np.flatnonzero(_eigvalsh(rhos)[:, 0] < -1e-9)
+    if not_psd.size:
+        raise ValueError(f"states[{not_psd[0]}] is not positive semidefinite")
+    return Instrument(tuple(CPMap(d_in, rhos.shape[-1], cj) for cj in maps))
+
+
+def _cq_maps(basis: np.ndarray, table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """CJ matrices kron(sum_n p[..., i, n] |n><n|, states[..., i]) of checked, stacked cq instruments."""
     if np.any(table < -1e-12):
         raise ValueError("probabilities must be nonnegative")
-    if not np.allclose(table.sum(axis=0), 1.0, atol=1e-9):
+    if not np.allclose(table.sum(axis=-2), 1.0, atol=1e-9):
         raise ValueError("p must be column stochastic: sums over outcomes must be 1")
-
-    rhos = []
-    for i, rho in enumerate(states):
-        r = as_square_matrix(rho, f"states[{i}]")
-        if abs(np.trace(r).real - 1.0) > 1e-9 or abs(np.trace(r).imag) > 1e-9:
-            raise ValueError(f"states[{i}] must have unit trace")
-        evals, _ = hermitian_eig(r)
-        if evals[0] < -1e-9:
-            raise ValueError(f"states[{i}] is not positive semidefinite")
-        rhos.append(r)
-    d_out = rhos[0].shape[0]
-
-    maps = []
-    for i in range(n_out):
-        weights = np.einsum("n,jn,kn->jk", table[i], basis, basis.conj())
-        maps.append(CPMap(d_in, d_out, np.kron(weights, rhos[i])))
-    return Instrument(tuple(maps))
+    traces = np.trace(states, axis1=-2, axis2=-1)
+    bad = np.argwhere((np.abs(traces.real - 1.0) > 1e-9) | (np.abs(traces.imag) > 1e-9))
+    if bad.size:
+        raise ValueError(f"states[{bad[0, -1]}] must have unit trace")
+    weights = np.einsum("...in,jn,kn->...ijk", table, basis, basis.conj())
+    side = basis.shape[0] * states.shape[-1]
+    return np.einsum("...ijk,...iab->...ijakb", weights, states).reshape(states.shape[:-2] + (side, side))
 
 
 def check_instrument(instrument: Instrument, tol: float = COMPLETENESS_TOL) -> InstrumentReport:
     """Report per-outcome positivity and the trace-preservation residual."""
-    min_eigs = []
-    for m in instrument.outcomes:
-        evals, _ = hermitian_eig(m.cj)
-        min_eigs.append(float(evals[0]))
+    min_eigs = [float(e) for e in _eigvalsh(np.stack([m.cj for m in instrument.outcomes]))[:, 0]]
     total = sum(m.cj for m in instrument.outcomes)
     reduced = partial_trace(total, (instrument.input_dim, instrument.output_dim), keep={0})
     residual = float(np.linalg.norm(reduced - np.eye(instrument.input_dim)))
@@ -232,11 +229,10 @@ def check_instrument(instrument: Instrument, tol: float = COMPLETENESS_TOL) -> I
     )
 
 
-def _check_layout(w: ProcessMatrix, alice, bob) -> None:
-    """Alice's and Bob's maps (or instruments) must fit the process layout."""
+def _check_layout(w: ProcessMatrix, alice: tuple[int, int], bob: tuple[int, int]) -> None:
+    """Alice's and Bob's (input, output) dimensions must fit the process layout."""
     lay = w.layout
-    for name, op, expected in (("Alice", alice, (lay.d_a1, lay.d_a2)), ("Bob", bob, (lay.d_b1, lay.d_b2))):
-        got = (op.input_dim, op.output_dim)
+    for name, got, expected in (("Alice", alice, (lay.d_a1, lay.d_a2)), ("Bob", bob, (lay.d_b1, lay.d_b2))):
         if got != expected:
             raise ValueError(f"{name} map has dimensions {got}, layout expects {expected}")
 
@@ -250,20 +246,37 @@ def _real_probabilities(values: np.ndarray) -> np.ndarray:
 
 def born_probability(w: ProcessMatrix, m_a: CPMap, m_b: CPMap) -> float:
     """Joint probability Tr[W (M_A (x) M_B)] for one outcome pair; reference for ``probability_table``."""
-    _check_layout(w, m_a, m_b)
+    _check_layout(w, (m_a.input_dim, m_a.output_dim), (m_b.input_dim, m_b.output_dim))
     return float(_real_probabilities(np.einsum("ij,ji->", w.matrix, np.kron(m_a.cj, m_b.cj))))
 
 
-def probability_table(w: ProcessMatrix, instr_a: Instrument, instr_b: Instrument) -> ProbabilityTable:
-    """All pairwise Born probabilities for two instruments.
+def _born_tables(w: np.ndarray, cj_a: np.ndarray, cj_b: np.ndarray) -> np.ndarray:
+    """Born tables p[..., i, j] of ``(..., side, side)`` matrices for ``(..., outcomes, d, d)`` CJ stacks.
 
     With alpha = A1 A2 and beta = B1 B2, p(i, j) = sum W[alpha beta, alpha' beta']
-    M_A^i[alpha', alpha] M_B^j[beta', beta]: two matrix products over all outcome pairs.
+    M_A^i[alpha', alpha] M_B^j[beta', beta]: two matrix products over all
+    outcome pairs, batched over the broadcast leading axes.
     """
-    _check_layout(w, instr_a, instr_b)
-    d_a = instr_a.input_dim * instr_a.output_dim
-    d_b = instr_b.input_dim * instr_b.output_dim
-    cj_a = np.stack([m.cj for m in instr_a.outcomes]).transpose(0, 2, 1).reshape(len(instr_a), -1)
-    cj_b = np.stack([m.cj for m in instr_b.outcomes]).transpose(2, 1, 0).reshape(-1, len(instr_b))
-    w_pairs = w.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
-    return ProbabilityTable(_real_probabilities(cj_a @ w_pairs @ cj_b))
+    d_a, d_b = cj_a.shape[-1], cj_b.shape[-1]
+    a = cj_a.swapaxes(-1, -2).reshape(cj_a.shape[:-2] + (d_a * d_a,))
+    b = np.moveaxis(cj_b.swapaxes(-1, -2), -3, -1).reshape(cj_b.shape[:-3] + (d_b * d_b, cj_b.shape[-3]))
+    lead = w.shape[:-2]
+    pairs = w.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2).reshape(lead + (d_a * d_a, d_b * d_b))
+    return _real_probabilities(a @ pairs @ b)
+
+
+def probability_table(w: ProcessMatrix, instr_a: Instrument, instr_b: Instrument) -> ProbabilityTable:
+    """All pairwise Born probabilities for two instruments, as one contraction."""
+    _check_layout(w, (instr_a.input_dim, instr_a.output_dim), (instr_b.input_dim, instr_b.output_dim))
+    cj_a, cj_b = (np.stack([m.cj for m in instr.outcomes]) for instr in (instr_a, instr_b))
+    return ProbabilityTable(_born_tables(w.matrix, cj_a, cj_b))
+
+
+def _cq_born_tables(ws: Sequence[ProcessMatrix], party_a, party_b) -> np.ndarray:
+    """Born tables ``(len(ws), samples, n_a, n_b)`` of checked per-party cq stacks ``(basis, tables, states)``."""
+    maps = [_cq_maps(*party) for party in (party_a, party_b)]
+    for cj in maps:
+        _require_cp(cj)
+    for w in ws:
+        _check_layout(w, *((basis.shape[0], states.shape[-1]) for basis, _, states in (party_a, party_b)))
+    return _born_tables(np.stack([w.matrix for w in ws])[:, None], *maps)

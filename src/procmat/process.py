@@ -20,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .tensor import (
+    _eigvalsh,
     check_factor_dims,
     hermitian_eig,
     hs_decompose,
@@ -185,8 +186,7 @@ def validate_process(
     layout = w.layout
     if psd_tol is None:
         psd_tol = 1e-9 * w.side
-    evals, _ = hermitian_eig(w.matrix)
-    min_eig = float(evals[0])
+    min_eig = float(_eigvalsh(w.matrix)[0])
     is_psd = min_eig >= -psd_tol
 
     trace_value = float(np.trace(w.matrix).real)
@@ -244,11 +244,9 @@ def channel_process(layout: SystemLayout | None = None) -> ProcessMatrix:
     if layout.d_a2 != layout.d_b1:
         raise ValueError(f"identity channel needs d_a2 == d_b1, got {layout.d_a2} and {layout.d_b1}")
     d = layout.d_a2
-    # Unnormalized maximally entangled operator sum_pq |p><q| x |p><q|.
-    link = np.zeros((d * d, d * d), dtype=complex)
-    for p in range(d):
-        for q in range(d):
-            link[p * d + p, q * d + q] = 1.0
+    # Unnormalized maximally entangled operator sum_pq |p><q| x |p><q| = |1>><<1|.
+    vec = np.eye(d, dtype=complex).reshape(-1)
+    link = np.outer(vec, vec)
     m = np.kron(
         np.kron(np.eye(layout.d_a1, dtype=complex) / layout.d_a1, link),
         np.eye(layout.d_b2, dtype=complex),

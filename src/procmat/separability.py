@@ -37,14 +37,7 @@ from .process import (
     _allowed_coefficient_mask,
     validate_process,
 )
-from .tensor import (
-    HSDecomposition,
-    hermitian_basis,
-    hermitian_eig,
-    hs_decompose,
-    hs_reconstruct,
-    tensor_product,
-)
+from .tensor import _eigvalsh, hermitian_basis, hermitian_eig, tensor_product
 
 SEPARABLE = "separable"
 NOT_SEPARABLE = "not-separable-up-to-tolerance"
@@ -91,9 +84,10 @@ class KappaSplit:
 def kappa_split(w_eff: ProcessMatrix, alpha: float = 1.0) -> KappaSplit:
     """Split d * W_eff - 1 into a B2-trivial and an A2-trivial part.
 
-    Hilbert-Schmidt terms nontrivial on B2 go to kappa2, everything else
-    (input-only terms included) to kappa1; the identity is then shifted so
-    kappa1 + kappa2 has minimal eigenvalue zero.
+    With g = d * W_eff - 1, the B2-trivial part Tr_B2(g) (x) 1 / d_B2
+    (input-only terms included) goes to kappa1 and the rest, the
+    Hilbert-Schmidt terms nontrivial on B2, to kappa2; the identity is then
+    shifted so kappa1 + kappa2 has minimal eigenvalue zero.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -106,20 +100,16 @@ def kappa_split(w_eff: ProcessMatrix, alpha: float = 1.0) -> KappaSplit:
         )
     side = layout.d_total
     g = layout.d * w_eff.matrix - np.eye(side)
-    evals, _ = hermitian_eig(g)
-    lambda0 = float(evals[0])
+    lambda0 = float(_eigvalsh(g)[0])
     if lambda0 < -1.0 - 1e-9:
         raise ValueError(f"minimal eigenvalue {lambda0:.6f} below -1; matrix cannot be a valid process")
 
-    dec = hs_decompose(g, layout.dims)
-    coeffs = dec.coefficients
-    b2_nontrivial = np.zeros(coeffs.shape, dtype=bool)
-    b2_nontrivial[..., 1:] = True
-    c2 = np.where(b2_nontrivial, coeffs, 0.0)
-    c1 = np.where(b2_nontrivial, 0.0, coeffs)
+    rest = side // layout.d_b2
+    reduced = np.einsum("xbyb->xy", g.reshape(rest, layout.d_b2, rest, layout.d_b2)) / layout.d_b2
+    b2_trivial = np.kron(reduced, np.eye(layout.d_b2))
     eye = np.eye(side)
-    kappa1 = hs_reconstruct(HSDecomposition(layout.dims, c1)) - alpha * lambda0 * eye
-    kappa2 = hs_reconstruct(HSDecomposition(layout.dims, c2)) - (1.0 - alpha) * lambda0 * eye
+    kappa1 = b2_trivial - alpha * lambda0 * eye
+    kappa2 = g - b2_trivial - (1.0 - alpha) * lambda0 * eye
     return KappaSplit(layout, lambda0, kappa1, kappa2, alpha)
 
 
@@ -522,16 +512,11 @@ def w0_defining_split(p: float) -> CausalDecomposition:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     layout = SystemLayout.qubit()
     eye = np.eye(16, dtype=complex)
-    part_ab = (eye - tensor_product([_SIGMA_Z, _SIGMA_Z, _SIGMA_X, _EYE2])) / layout.d
-    part_ba = (
-        eye
-        + 0.5 * tensor_product([_SIGMA_Z, _EYE2, _EYE2, _SIGMA_X])
-        + 0.5 * tensor_product([_SIGMA_X, _EYE2, _SIGMA_X, _SIGMA_Z])
-    ) / layout.d
+    term_ab, term_ba = w0_defining_terms()
     return CausalDecomposition(
         float(p),
-        ProcessMatrix(layout, part_ab),
-        ProcessMatrix(layout, part_ba),
+        ProcessMatrix(layout, (eye + term_ab) / layout.d),
+        ProcessMatrix(layout, (eye + term_ba) / layout.d),
     )
 
 

@@ -130,6 +130,12 @@ def hermitian_eig(matrix):
     return np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
 
 
+def _eigvalsh(matrix) -> np.ndarray:
+    """Ascending eigenvalues only, behind the same check and Hermitisation as :func:`hermitian_eig`."""
+    a = require_hermitian(matrix, name="matrix")
+    return np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2.0)
+
+
 @lru_cache(maxsize=None)
 def hermitian_basis(dim: int) -> np.ndarray:
     """Orthogonal Hermitian basis for one factor: identity then traceless elements.

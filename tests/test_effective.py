@@ -15,6 +15,8 @@ from procmat import (
     is_input_diagonal,
     luders_input_dephase,
     ppt_check,
+    probability_table,
+    random_cq_instrument,
     random_process,
     selective_update,
     tensor_product,
@@ -235,6 +237,48 @@ class TestIndistinguishability:
         r1 = indistinguishability_residual(w, eff, samples=10, seed=4)
         r2 = indistinguishability_residual(w, eff, samples=10, seed=4)
         assert r1 == r2
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_below_one_rejected(self, samples):
+        w = random_process(95)
+        eff = luders_input_dephase(w, Z2, Z2)
+        with pytest.raises(ValueError, match="samples"):
+            indistinguishability_residual(w, eff, samples=samples)
+
+    @staticmethod
+    def per_sample_loop(w, effective, samples, seed):
+        """Reference: one public instrument pair and two probability tables per sample."""
+        worst = 0.0
+        for child in np.random.SeedSequence(seed).spawn(samples):
+            rng = np.random.default_rng(child)
+            instr_a = random_cq_instrument(effective.basis_a1, w.layout.d_a2, rng)
+            instr_b = random_cq_instrument(effective.basis_b1, w.layout.d_b2, rng)
+            delta = (probability_table(w, instr_a, instr_b).entries
+                     - probability_table(effective.matrix, instr_a, instr_b).entries)
+            worst = max(worst, float(np.abs(delta).max()))
+        return worst
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 3, 2), (2, 1, 2, 1), (3, 2, 2, 3), (1, 1, 1, 1)],
+        ids=lambda dims: "-".join(map(str, dims)),
+    )
+    def test_stacked_matches_per_sample_loop(self, dims):
+        layout = SystemLayout(*dims)
+        for seed in range(2):
+            w = random_process(seed, layout)
+            eff = luders_input_dephase(w, MeasurementBasis.random(dims[0], [seed, 1]),
+                                       MeasurementBasis.random(dims[2], [seed, 2]))
+            wrong = EffectiveProcess(w, MeasurementBasis.random(dims[0], [seed, 3]),
+                                     MeasurementBasis.random(dims[2], [seed, 4]), eff.matrix)
+            for effective in (eff, wrong):
+                stacked = indistinguishability_residual(w, effective, samples=6, seed=seed)
+                assert abs(stacked - self.per_sample_loop(w, effective, 6, seed)) <= 1e-14
+
+    def test_layout_mismatch_rejected(self):
+        w = random_process(96)
+        other = luders_input_dephase(random_process(96, SystemLayout(2, 3, 2, 2)), Z2, Z2)
+        with pytest.raises(ValueError, match="layout expects"):
+            indistinguishability_residual(w, other, samples=3)
 
 
 class TestStateDephasingAnalogy:

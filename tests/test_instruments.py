@@ -16,6 +16,8 @@ from procmat import (
     random_process,
 )
 
+from procmat.instruments import _cq_born_tables
+
 from conftest import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, random_cptp_instrument
 
 E = np.eye(2, dtype=complex)
@@ -143,6 +145,52 @@ class TestCqInstrument:
     def test_bad_state_rejected(self):
         with pytest.raises(ValueError, match="unit trace"):
             cq_instrument(np.eye(2), np.ones((1, 2)), [np.eye(2)])
+
+    def test_non_positive_state_rejected(self):
+        states = [np.eye(2) / 2.0, np.diag([1.5, -0.5])]
+        with pytest.raises(ValueError, match=r"states\[1\] is not positive semidefinite"):
+            cq_instrument(np.eye(2), np.full((2, 2), 0.5), states)
+
+    def test_non_stochastic_table_rejected(self):
+        with pytest.raises(ValueError, match="column stochastic"):
+            cq_instrument(np.eye(2), np.full((2, 2), 0.7), [np.eye(2) / 2.0] * 2)
+
+
+class TestStackedCqTables:
+    """The stacked sampler path checks every sample's instruments as ``cq_instrument`` does."""
+
+    def parties(self, rng, samples=3):
+        raw = rng.uniform(0.1, 1.0, size=(samples, 2, 2))
+        tables = raw / raw.sum(axis=-2, keepdims=True)
+        states = np.broadcast_to(np.eye(2) / 2.0, (samples, 2, 2, 2)).astype(complex)
+        return [np.eye(2), tables, states.copy()], [np.eye(2), tables.copy(), states.copy()]
+
+    def test_matches_probability_table(self, rng):
+        party_a, party_b = self.parties(rng)
+        w = random_process(5)
+        tables = _cq_born_tables((w,), party_a, party_b)
+        for k in range(3):
+            instr_a = cq_instrument(party_a[0], party_a[1][k], party_a[2][k])
+            instr_b = cq_instrument(party_b[0], party_b[1][k], party_b[2][k])
+            assert np.max(np.abs(tables[0, k] - probability_table(w, instr_a, instr_b).entries)) <= 1e-14
+
+    def test_non_positive_map_in_one_sample_rejected(self, rng):
+        party_a, party_b = self.parties(rng)
+        party_b[2][2, 1] = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError, match="not completely positive"):
+            _cq_born_tables((random_process(5),), party_a, party_b)
+
+    def test_non_unit_trace_state_rejected(self, rng):
+        party_a, party_b = self.parties(rng)
+        party_a[2][1, 0] = np.eye(2)
+        with pytest.raises(ValueError, match=r"states\[0\] must have unit trace"):
+            _cq_born_tables((random_process(5),), party_a, party_b)
+
+    def test_non_stochastic_table_rejected(self, rng):
+        party_a, party_b = self.parties(rng)
+        party_b[1][0] = 0.7
+        with pytest.raises(ValueError, match="column stochastic"):
+            _cq_born_tables((random_process(5),), party_a, party_b)
 
 
 class TestCqKrausConsistency:

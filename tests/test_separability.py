@@ -3,6 +3,7 @@ import pytest
 
 from procmat import (
     CausalDecomposition,
+    HSDecomposition,
     MeasurementBasis,
     NotInputDiagonalError,
     ProcessMatrix,
@@ -14,6 +15,8 @@ from procmat import (
     identity_process,
     kappa_split,
     hermitian_eig,
+    hs_decompose,
+    hs_reconstruct,
     luders_input_dephase,
     partial_trace,
     random_process,
@@ -81,6 +84,24 @@ class TestKappaSplit:
         )
         with pytest.raises(ValueError, match="valid process"):
             kappa_split(bad)
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2), (2, 1, 2, 1)], ids=lambda dims: "-".join(map(str, dims))
+    )
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_matches_hs_mask_split(self, dims, alpha):
+        """Reference: Hilbert-Schmidt terms nontrivial on B2 go to kappa2, the rest to kappa1."""
+        w = random_process(11, SystemLayout(*dims))
+        split = kappa_split(w, alpha=alpha)
+        g = w.layout.d * w.matrix - np.eye(w.side)
+        coeffs = hs_decompose(g, dims).coefficients
+        b2_nontrivial = np.zeros(coeffs.shape, dtype=bool)
+        b2_nontrivial[..., 1:] = True
+        parts = [hs_reconstruct(HSDecomposition(dims, np.where(b2_nontrivial == side, coeffs, 0.0)))
+                 for side in (False, True)]
+        assert np.max(np.abs(split.kappa1 - (parts[0] - alpha * split.lambda0 * np.eye(w.side)))) <= 1e-12
+        assert np.max(np.abs(split.kappa2 - (parts[1] - (1.0 - alpha) * split.lambda0 * np.eye(w.side)))) <= 1e-12
+        assert split.lambda0 == pytest.approx(np.linalg.eigvalsh(g)[0], abs=1e-12)
 
 
 class TestEigenstructure:
