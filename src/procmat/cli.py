@@ -171,12 +171,12 @@ def _cmd_validate(args) -> int:
 
 def _canonical_instruments(layout: SystemLayout, seed: int | None):
     if seed is None:
-        z_a = [np.eye(layout.d_a1, dtype=complex)[:, k] for k in range(layout.d_a1)]
-        z_b = [np.eye(layout.d_b1, dtype=complex)[:, k] for k in range(layout.d_b1)]
-        reprep_a = np.eye(layout.d_a2, dtype=complex)[:, 0]
-        reprep_b = np.eye(layout.d_b2, dtype=complex)[:, 0]
-        instr_a = Instrument(tuple(measure_reprepare(v, reprep_a) for v in z_a))
-        instr_b = Instrument(tuple(measure_reprepare(v, reprep_b) for v in z_b))
+        # Measure each z state, reprepare the first z state.
+        instr_a, instr_b = (
+            Instrument(tuple(measure_reprepare(v, np.eye(d_out, dtype=complex)[0])
+                             for v in np.eye(d_in, dtype=complex)))
+            for d_in, d_out in ((layout.d_a1, layout.d_a2), (layout.d_b1, layout.d_b2))
+        )
         return instr_a, instr_b, "z-measure-reprepare"
     rng = np.random.default_rng(seed)
     instr_a = random_cq_instrument(MeasurementBasis.computational(layout.d_a1), layout.d_a2, rng)
@@ -320,6 +320,8 @@ def _cmd_check_sep(args) -> int:
         run.results["iterations"] = report.iterations
         if report.plateau_residual is not None:
             run.results["plateau_residual"] = report.plateau_residual
+        if report.witness is not None:
+            run.results.update(witness_value=report.witness.value, witness_margin=report.witness.margin)
         decomposition = report.decomposition
         verify_tol = max(100.0 * args.tol, 1e-6)
     if decomposition is not None:
@@ -370,17 +372,10 @@ def _cmd_gen_random(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
-    name = args.name
-    if name == "ocb":
-        w = ocb_process()
-    elif name == "w0":
-        w = w0_process(args.p)
-    elif name == "identity":
-        w = identity_process()
-    elif name == "channel":
-        w = channel_process()
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown fixture {name!r}")
+    name = args.name  # argparse restricts the choices
+    builders = {"ocb": ocb_process, "w0": lambda: w0_process(args.p),
+                "identity": identity_process, "channel": channel_process}
+    w = builders[name]()
     metadata: dict[str, Any] = {"name": name}
     if name == "w0":
         metadata["p"] = args.p
@@ -469,10 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise CliError(f"--tol must be a positive finite number, got {args.tol}")
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (ProcessDocumentError, ValueError) as err:
+    except (CliError, ProcessDocumentError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -168,9 +168,5 @@ def enumerate_strategies(w: ProcessMatrix, game: CausalGame,
     strategies = tuple(family) if family is not None else ocb_strategy_family()
     if not strategies:
         raise ValueError("strategy family is empty")
-    best: GameResult | None = None
-    for strategy in strategies:
-        result = evaluate_game(w, game, strategy)
-        if best is None or result.value > best.value:
-            best = result
-    return best
+    # max keeps the first of equal values.
+    return max((evaluate_game(w, game, strategy) for strategy in strategies), key=lambda r: r.value)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -97,16 +97,7 @@ class RunReport:
     status: str = "ok"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "tolerances": self.tolerances,
-                "results": self.results,
-                "status": self.status,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}", f"status: {self.status}"]

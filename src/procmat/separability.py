@@ -269,12 +269,10 @@ def verify_decomposition(w: ProcessMatrix, decomposition: CausalDecomposition,
         p_ok = False
     residual = float(np.linalg.norm(total - w.matrix))
 
-    report_ab = None
-    if decomposition.w_ab is not None:
-        report_ab = validate_process(decomposition.w_ab, tol=tol, variant="a_before_b", psd_tol=psd_tol)
-    report_ba = None
-    if decomposition.w_ba is not None:
-        report_ba = validate_process(decomposition.w_ba, tol=tol, variant="b_before_a", psd_tol=psd_tol)
+    report_ab, report_ba = (
+        None if part is None else validate_process(part, tol=tol, variant=variant, psd_tol=psd_tol)
+        for part, variant in ((decomposition.w_ab, "a_before_b"), (decomposition.w_ba, "b_before_a"))
+    )
 
     ok = (
         p_ok
@@ -340,14 +338,34 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
 
 
 @dataclass(frozen=True)
+class CausalWitness:
+    """S with S - q1 >= 0, S - q2 >= 0, q1 orthogonal to the span allowed for
+    A < B and q2 to the span allowed for B < A, so Tr(S X) >= 0 on every
+    causally separable X, while ``value`` = Tr(S W) < -``margin``, a bound
+    on rounding (Araujo et al., NJP 17, 102001 (2015))."""
+
+    s: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    value: float
+    margin: float
+
+
+@dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of the alternating-projection separability search."""
+    """Outcome of the alternating-projection separability search.
+
+    A separable report carries a ``decomposition``, a not-separable one a
+    verified ``witness``, an inconclusive one neither; ``plateau_residual``
+    is the least residual over the last tenth of an unconverged run.
+    """
 
     status: str
     residual: float
     iterations: int
     decomposition: CausalDecomposition | None
     plateau_residual: float | None = None
+    witness: CausalWitness | None = None
 
 
 def _negative_part_norm(evals: np.ndarray) -> float:
@@ -356,9 +374,9 @@ def _negative_part_norm(evals: np.ndarray) -> float:
 
 
 def _psd_project(m: np.ndarray) -> np.ndarray:
-    """Projection of the Hermitian part of ``m`` onto the positive cone."""
-    evals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return (vecs * np.maximum(evals, 0.0)) @ vecs.conj().T
+    """Projection of the Hermitian part of ``m`` (or of each member of a stack) onto the positive cone."""
+    evals, vecs = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    return (vecs * np.maximum(evals, 0.0)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -390,6 +408,69 @@ def _span_distance(m: np.ndarray, table: np.ndarray) -> float:
     return float(np.linalg.norm(v - (table @ v) @ table))
 
 
+# No witness step before sweep _WITNESS_START, then one every _WITNESS_EVERY sweeps.
+_WITNESS_START = 8
+_WITNESS_EVERY = 4
+_WITNESS_MARGIN = 16.0
+
+
+def _witness_from(target: np.ndarray, s, q1, q2, rows_ab: np.ndarray, rows_ba: np.ndarray) -> CausalWitness:
+    """Hermitise (S, Q1, Q2), project each Q_i onto its span complement and
+    shift S by delta * 1 to cover the negative eigenvalues of S - Q_i.  The
+    margin, _WITNESS_MARGIN * side * eps * (|S| + |Q1| + |Q2| + delta
+    sqrt(side)) * |W|, bounds the rounding of the solves and the trace."""
+    s, q1, q2 = ((m + m.conj().T) / 2.0 for m in (s, q1, q2))
+    q1 -= _span_project(q1, rows_ab)
+    q2 -= _span_project(q2, rows_ba)
+    delta = max(0.0, -float(_eigvalsh(np.stack((s - q1, s - q2)))[:, 0].min()))
+    side = len(s)
+    norms = np.linalg.norm(s) + np.linalg.norm(q1) + np.linalg.norm(q2) + delta * math.sqrt(side)
+    margin = _WITNESS_MARGIN * side * np.finfo(float).eps * norms * np.linalg.norm(target)
+    value = float(np.vdot(target, s).real) + delta * float(np.trace(target).real)
+    return CausalWitness(s + delta * np.eye(side), q1, q2, value, float(margin))
+
+
+def _witness_candidates(target: np.ndarray, rows_ab: np.ndarray, rows_ba: np.ndarray):
+    """Dykstra search for a causal witness of ``target``, one candidate per step.
+
+    z = (P1, Q1, P2, Q2) alternates between the product set PSD x span_AB
+    complement x PSD x span_BA complement, where only the PSD components
+    carry corrections, and the affine set {P1 + Q1 = P2 + Q2,
+    Tr((P1 + Q1) W) = -1}, starting from the affine projection of 0.  The
+    candidate S = P1 + Q1 is read right after the affine step.
+    """
+    norm2 = float(np.vdot(target, target).real)
+    sign = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+    z = np.stack([-target / (2.0 * norm2)] * 4)
+    corrections = np.zeros_like(z[:2])
+    while True:
+        shifted = z[0::2] + corrections
+        z[0::2] = _psd_project(shifted)
+        corrections = shifted - z[0::2]
+        z[1] -= _span_project(z[1], rows_ab)
+        z[3] -= _span_project(z[3], rows_ba)
+        z -= sign * (sign * z).sum(axis=0) / 4.0
+        z += (-1.0 - np.vdot(target, z[0] + z[1]).real) / (2.0 * norm2) * target
+        yield _witness_from(target, z[0] + z[1], z[1], z[3], rows_ab, rows_ba)
+
+
+def verify_witness(w: ProcessMatrix, witness: CausalWitness) -> bool:
+    """Check a causal witness against W, independently of how it was found.
+
+    The witness is repaired as in the search; it holds when the repair moves
+    S, Q1, Q2 (times |W|) and the stated value by at most the margin, and
+    Tr(S' W) = Tr(S W) + delta Tr W < -margin.
+    """
+    side, dims = w.layout.d_total, w.layout.dims
+    parts = [np.asarray(m, dtype=complex) for m in (witness.s, witness.q1, witness.q2)]
+    if any(m.shape != (side, side) for m in parts):
+        raise ValueError(f"witness parts must be {side}x{side} for layout {dims}")
+    check = _witness_from(w.matrix, *parts, _span_rows(dims, "a_before_b"), _span_rows(dims, "b_before_a"))
+    drift = max(np.linalg.norm(a - b) for a, b in zip((check.s, check.q1, check.q2), parts))
+    drift = max(drift * np.linalg.norm(w.matrix), abs(check.value - witness.value))
+    return check.value < -check.margin and drift <= check.margin
+
+
 def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50_000) -> FeasibilityReport:
     """Search for a causal split of W by Dykstra alternating projections.
 
@@ -400,11 +481,12 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     per cycle.  Only the two PSD steps carry Dykstra correction terms; the
     span steps are plain projections, computed on the real Hilbert-Schmidt
     coordinates of the Hermitian iterates.  All residuals below ``tol``
-    count as separable and the decomposition is extracted; at the iteration
-    cap (``max_iter`` >= 1 sweeps) the run reports not-separable when the
-    residual has plateaued above 10 * tol over the last tenth of the run,
-    and inconclusive otherwise (alternating projections cannot certify
-    infeasibility).
+    count as separable and the decomposition is extracted.  From sweep 8
+    on, every 4th sweep also runs one step of a causal witness search that
+    never touches the sweep's iterates; the run stops as not-separable when
+    a witness verifies.  At the cap (``max_iter`` >= 1 sweeps) with neither
+    certificate the run is inconclusive, so caps below 8 never give
+    not-separable.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -426,6 +508,8 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     history = np.empty(max_iter)
     iterations = 0
     converged = False
+    candidates = _witness_candidates(target, rows_ab, rows_ba)  # runs nothing until asked
+    witness = None
 
     for it in range(max_iter):
         # Cycle: PSD(X), span(X), PSD(W - X), span(W - X).
@@ -455,6 +539,11 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
         if residual < tol:
             converged = True
             break
+        if iterations >= _WITNESS_START and iterations % _WITNESS_EVERY == 0:
+            candidate = next(candidates)
+            if candidate.value < -candidate.margin:
+                witness = candidate
+                break
 
     history = history[:iterations]
     best = float(history.min())
@@ -472,8 +561,8 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
 
     window = max(1, iterations // 10)
     plateau = float(history[-window:].min())
-    status = NOT_SEPARABLE if plateau > 10.0 * tol else INCONCLUSIVE
-    return FeasibilityReport(status, best, iterations, None, plateau_residual=plateau)
+    status = INCONCLUSIVE if witness is None else NOT_SEPARABLE
+    return FeasibilityReport(status, best, iterations, None, plateau_residual=plateau, witness=witness)
 
 
 def _extract_decomposition(w: ProcessMatrix, x: np.ndarray, tol: float) -> CausalDecomposition:
@@ -496,8 +585,6 @@ def w0_process(p: float, layout: SystemLayout | None = None) -> ProcessMatrix:
     defining terms exists, so the blockwise constructive route does not
     apply, yet the defining split itself witnesses separability.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
     layout = layout or SystemLayout.qubit()
     if layout.dims != (2, 2, 2, 2):
         raise ValueError("w0_process is a qubit fixture")

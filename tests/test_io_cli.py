@@ -81,6 +81,26 @@ class TestCli:
         assert code == 2
         assert "not-separable-up-to-tolerance" in out
 
+    def test_check_sep_reports_witness(self, tmp_path, capsys):
+        doc = tmp_path / "ocb.json"
+        run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
+        code, out, _ = run_cli(["check-sep", "--input", str(doc), "--max-iter", "1000", "--json"], capsys)
+        assert code == 2
+        results = json.loads(out)["results"]
+        assert results["status"] == "not-separable-up-to-tolerance"
+        assert results["witness_value"] < -results["witness_margin"] < 0.0
+        assert results["plateau_residual"] > 1e-3
+
+    def test_check_sep_separable_report_has_no_witness(self, tmp_path, capsys):
+        doc = tmp_path / "w.json"
+        run_cli(["gen-random", "--seed", "0", "--output", str(doc)], capsys)
+        code, out, _ = run_cli(["check-sep", "--input", str(doc), "--json"], capsys)
+        assert code == 0
+        assert list(json.loads(out)["results"]) == [
+            "path", "status", "residual", "iterations", "p", "reconstruction_residual",
+            "verified", "w_ab_digest", "w_ba_digest",
+        ]
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_check_sep_rejects_cap_below_one(self, tmp_path, capsys, cap):
         doc = tmp_path / "ocb.json"

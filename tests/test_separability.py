@@ -1,5 +1,9 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procmat import (
     CausalDecomposition,
@@ -23,6 +27,7 @@ from procmat import (
     tensor_product,
     validate_process,
     verify_decomposition,
+    verify_witness,
     w0_defining_split,
     w0_defining_terms,
     w0_process,
@@ -30,11 +35,13 @@ from procmat import (
 from procmat.games import ocb_process
 from procmat.process import project_to_valid_span
 from procmat.separability import (
+    INCONCLUSIVE,
     NOT_SEPARABLE,
     SEPARABLE,
     _span_distance,
     _span_project,
     _span_rows,
+    _witness_candidates,
 )
 
 from conftest import EYE2, SIGMA_Z, random_hermitian
@@ -445,10 +452,117 @@ class TestNoisyFixtureThreshold:
         assert report.status == SEPARABLE
         assert report.iterations == iterations
 
-    @pytest.mark.parametrize("q, plateau", [(0.7072, 6.214769611738228e-05),
-                                            (0.75, 0.02896773238725622)])
-    def test_capped_plateaus_pinned(self, q, plateau):
-        report = dykstra_separability(self._noisy(q), tol=1e-8, max_iter=1000)
+    @pytest.mark.parametrize("q, iterations", [(0.7072, 36), (0.75, 8)])
+    def test_witnessed_sweep_counts_pinned(self, q, iterations):
+        # Above the threshold the run stops at the first verified witness;
+        # witness steps run after sweep 8 and then every 4 sweeps.
+        w = self._noisy(q)
+        report = dykstra_separability(w, tol=1e-8, max_iter=1000)
         assert report.status == NOT_SEPARABLE
+        assert report.iterations == iterations
+        assert verify_witness(w, report.witness)
+
+    def test_capped_plateau_pinned(self):
+        # Separable, but not within the cap, where the plateau rule used to
+        # call it not separable: without either certificate the run is
+        # inconclusive, and the sweep arithmetic up to the cap is unchanged.
+        report = dykstra_separability(self._noisy(1.0 / np.sqrt(2.0) - 3e-5), tol=1e-8, max_iter=1000)
+        assert report.status == INCONCLUSIVE
+        assert report.witness is None and report.decomposition is None
         assert report.iterations == 1000
-        assert report.plateau_residual == pytest.approx(plateau, rel=1e-6)
+        assert report.plateau_residual == pytest.approx(1.4142002281336552e-05, rel=1e-6)
+
+    def test_near_above_capped_run_is_witnessed(self):
+        w = self._noisy(1.0 / np.sqrt(2.0) + 1e-7)
+        report = dykstra_separability(w, tol=1e-8, max_iter=1000)
+        assert report.status == NOT_SEPARABLE
+        assert verify_witness(w, report.witness)
+
+    def test_cap_below_witness_start_is_inconclusive(self):
+        report = dykstra_separability(ocb_process(), tol=1e-8, max_iter=7)
+        assert report.status == INCONCLUSIVE
+        assert report.witness is None
+
+
+def _search(w, steps):
+    """The first verified candidate within ``steps`` forced witness-search steps, or None."""
+    dims = w.layout.dims
+    candidates = _witness_candidates(w.matrix, _span_rows(dims, "a_before_b"), _span_rows(dims, "b_before_a"))
+    return next((c for c in itertools.islice(candidates, steps) if c.value < -c.margin), None)
+
+
+class TestCausalWitness:
+    @pytest.fixture(scope="class")
+    def witnessed(self):
+        w = ocb_process()
+        witness = dykstra_separability(w, tol=1e-8, max_iter=1000).witness
+        assert verify_witness(w, witness)
+        assert witness.value < -witness.margin < 0.0
+        return w, witness
+
+    def test_sign_flip_rejected(self, witnessed):
+        w, witness = witnessed
+        flipped = dataclasses.replace(witness, s=-witness.s, value=-witness.value)
+        assert not verify_witness(w, flipped)
+
+    def test_allowed_term_in_q1_rejected(self, witnessed, rng):
+        w, witness = witnessed
+        allowed = project_to_valid_span(random_hermitian(rng, 16), w.layout, "a_before_b")
+        assert not verify_witness(w, dataclasses.replace(witness, q1=witness.q1 + 1e-3 * allowed))
+
+    def test_value_above_minus_margin_rejected(self, witnessed):
+        w, witness = witnessed
+        shift = (-witness.value - witness.margin / 2.0) / np.trace(w.matrix).real
+        pushed = dataclasses.replace(witness, s=witness.s + shift * np.eye(16), value=-witness.margin / 2.0)
+        assert not verify_witness(w, pushed)
+
+    def test_misstated_value_rejected(self, witnessed):
+        w, witness = witnessed
+        assert not verify_witness(w, dataclasses.replace(witness, value=2.0 * witness.value))
+
+    def test_shape_mismatch_rejected(self, witnessed):
+        w, witness = witnessed
+        with pytest.raises(ValueError, match="witness parts"):
+            verify_witness(w, dataclasses.replace(witness, q2=np.eye(4)))
+
+    def test_nonnegative_on_separable_splits(self):
+        parts = []
+        for q in (0.5, 0.7, 1.0 / np.sqrt(2.0) - 1e-4):
+            split = dykstra_separability(TestNoisyFixtureThreshold._noisy(q), tol=1e-8).decomposition
+            parts += [split.w_ab, split.w_ba]
+        split = constructive_decomposition(dephased_ocb(), Z2, Z2)
+        parts += [split.w_ab, split.w_ba]
+        parts = [part.matrix for part in parts if part is not None]
+        assert len(parts) == 7
+        for q in (1.0, 0.75, 1.0 / np.sqrt(2.0) + 1e-3):
+            w = TestNoisyFixtureThreshold._noisy(q)
+            report = dykstra_separability(w, tol=1e-8, max_iter=1000)
+            assert verify_witness(w, report.witness)
+            assert min(np.vdot(x, report.witness.s).real for x in parts) >= 0.0
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2)],
+                             ids=lambda dims: "-".join(map(str, dims)))
+    @pytest.mark.parametrize("dephased", [False, True], ids=["random", "dephased"])
+    def test_search_never_verifies_on_separable(self, dims, dephased):
+        layout = SystemLayout(*dims)
+        w = random_process(500, layout)
+        if dephased:
+            w = luders_input_dephase(w, MeasurementBasis.random(dims[0], seed=1),
+                                     MeasurementBasis.random(dims[2], seed=2)).matrix
+        assert _search(w, 200) is None
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(line=st.sampled_from(["white-noise", "dephasing"]), t=st.floats(0.0, 1.0))
+    def test_never_both_certificates(self, line, t):
+        ocb = ocb_process()
+        if line == "white-noise":
+            w = TestNoisyFixtureThreshold._noisy(t)
+        else:
+            w = ProcessMatrix(ocb.layout, (1.0 - t) * ocb.matrix + t * dephased_ocb().matrix)
+        report = dykstra_separability(w, tol=1e-8, max_iter=200)
+        if report.status == NOT_SEPARABLE:
+            assert verify_witness(w, report.witness)
+        split_ok = report.status == SEPARABLE and verify_decomposition(
+            w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
+        witness = _search(w, 100)
+        assert not (split_ok and witness is not None and verify_witness(w, witness))
