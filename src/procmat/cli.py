@@ -305,25 +305,28 @@ def _cmd_check_sep(args) -> int:
     # tolerance, so its parts are verified at that looser level; the
     # constructive path stays at the strict one.
     verify_tol = args.tol
+    run.results["path"] = "constructive"
     try:
-        decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=args.tol)
-        run.results["path"] = "constructive"
-        run.results["status"] = SEPARABLE
+        try:
+            decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=args.tol)
+            run.results["status"] = SEPARABLE
+        except (NotInputDiagonalError, EigenstructureError):
+            run.results["path"] = "dykstra"
+            report = dykstra_separability(w, tol=args.tol, max_iter=args.max_iter)
+            run.results["status"] = report.status
+            run.results["residual"] = report.residual
+            run.results["iterations"] = report.iterations
+            if report.plateau_residual is not None:
+                run.results["plateau_residual"] = report.plateau_residual
+            if report.witness is not None:
+                run.results.update(witness_value=report.witness.value, witness_margin=report.witness.margin)
+            decomposition = report.decomposition
+            verify_tol = max(100.0 * args.tol, 1e-6)
     except DecompositionError as err:
-        # Input-diagonal, so a projection search could only pass at a looser tolerance.
-        run.results.update(path="constructive", status=INCONCLUSIVE, error=str(err))
-    except (NotInputDiagonalError, EigenstructureError):
-        report = dykstra_separability(w, tol=args.tol, max_iter=args.max_iter)
-        run.results["path"] = "dykstra"
-        run.results["status"] = report.status
-        run.results["residual"] = report.residual
-        run.results["iterations"] = report.iterations
-        if report.plateau_residual is not None:
-            run.results["plateau_residual"] = report.plateau_residual
-        if report.witness is not None:
-            run.results.update(witness_value=report.witness.value, witness_margin=report.witness.margin)
-        decomposition = report.decomposition
-        verify_tol = max(100.0 * args.tol, 1e-6)
+        # A failed split is inconclusive on either path.  On an input-diagonal
+        # matrix a projection search could only pass at a looser tolerance, so
+        # a failed constructive split is not retried.
+        run.results.update(status=INCONCLUSIVE, error=str(err))
     if decomposition is not None:
         run.results.update(
             _decomposition_results(w, decomposition, verify_tol, psd_tol=verify_tol)

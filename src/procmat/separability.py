@@ -65,6 +65,17 @@ def commutator_norm(x, y) -> float:
     return float(np.linalg.norm(xm @ ym - ym @ xm))
 
 
+def _trace_replace(m: np.ndarray, dims: tuple[int, ...], factor: int) -> np.ndarray:
+    """Tr_F(m) (x) 1_F / d_F for the factor F = dims[factor], in place of F."""
+    d = dims[factor]
+    outer, inner = math.prod(dims[:factor]), math.prod(dims[factor + 1:])
+    t = m.reshape(outer, d, inner, outer, d, inner)
+    out = np.zeros_like(t)
+    diagonal = np.arange(d)
+    out[:, diagonal, :, :, diagonal, :] = np.einsum("aibcid->abcd", t) / d
+    return out.reshape(m.shape)
+
+
 @dataclass(frozen=True)
 class KappaSplit:
     """The split d * W = (1 + lambda0) * 1 + kappa1 + kappa2.
@@ -104,9 +115,7 @@ def kappa_split(w_eff: ProcessMatrix, alpha: float = 1.0) -> KappaSplit:
     if lambda0 < -1.0 - 1e-9:
         raise ValueError(f"minimal eigenvalue {lambda0:.6f} below -1; matrix cannot be a valid process")
 
-    rest = side // layout.d_b2
-    reduced = np.einsum("xbyb->xy", g.reshape(rest, layout.d_b2, rest, layout.d_b2)) / layout.d_b2
-    b2_trivial = np.kron(reduced, np.eye(layout.d_b2))
+    b2_trivial = _trace_replace(g, layout.dims, 3)
     eye = np.eye(side)
     kappa1 = b2_trivial - alpha * lambda0 * eye
     kappa2 = g - b2_trivial - (1.0 - alpha) * lambda0 * eye
@@ -476,12 +485,16 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
 
     Looks for X with: X positive, X in the B2-trivial allowed span, W - X
     positive and W - X in the A2-trivial allowed span; any such X equals
-    p * w_ab of a causal decomposition.  Starting from X = W / 2, the four
-    projections are cycled and the four membership residuals are tracked
-    per cycle.  Only the two PSD steps carry Dykstra correction terms; the
-    span steps are plain projections, computed on the real Hilbert-Schmidt
-    coordinates of the Hermitian iterates.  All residuals below ``tol``
-    count as separable and the decomposition is extracted.  From sweep 8
+    p * w_ab of a causal decomposition.  The search starts at the
+    projection of W / 2 onto both span constraints, the equal split of the
+    terms trivial on A2 and B2, (W + R_B2(W) - R_A2(W)) / 2 with R_F the
+    trace-and-replace map; the four projections are then cycled and the
+    four membership residuals are tracked per cycle.  Only the two PSD
+    steps carry Dykstra correction terms; the span steps are plain
+    projections, computed on the real Hilbert-Schmidt coordinates of the
+    Hermitian iterates.  All residuals below ``tol`` count as separable
+    once the extracted decomposition passes its checks at
+    max(100 tol, 1e-6); a split that fails them is inconclusive.  From sweep 8
     on, every 4th sweep also runs one step of a causal witness search that
     never touches the sweep's iterates; the run stops as not-separable when
     a witness verifies.  At the cap (``max_iter`` >= 1 sweeps) with neither
@@ -499,7 +512,9 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     rows_ba = _span_rows(dims, "b_before_a")
     target = w.matrix
 
-    x = target / 2.0
+    # The feasible set lies inside both span constraints, so Dykstra aims at
+    # the same limit from this projection of W / 2 as from W / 2 itself.
+    x = (target + _trace_replace(target, dims, 3) - _trace_replace(target, dims, 1)) / 2.0
     # A Dykstra correction on a linear or affine set lies in its orthogonal
     # complement and never changes the iterate (Boyle & Dykstra 1986), so
     # only the PSD steps keep one.
@@ -549,15 +564,16 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     best = float(history.min())
 
     if converged:
-        decomposition = _extract_decomposition(w, x, tol)
+        # The last step left W - x exactly in the B < A span, so x lies in the
+        # valid span, where its B2-trivial part is its A < B part; dropping the
+        # rest moves only B < A terms.  Both parts then hold their spans
+        # exactly, and x / p of a lopsided split amplifies only the positivity
+        # error.  A split that still fails its checks is inconclusive.
+        decomposition = _extract_decomposition(w, _trace_replace(x, dims, 3), tol)
         check = verify_decomposition(w, decomposition, tol=max(100.0 * tol, 1e-6),
                                      psd_tol=max(100.0 * tol, 1e-6))
-        if not check.ok:
-            raise DecompositionError(
-                f"feasible point failed decomposition checks: residual "
-                f"{check.reconstruction_residual:.3e}"
-            )
-        return FeasibilityReport(SEPARABLE, float(history[-1]), iterations, decomposition)
+        if check.ok:
+            return FeasibilityReport(SEPARABLE, float(history[-1]), iterations, decomposition)
 
     window = max(1, iterations // 10)
     plateau = float(history[-window:].min())

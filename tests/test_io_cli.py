@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from procmat import (
+    DecompositionError,
     ProcessDocumentError,
     decode_process,
     encode_process,
     identity_process,
     w0_process,
 )
+from procmat import cli
 from procmat.cli import main
 from procmat.games import ocb_process
 
@@ -120,6 +122,30 @@ class TestCli:
         assert code == 1
         assert "--tol" in err
         assert out == ""
+
+    def test_check_sep_one_way_fixture_separable(self, tmp_path, capsys):
+        doc = tmp_path / "w0.json"
+        run_cli(["fixture", "w0", "--p", "0", "--output", str(doc)], capsys)
+        code, out, _ = run_cli(["check-sep", "--input", str(doc), "--json"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["path"] == "dykstra"
+        assert results["status"] == "separable"
+        assert results["verified"] is True
+
+    def test_failed_dykstra_split_is_reported(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise DecompositionError("feasible point failed decomposition checks")
+
+        monkeypatch.setattr(cli, "dykstra_separability", failing)
+        doc = tmp_path / "w0.json"
+        run_cli(["fixture", "w0", "--output", str(doc)], capsys)
+        code, out, _ = run_cli(["check-sep", "--input", str(doc), "--json"], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["status"] == "check-failed"
+        assert report["results"] == {"path": "dykstra", "status": "inconclusive",
+                                     "error": "feasible point failed decomposition checks"}
 
     @pytest.mark.parametrize("command", ["separate", "check-sep"])
     def test_failed_constructive_check_is_reported(self, tmp_path, capsys, command):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from procmat.separability import (
     _span_distance,
     _span_project,
     _span_rows,
+    _trace_replace,
     _witness_candidates,
 )
 
@@ -387,6 +389,42 @@ class TestDykstraSeparability:
             check = verify_decomposition(w, report.decomposition, tol=check_tol, psd_tol=check_tol)
             assert check.ok
 
+    @pytest.mark.parametrize("p", [0.0, 1e-7, 1e-3, 1.0 - 1e-7, 1.0])
+    def test_lopsided_and_one_way_mixtures_split(self, p):
+        # The A < B part of a split is x / p, so a weight near 0 amplifies any
+        # error of x by 1 / p; a valid input must still never raise.  p = 0
+        # and p = 1 are exactly one-way.
+        w = w0_process(p)
+        report = dykstra_separability(w, tol=1e-8)
+        assert report.status == SEPARABLE
+        assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
+
+
+class TestTraceReplace:
+    """Trace-and-replace on one factor against the HS-mask reference, and the
+    sweep's start as the projection of W / 2 onto both span constraints."""
+
+    LAYOUTS = [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2), (2, 1, 2, 1)]
+
+    @pytest.mark.parametrize("dims", LAYOUTS, ids=lambda dims: "-".join(map(str, dims)))
+    def test_matches_hs_mask(self, dims, rng):
+        m = random_hermitian(rng, math.prod(dims))
+        coeffs = hs_decompose(m, dims).coefficients
+        for factor in range(4):
+            trivial = np.zeros(coeffs.shape, dtype=bool)
+            trivial[(slice(None),) * factor + (0,)] = True
+            reference = hs_reconstruct(HSDecomposition(dims, np.where(trivial, coeffs, 0.0)))
+            assert np.max(np.abs(_trace_replace(m, dims, factor) - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("dims", LAYOUTS, ids=lambda dims: "-".join(map(str, dims)))
+    def test_start_is_span_projection_of_half(self, dims):
+        layout = SystemLayout(*dims)
+        w = random_process(12, layout).matrix
+        start = (w + _trace_replace(w, dims, 3) - _trace_replace(w, dims, 1)) / 2.0
+        reference = project_to_valid_span(
+            w - project_to_valid_span(w, layout, "b_before_a") / 2.0, layout, "a_before_b")
+        assert np.max(np.abs(start - reference)) <= 1e-12
+
 
 class TestSpanTables:
     """The real-coordinate span table against the HS-mask reference projector."""
@@ -430,27 +468,55 @@ class TestNoisyFixtureThreshold:
             self._noisy(1.0 / np.sqrt(2.0)), report.decomposition, tol=1e-6, psd_tol=1e-6
         ).ok
 
+    @staticmethod
+    def _dephasing(lam):
+        ocb = ocb_process()
+        return ProcessMatrix(ocb.layout, (1.0 - lam) * ocb.matrix + lam * dephased_ocb().matrix)
+
+    @staticmethod
+    def _mixed(t, p):
+        ocb = ocb_process()
+        return ProcessMatrix(ocb.layout, t * ocb.matrix + (1.0 - t) * w0_process(p).matrix)
+
     def test_barely_separable_needs_many_sweeps(self):
-        # 0.7071 sits a few 1e-6 below the threshold: feasible, but with so
-        # little slack that the search genuinely has to iterate.
-        report = dykstra_separability(self._noisy(0.7071), tol=1e-8)
+        # Feasible, but the equal split of the shared terms is not, so the
+        # search genuinely has to iterate with its corrections.
+        w = self._mixed(0.656, 0.3)
+        report = dykstra_separability(w, tol=1e-8)
         assert report.status == SEPARABLE
-        assert report.iterations > 100
+        assert report.iterations > 40
+        assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
 
     def test_above_threshold_is_rejected(self):
         report = dykstra_separability(self._noisy(0.75), tol=1e-8, max_iter=3000)
         assert report.status == NOT_SEPARABLE
         assert report.plateau_residual > 1e-3
 
-    @pytest.mark.parametrize("q, iterations", [(0.7, 7), (0.7065, 69), (0.707, 382)])
+    @pytest.mark.parametrize("q, iterations", [(0.7, 1), (0.7065, 1), (0.707, 1), (0.7071, 1)])
     def test_converged_sweep_counts_pinned(self, q, iterations):
-        # Counts and plateaus of the sweep with corrections on all four
-        # steps; dropping the span corrections must not move them.  The
-        # residual one sweep before the stop is at least 6.5e-7, far above
-        # tol, so the count does not hinge on rounding.
+        # Below 1/sqrt(2) the start, each side holding its one-way terms and
+        # half of the shared ones, is already feasible: eigenvalues
+        # 1/8 +- q / (4 sqrt 2).
         report = dykstra_separability(self._noisy(q), tol=1e-8, max_iter=1000)
         assert report.status == SEPARABLE
         assert report.iterations == iterations
+
+    @pytest.mark.parametrize("family, t, iterations", [("dephasing", 0.6, 24), ("w0", 0.1, 59), ("mixed", 0.656, 49)])
+    def test_iterating_sweep_counts_pinned(self, family, t, iterations):
+        # Inputs whose start is not feasible.  The residual one sweep before
+        # the stop is at least 1.3e-8, 30% above tol, so the count does not
+        # hinge on rounding.
+        w = {"dephasing": self._dephasing, "w0": w0_process, "mixed": lambda t: self._mixed(t, 0.3)}[family](t)
+        report = dykstra_separability(w, tol=1e-8, max_iter=1000)
+        assert report.status == SEPARABLE
+        assert report.iterations == iterations
+
+    def test_formerly_capped_point_separates_in_one_sweep(self):
+        w = self._noisy(1.0 / np.sqrt(2.0) - 3e-5)
+        report = dykstra_separability(w, tol=1e-8, max_iter=1000)
+        assert report.status == SEPARABLE
+        assert report.iterations == 1
+        assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
 
     @pytest.mark.parametrize("q, iterations", [(0.7072, 36), (0.75, 8)])
     def test_witnessed_sweep_counts_pinned(self, q, iterations):
@@ -463,14 +529,14 @@ class TestNoisyFixtureThreshold:
         assert verify_witness(w, report.witness)
 
     def test_capped_plateau_pinned(self):
-        # Separable, but not within the cap, where the plateau rule used to
-        # call it not separable: without either certificate the run is
-        # inconclusive, and the sweep arithmetic up to the cap is unchanged.
-        report = dykstra_separability(self._noisy(1.0 / np.sqrt(2.0) - 3e-5), tol=1e-8, max_iter=1000)
+        # Near the dephasing threshold neither certificate appears within the
+        # cap, so the run is inconclusive; the plateau is the same from the
+        # W / 2 start and from the equal split.
+        report = dykstra_separability(self._dephasing(0.58), tol=1e-8, max_iter=1000)
         assert report.status == INCONCLUSIVE
         assert report.witness is None and report.decomposition is None
         assert report.iterations == 1000
-        assert report.plateau_residual == pytest.approx(1.4142002281336552e-05, rel=1e-6)
+        assert report.plateau_residual == pytest.approx(1.9309134541e-3, rel=1e-6)
 
     def test_near_above_capped_run_is_witnessed(self):
         w = self._noisy(1.0 / np.sqrt(2.0) + 1e-7)
@@ -482,6 +548,24 @@ class TestNoisyFixtureThreshold:
         report = dykstra_separability(ocb_process(), tol=1e-8, max_iter=7)
         assert report.status == INCONCLUSIVE
         assert report.witness is None
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(q=st.floats(0.0, 1.0 / np.sqrt(2.0)))
+    def test_below_threshold_separates_in_one_sweep(self, q):
+        w = self._noisy(q)
+        report = dykstra_separability(w, tol=1e-8, max_iter=1000)
+        assert report.status == SEPARABLE
+        assert report.iterations == 1
+        assert report.decomposition.p == pytest.approx(0.5, abs=1e-12)
+        assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(q=st.floats(0.71, 1.0))
+    def test_above_threshold_is_witnessed(self, q):
+        w = self._noisy(q)
+        report = dykstra_separability(w, tol=1e-8, max_iter=1000)
+        assert report.status == NOT_SEPARABLE
+        assert verify_witness(w, report.witness)
 
 
 def _search(w, steps):
