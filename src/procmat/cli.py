@@ -90,11 +90,16 @@ def _load_basis_pair(args, layout: SystemLayout) -> tuple[MeasurementBasis, Meas
         raise CliError(f"cannot read basis file {spec}: {err}") from err
     except json.JSONDecodeError as err:
         raise CliError(f"basis file {spec}: invalid JSON at offset {err.pos}") from err
+    if not isinstance(payload, dict):
+        raise CliError(f"basis file {spec} must hold a JSON object with keys 'a1' and 'b1'")
     out = []
     for key, dim in (("a1", layout.d_a1), ("b1", layout.d_b1)):
         if key not in payload:
             raise CliError(f"basis file {spec} is missing key {key!r}")
-        arr = np.asarray(payload[key], dtype=float)
+        try:
+            arr = np.asarray(payload[key], dtype=float)
+        except (TypeError, ValueError) as err:
+            raise CliError(f"basis {key} must be an array of [re, im] pairs") from err
         if arr.ndim != 3 or arr.shape[2] != 2:
             raise CliError(f"basis {key} must be an array of [re, im] pairs")
         mat = arr[..., 0] + 1j * arr[..., 1]

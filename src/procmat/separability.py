@@ -30,14 +30,8 @@ import numpy as np
 
 from .effective import MeasurementBasis, _in_frame, _off_block_norms2, as_basis, is_input_diagonal
 from .games import _EYE2, _SIGMA_X, _SIGMA_Z
-from .process import (
-    ProcessMatrix,
-    SystemLayout,
-    ValidityReport,
-    _allowed_coefficient_mask,
-    validate_process,
-)
-from .tensor import _eigvalsh, hermitian_basis, hermitian_eig, tensor_product
+from .process import ProcessMatrix, SystemLayout, ValidityReport, validate_process
+from .tensor import _eigvalsh, hermitian_eig, tensor_product
 
 SEPARABLE = "separable"
 NOT_SEPARABLE = "not-separable-up-to-tolerance"
@@ -65,15 +59,38 @@ def commutator_norm(x, y) -> float:
     return float(np.linalg.norm(xm @ ym - ym @ xm))
 
 
-def _trace_replace(m: np.ndarray, dims: tuple[int, ...], factor: int) -> np.ndarray:
-    """Tr_F(m) (x) 1_F / d_F for the factor F = dims[factor], in place of F."""
-    d = dims[factor]
-    outer, inner = math.prod(dims[:factor]), math.prod(dims[factor + 1:])
-    t = m.reshape(outer, d, inner, outer, d, inner)
-    out = np.zeros_like(t)
-    diagonal = np.arange(d)
-    out[:, diagonal, :, :, diagonal, :] = np.einsum("aibcid->abcd", t) / d
-    return out.reshape(m.shape)
+@lru_cache(maxsize=None)
+def _span_plan(dims: tuple[int, ...], variant: str):
+    """Axis orders, shapes and the (X2, Y1) matrix of ``_span_project``.
+
+    Read as one vector index, a factor's (row, column) pair carries R_F as
+    the projector vec(1) vec(1)^T / d_F, so 1 - R_Y1 (1 - R_X2) is one real
+    matrix of (d_X2 d_Y1)^4 floats.
+    """
+    order = (0, 1, 2, 3) if variant == "a_before_b" else (2, 3, 0, 1)
+    pairs = tuple(axis for f in order for axis in (f, f + 4))
+    x1, x2, y1, y2 = (dims[f] for f in order)
+    e_x2, e_y1 = (np.outer(np.eye(d), np.eye(d)) / d for d in (x2, y1))
+    middle = np.eye((x2 * y1) ** 2) - np.kron(np.eye(x2 * x2) - e_x2, e_y1)
+    unit = np.eye(y2, dtype=complex).reshape(-1) / math.sqrt(y2)
+    split = tuple((dims * 2)[axis] for axis in pairs)
+    return pairs, tuple(np.argsort(pairs)), (x1 * x1, -1, y2 * y2), split, middle, unit
+
+
+def _span_project(m: np.ndarray, dims: tuple[int, ...], variant: str) -> np.ndarray:
+    """Projection of ``m`` onto the span allowed for the causal order X < Y.
+
+    ``a_before_b`` has X = A, Y = B; ``b_before_a`` swaps the parties.  The
+    projection is R_Y2 (1 - R_Y1 (1 - R_X2)) with the trace-and-replace maps
+    R_F(m) = Tr_F(m) (x) 1_F / d_F (Araujo et al., NJP 17, 102001 (2015)).
+    One transpose pairs each factor's row and column index; R_Y2 is the
+    contraction with vec(1) / sqrt(d_Y2) and the outer product back.
+    """
+    pairs, back, shape, split, middle, unit = _span_plan(dims, variant)
+    t = m.reshape(dims * 2).transpose(pairs).reshape(shape)
+    # The real middle matrix acts on the real and imaginary parts alike.
+    r = (middle @ (t @ unit).view(np.float64).reshape(shape[0], -1, 2)).view(complex)
+    return (r * unit).reshape(split).transpose(back).reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -95,10 +112,10 @@ class KappaSplit:
 def kappa_split(w_eff: ProcessMatrix, alpha: float = 1.0) -> KappaSplit:
     """Split d * W_eff - 1 into a B2-trivial and an A2-trivial part.
 
-    With g = d * W_eff - 1, the B2-trivial part Tr_B2(g) (x) 1 / d_B2
-    (input-only terms included) goes to kappa1 and the rest, the
-    Hilbert-Schmidt terms nontrivial on B2, to kappa2; the identity is then
-    shifted so kappa1 + kappa2 has minimal eigenvalue zero.
+    With g = d * W_eff - 1, the A < B part of g, for a valid W_eff its
+    B2-trivial part Tr_B2(g) (x) 1 / d_B2, goes to kappa1 and the rest to
+    kappa2; the identity is then shifted so kappa1 + kappa2 has minimal
+    eigenvalue zero.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -115,7 +132,7 @@ def kappa_split(w_eff: ProcessMatrix, alpha: float = 1.0) -> KappaSplit:
     if lambda0 < -1.0 - 1e-9:
         raise ValueError(f"minimal eigenvalue {lambda0:.6f} below -1; matrix cannot be a valid process")
 
-    b2_trivial = _trace_replace(g, layout.dims, 3)
+    b2_trivial = _span_project(g, layout.dims, "a_before_b")
     eye = np.eye(side)
     kappa1 = b2_trivial - alpha * lambda0 * eye
     kappa2 = g - b2_trivial - (1.0 - alpha) * lambda0 * eye
@@ -388,49 +405,20 @@ def _psd_project(m: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(evals, 0.0)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-@lru_cache(maxsize=None)
-def _span_rows(dims: tuple[int, ...], variant: str) -> np.ndarray:
-    """Orthonormal real rows spanning the allowed Hilbert-Schmidt terms.
-
-    Row T is vec(B_T) / sqrt(d_total) for one allowed coefficient index T,
-    viewed as float64 (real and imaginary parts interleaved).  For Hermitian
-    matrices the HS inner product is the real dot product of such views, so
-    with v = m.reshape(-1).view(float64) the span projection is
-    ``(Q @ v) @ Q`` and the span distance is the norm of v minus that.
-    """
-    idx = np.argwhere(_allowed_coefficient_mask(dims, variant))
-    factors = [hermitian_basis(d)[idx[:, f]] for f, d in enumerate(dims)]
-    # Row-wise Kronecker product of the four factor elements.
-    rows = np.einsum("nab,ncd,nef,ngh->nacegbdfh", *factors).reshape(len(idx), -1)
-    table = rows.view(np.float64) / math.sqrt(math.prod(dims))
-    table.setflags(write=False)
-    return table
-
-
-def _span_project(m: np.ndarray, table: np.ndarray) -> np.ndarray:
-    v = m.reshape(-1).view(np.float64)
-    return ((table @ v) @ table).view(complex).reshape(m.shape)
-
-
-def _span_distance(m: np.ndarray, table: np.ndarray) -> float:
-    v = m.reshape(-1).view(np.float64)
-    return float(np.linalg.norm(v - (table @ v) @ table))
-
-
 # No witness step before sweep _WITNESS_START, then one every _WITNESS_EVERY sweeps.
 _WITNESS_START = 8
 _WITNESS_EVERY = 4
 _WITNESS_MARGIN = 16.0
 
 
-def _witness_from(target: np.ndarray, s, q1, q2, rows_ab: np.ndarray, rows_ba: np.ndarray) -> CausalWitness:
+def _witness_from(target: np.ndarray, s, q1, q2, dims: tuple[int, ...]) -> CausalWitness:
     """Hermitise (S, Q1, Q2), project each Q_i onto its span complement and
     shift S by delta * 1 to cover the negative eigenvalues of S - Q_i.  The
     margin, _WITNESS_MARGIN * side * eps * (|S| + |Q1| + |Q2| + delta
     sqrt(side)) * |W|, bounds the rounding of the solves and the trace."""
     s, q1, q2 = ((m + m.conj().T) / 2.0 for m in (s, q1, q2))
-    q1 -= _span_project(q1, rows_ab)
-    q2 -= _span_project(q2, rows_ba)
+    q1 -= _span_project(q1, dims, "a_before_b")
+    q2 -= _span_project(q2, dims, "b_before_a")
     delta = max(0.0, -float(_eigvalsh(np.stack((s - q1, s - q2)))[:, 0].min()))
     side = len(s)
     norms = np.linalg.norm(s) + np.linalg.norm(q1) + np.linalg.norm(q2) + delta * math.sqrt(side)
@@ -439,7 +427,7 @@ def _witness_from(target: np.ndarray, s, q1, q2, rows_ab: np.ndarray, rows_ba: n
     return CausalWitness(s + delta * np.eye(side), q1, q2, value, float(margin))
 
 
-def _witness_candidates(target: np.ndarray, rows_ab: np.ndarray, rows_ba: np.ndarray):
+def _witness_candidates(target: np.ndarray, dims: tuple[int, ...]):
     """Dykstra search for a causal witness of ``target``, one candidate per step.
 
     z = (P1, Q1, P2, Q2) alternates between the product set PSD x span_AB
@@ -456,11 +444,11 @@ def _witness_candidates(target: np.ndarray, rows_ab: np.ndarray, rows_ba: np.nda
         shifted = z[0::2] + corrections
         z[0::2] = _psd_project(shifted)
         corrections = shifted - z[0::2]
-        z[1] -= _span_project(z[1], rows_ab)
-        z[3] -= _span_project(z[3], rows_ba)
+        z[1] -= _span_project(z[1], dims, "a_before_b")
+        z[3] -= _span_project(z[3], dims, "b_before_a")
         z -= sign * (sign * z).sum(axis=0) / 4.0
         z += (-1.0 - np.vdot(target, z[0] + z[1]).real) / (2.0 * norm2) * target
-        yield _witness_from(target, z[0] + z[1], z[1], z[3], rows_ab, rows_ba)
+        yield _witness_from(target, z[0] + z[1], z[1], z[3], dims)
 
 
 def verify_witness(w: ProcessMatrix, witness: CausalWitness) -> bool:
@@ -474,7 +462,7 @@ def verify_witness(w: ProcessMatrix, witness: CausalWitness) -> bool:
     parts = [np.asarray(m, dtype=complex) for m in (witness.s, witness.q1, witness.q2)]
     if any(m.shape != (side, side) for m in parts):
         raise ValueError(f"witness parts must be {side}x{side} for layout {dims}")
-    check = _witness_from(w.matrix, *parts, _span_rows(dims, "a_before_b"), _span_rows(dims, "b_before_a"))
+    check = _witness_from(w.matrix, *parts, dims)
     drift = max(np.linalg.norm(a - b) for a, b in zip((check.s, check.q1, check.q2), parts))
     drift = max(drift * np.linalg.norm(w.matrix), abs(check.value - witness.value))
     return check.value < -check.margin and drift <= check.margin
@@ -483,22 +471,22 @@ def verify_witness(w: ProcessMatrix, witness: CausalWitness) -> bool:
 def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50_000) -> FeasibilityReport:
     """Search for a causal split of W by Dykstra alternating projections.
 
-    Looks for X with: X positive, X in the B2-trivial allowed span, W - X
-    positive and W - X in the A2-trivial allowed span; any such X equals
-    p * w_ab of a causal decomposition.  The search starts at the
-    projection of W / 2 onto both span constraints, the equal split of the
-    terms trivial on A2 and B2, (W + R_B2(W) - R_A2(W)) / 2 with R_F the
-    trace-and-replace map; the four projections are then cycled and the
-    four membership residuals are tracked per cycle.  Only the two PSD
-    steps carry Dykstra correction terms; the span steps are plain
-    projections, computed on the real Hilbert-Schmidt coordinates of the
-    Hermitian iterates.  All residuals below ``tol`` count as separable
-    once the extracted decomposition passes its checks at
-    max(100 tol, 1e-6); a split that fails them is inconclusive.  From sweep 8
-    on, every 4th sweep also runs one step of a causal witness search that
-    never touches the sweep's iterates; the run stops as not-separable when
-    a witness verifies.  At the cap (``max_iter`` >= 1 sweeps) with neither
-    certificate the run is inconclusive, so caps below 8 never give
+    Looks for X with: X positive, X in the A < B span, W - X positive and
+    W - X in the B < A span; any such X equals p * w_ab of a causal
+    decomposition.  The search starts at the projection of W / 2 onto both
+    span constraints, L_AB(W - L_BA(W) / 2), and cycles the four
+    projections; only the two PSD steps carry Dykstra correction terms.
+    Each sweep tracks the negative parts of X and W - X and the distance of
+    X from the A < B span.  The fourth residual, the distance of W - X from
+    the B < A span, is zero by construction: the sweep's last step sets
+    W - X to a projection onto that span.  All residuals below ``tol``
+    count as separable once the extracted decomposition passes
+    ``verify_decomposition`` at max(100 tol, 1e-6); a split that fails is
+    inconclusive.  From sweep 8 on, every 4th sweep also runs one step of a
+    causal witness search that never touches the sweep's iterates; the run
+    stops as not-separable when a witness verifies.  At the cap
+    (``max_iter`` >= 1 sweeps; memory grows with the sweeps run) with
+    neither certificate the run is inconclusive, so caps below 8 never give
     not-separable.
     """
     if max_iter < 1:
@@ -508,49 +496,43 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
         raise ValueError("dykstra_separability needs a valid process matrix")
 
     dims = w.layout.dims
-    rows_ab = _span_rows(dims, "a_before_b")
-    rows_ba = _span_rows(dims, "b_before_a")
     target = w.matrix
 
     # The feasible set lies inside both span constraints, so Dykstra aims at
     # the same limit from this projection of W / 2 as from W / 2 itself.
-    x = (target + _trace_replace(target, dims, 3) - _trace_replace(target, dims, 1)) / 2.0
+    x = _span_project(target - _span_project(target, dims, "b_before_a") / 2.0, dims, "a_before_b")
     # A Dykstra correction on a linear or affine set lies in its orthogonal
     # complement and never changes the iterate (Boyle & Dykstra 1986), so
     # only the PSD steps keep one.
     correction_x = np.zeros_like(x)
     correction_rest = np.zeros_like(x)
-    history = np.empty(max_iter)
-    iterations = 0
+    history = []
     converged = False
-    candidates = _witness_candidates(target, rows_ab, rows_ba)  # runs nothing until asked
+    candidates = _witness_candidates(target, dims)  # runs nothing until asked
     witness = None
 
-    for it in range(max_iter):
+    for iterations in range(1, max_iter + 1):
         # Cycle: PSD(X), span(X), PSD(W - X), span(W - X).
         shifted = x + correction_x
         x = _psd_project(shifted)
         correction_x = shifted - x
 
-        x = _span_project(x, rows_ab)
+        x = _span_project(x, dims, "a_before_b")
 
         shifted = x + correction_rest
         x = target - _psd_project(target - shifted)
         correction_rest = shifted - x
 
-        x = target - _span_project(target - x, rows_ba)
+        x = target - _span_project(target - x, dims, "b_before_a")
 
         x = (x + x.conj().T) / 2.0
-        remainder = target - x
-        spectra = np.linalg.eigvalsh(np.stack((x, remainder)))
+        spectra = np.linalg.eigvalsh(np.stack((x, target - x)))
         residual = max(
             _negative_part_norm(spectra[0]),
-            _span_distance(x, rows_ab),
+            float(np.linalg.norm(x - _span_project(x, dims, "a_before_b"))),
             _negative_part_norm(spectra[1]),
-            _span_distance(remainder, rows_ba),
         )
-        history[it] = residual
-        iterations = it + 1
+        history.append(residual)
         if residual < tol:
             converged = True
             break
@@ -560,25 +542,22 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
                 witness = candidate
                 break
 
-    history = history[:iterations]
-    best = float(history.min())
-
     if converged:
         # The last step left W - x exactly in the B < A span, so x lies in the
-        # valid span, where its B2-trivial part is its A < B part; dropping the
-        # rest moves only B < A terms.  Both parts then hold their spans
-        # exactly, and x / p of a lopsided split amplifies only the positivity
-        # error.  A split that still fails its checks is inconclusive.
-        decomposition = _extract_decomposition(w, _trace_replace(x, dims, 3), tol)
+        # valid span, where it differs from its A < B projection only by B < A
+        # terms.  Both parts then hold their spans exactly, and x / p of a
+        # lopsided split amplifies only the positivity error.  A split that
+        # still fails its checks is inconclusive.
+        decomposition = _extract_decomposition(w, _span_project(x, dims, "a_before_b"), tol)
         check = verify_decomposition(w, decomposition, tol=max(100.0 * tol, 1e-6),
                                      psd_tol=max(100.0 * tol, 1e-6))
         if check.ok:
-            return FeasibilityReport(SEPARABLE, float(history[-1]), iterations, decomposition)
+            return FeasibilityReport(SEPARABLE, history[-1], iterations, decomposition)
 
     window = max(1, iterations // 10)
-    plateau = float(history[-window:].min())
     status = INCONCLUSIVE if witness is None else NOT_SEPARABLE
-    return FeasibilityReport(status, best, iterations, None, plateau_residual=plateau, witness=witness)
+    return FeasibilityReport(status, min(history), iterations, None,
+                             plateau_residual=min(history[-window:]), witness=witness)
 
 
 def _extract_decomposition(w: ProcessMatrix, x: np.ndarray, tol: float) -> CausalDecomposition:

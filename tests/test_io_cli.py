@@ -93,6 +93,14 @@ class TestCli:
         assert results["witness_value"] < -results["witness_margin"] < 0.0
         assert results["plateau_residual"] > 1e-3
 
+    def test_check_sep_huge_cap_runs_to_witness(self, tmp_path, capsys):
+        doc = tmp_path / "ocb.json"
+        run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
+        code, out, _ = run_cli(["check-sep", "--input", str(doc), "--max-iter", "1000000000000", "--json"], capsys)
+        assert code == 2
+        results = json.loads(out)["results"]
+        assert results["witness_value"] < -results["witness_margin"] < 0.0
+
     def test_check_sep_separable_report_has_no_witness(self, tmp_path, capsys):
         doc = tmp_path / "w.json"
         run_cli(["gen-random", "--seed", "0", "--output", str(doc)], capsys)
@@ -268,6 +276,17 @@ class TestCli:
 
         flag, _ = is_input_diagonal(decoded, MeasurementBasis(rot), MeasurementBasis(rot))
         assert flag
+
+    @pytest.mark.parametrize("payload", ["5", '{"a1": {}, "b1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'],
+                             ids=["number", "object-entry"])
+    def test_malformed_basis_file_exits_one(self, tmp_path, capsys, payload):
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text(payload)
+        doc = tmp_path / "ocb.json"
+        run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
+        code, _, err = run_cli(["dephase", "--input", str(doc), "--basis", str(basis_file)], capsys)
+        assert code == 1
+        assert "basis" in err
 
     def test_separate_writes_decomposition_document(self, tmp_path, capsys):
         ocb = tmp_path / "ocb.json"

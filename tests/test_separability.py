@@ -39,10 +39,7 @@ from procmat.separability import (
     INCONCLUSIVE,
     NOT_SEPARABLE,
     SEPARABLE,
-    _span_distance,
     _span_project,
-    _span_rows,
-    _trace_replace,
     _witness_candidates,
 )
 
@@ -371,6 +368,13 @@ class TestDykstraSeparability:
         with pytest.raises(ValueError):
             dykstra_separability(bad)
 
+    def test_huge_cap_allocates_per_sweep(self):
+        # The residual history grows with the sweeps run, not with the cap.
+        w = ocb_process()
+        report = dykstra_separability(w, tol=1e-8, max_iter=10**12)
+        assert report.status == NOT_SEPARABLE
+        assert verify_witness(w, report.witness)
+
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_cap_below_one_rejected(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
@@ -400,53 +404,49 @@ class TestDykstraSeparability:
         assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
 
 
+def _trivial_part(m, dims, factors):
+    """HS-mask reference for trace-and-replace: the terms of m trivial on ``factors``."""
+    coeffs = hs_decompose(m, dims).coefficients
+    trivial = np.ones(coeffs.shape, dtype=bool)
+    for factor in factors:
+        trivial[(slice(None),) * factor + (slice(1, None),)] = False
+    return hs_reconstruct(HSDecomposition(dims, np.where(trivial, coeffs, 0.0)))
+
+
 class TestTraceReplace:
-    """Trace-and-replace on one factor against the HS-mask reference, and the
-    sweep's start as the projection of W / 2 onto both span constraints."""
+    """The span projector, a composition of trace-and-replace maps, against
+    HS-mask references; the sweep's start as the equal split of the shared
+    terms."""
 
     LAYOUTS = [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2), (2, 1, 2, 1)]
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dims=st.tuples(*[st.integers(1, 3)] * 4), variant=st.sampled_from(["a_before_b", "b_before_a"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_projector_matches_project_to_valid_span(self, dims, variant, seed):
+        m = random_hermitian(np.random.default_rng(seed), math.prod(dims))
+        projected = _span_project(m, dims, variant)
+        assert np.max(np.abs(projected - project_to_valid_span(m, SystemLayout(*dims), variant))) <= 1e-12
+        assert np.max(np.abs(_span_project(projected, dims, variant) - projected)) <= 1e-12
+
     @pytest.mark.parametrize("dims", LAYOUTS, ids=lambda dims: "-".join(map(str, dims)))
-    def test_matches_hs_mask(self, dims, rng):
-        m = random_hermitian(rng, math.prod(dims))
-        coeffs = hs_decompose(m, dims).coefficients
-        for factor in range(4):
-            trivial = np.zeros(coeffs.shape, dtype=bool)
-            trivial[(slice(None),) * factor + (0,)] = True
-            reference = hs_reconstruct(HSDecomposition(dims, np.where(trivial, coeffs, 0.0)))
-            assert np.max(np.abs(_trace_replace(m, dims, factor) - reference)) <= 1e-12
+    def test_matches_hs_mask(self, dims):
+        # On a valid W, the A < B part is the B2-trivial part and the B < A
+        # part the A2-trivial one; kappa_split and the split extraction rely
+        # on this.
+        w = random_process(13, SystemLayout(*dims)).matrix
+        assert np.max(np.abs(_span_project(w, dims, "a_before_b") - _trivial_part(w, dims, [3]))) <= 1e-12
+        assert np.max(np.abs(_span_project(w, dims, "b_before_a") - _trivial_part(w, dims, [1]))) <= 1e-12
 
     @pytest.mark.parametrize("dims", LAYOUTS, ids=lambda dims: "-".join(map(str, dims)))
     def test_start_is_span_projection_of_half(self, dims):
-        layout = SystemLayout(*dims)
-        w = random_process(12, layout).matrix
-        start = (w + _trace_replace(w, dims, 3) - _trace_replace(w, dims, 1)) / 2.0
-        reference = project_to_valid_span(
-            w - project_to_valid_span(w, layout, "b_before_a") / 2.0, layout, "a_before_b")
+        # The projection of W / 2 onto both span constraints keeps W's one-way
+        # terms on their own sides and halves the shared ones:
+        # (W + R_B2(W) - R_A2(W)) / 2.
+        w = random_process(12, SystemLayout(*dims)).matrix
+        start = _span_project(w - _span_project(w, dims, "b_before_a") / 2.0, dims, "a_before_b")
+        reference = (w + _trivial_part(w, dims, [3]) - _trivial_part(w, dims, [1])) / 2.0
         assert np.max(np.abs(start - reference)) <= 1e-12
-
-
-class TestSpanTables:
-    """The real-coordinate span table against the HS-mask reference projector."""
-
-    @pytest.mark.parametrize("variant", ["a_before_b", "b_before_a"])
-    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2), (2, 1, 2, 1)],
-                             ids=lambda dims: "-".join(map(str, dims)))
-    def test_matches_project_to_valid_span(self, dims, variant, rng):
-        layout = SystemLayout(*dims)
-        table = _span_rows(dims, variant)
-        for _ in range(3):
-            m = random_hermitian(rng, layout.d_total)
-            reference = project_to_valid_span(m, layout, variant)
-            projected = _span_project(m, table)
-            assert np.max(np.abs(projected - reference)) <= 1e-12
-            assert np.max(np.abs(_span_project(projected, table) - projected)) <= 1e-12
-            assert abs(_span_distance(m, table) - np.linalg.norm(m - reference)) <= 1e-12
-            assert _span_distance(projected, table) <= 1e-12
-
-    def test_table_is_read_only(self):
-        with pytest.raises(ValueError):
-            _span_rows((2, 2, 2, 2), "a_before_b")[0, 0] = 1.0
 
 
 class TestNoisyFixtureThreshold:
@@ -511,6 +511,20 @@ class TestNoisyFixtureThreshold:
         assert report.status == SEPARABLE
         assert report.iterations == iterations
 
+    def test_non_qubit_sweep_count_pinned(self):
+        # OCB on qubit subspaces of qutrit inputs, mixed with a random
+        # (3, 2, 3, 2) process: the start is not feasible, and the residual
+        # one sweep before the stop is at least 1.34e-8.
+        layout = SystemLayout(3, 2, 3, 2)
+        embed = np.eye(3)[:, :2]
+        lift = tensor_product([embed, EYE2, embed, EYE2])
+        ocb = lift @ ocb_process().matrix @ lift.T
+        w = ProcessMatrix(layout, 0.506 * ocb + 0.494 * random_process(0, layout).matrix)
+        report = dykstra_separability(w, tol=1e-8, max_iter=1000)
+        assert report.status == SEPARABLE
+        assert report.iterations == 33
+        assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
+
     def test_formerly_capped_point_separates_in_one_sweep(self):
         w = self._noisy(1.0 / np.sqrt(2.0) - 3e-5)
         report = dykstra_separability(w, tol=1e-8, max_iter=1000)
@@ -570,8 +584,7 @@ class TestNoisyFixtureThreshold:
 
 def _search(w, steps):
     """The first verified candidate within ``steps`` forced witness-search steps, or None."""
-    dims = w.layout.dims
-    candidates = _witness_candidates(w.matrix, _span_rows(dims, "a_before_b"), _span_rows(dims, "b_before_a"))
+    candidates = _witness_candidates(w.matrix, w.layout.dims)
     return next((c for c in itertools.islice(candidates, steps) if c.value < -c.margin), None)
 
 
