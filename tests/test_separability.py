@@ -449,6 +449,25 @@ class TestTraceReplace:
         assert np.max(np.abs(start - reference)) <= 1e-12
 
 
+class TestSpanTables:
+    """The span projector against the HS-mask reference projector on fixed
+    layouts, several draws each; the class keeps its name from the real
+    coordinate tables the projector replaced."""
+
+    @pytest.mark.parametrize("variant", ["a_before_b", "b_before_a"])
+    @pytest.mark.parametrize("dims", TestTraceReplace.LAYOUTS, ids=lambda dims: "-".join(map(str, dims)))
+    def test_matches_project_to_valid_span(self, dims, variant, rng):
+        layout = SystemLayout(*dims)
+        for _ in range(3):
+            m = random_hermitian(rng, layout.d_total)
+            reference = project_to_valid_span(m, layout, variant)
+            projected = _span_project(m, dims, variant)
+            assert np.max(np.abs(projected - reference)) <= 1e-12
+            assert np.max(np.abs(_span_project(projected, dims, variant) - projected)) <= 1e-12
+            assert abs(np.linalg.norm(m - projected) - np.linalg.norm(m - reference)) <= 1e-12
+            assert np.linalg.norm(_span_project(projected, dims, variant) - projected) <= 1e-12
+
+
 class TestNoisyFixtureThreshold:
     """Mixing the violating fixture with noise loses separability exactly at
     visibility 1/sqrt(2); the boundary case forces thousands of projection
