@@ -42,7 +42,7 @@ print(f"dephased process decomposes with weight p = {split.p} on the A->B side")
 
 # Blending the fixture with noise shows the two faces of the same
 # threshold: the best game value is (1 + q / sqrt 2) / 2, which crosses
-# 3/4 exactly at the visibility q = 1/sqrt(2) where the projection search
+# 3/4 exactly at the visibility q = 1/sqrt(2) where the separability search
 # stops finding causal splits.
 from procmat import ProcessMatrix, dykstra_separability, identity_process
 

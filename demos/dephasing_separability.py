@@ -5,7 +5,7 @@ updated version, which reproduces every probability those restricted
 operations can see.  For two parties that effective matrix always splits
 into a convex mixture of one-way-signaling processes; this script builds
 the split constructively and cross-checks it with an independent
-alternating-projection search.
+primal-dual search, which finds either a split or a causal witness.
 """
 
 import numpy as np
@@ -45,7 +45,7 @@ print(f"\nconstructive split: p = {decomposition.p:.6f}, "
       f"reconstruction residual = {check.reconstruction_residual:.2e}, ok = {check.ok}")
 
 search = dykstra_separability(effective.matrix, tol=1e-8)
-print(f"projection search agrees: {search.status} after {search.iterations} sweeps "
+print(f"primal-dual search agrees: {search.status} after {search.iterations} iteration(s) "
       f"(p = {search.decomposition.p:.6f})")
 
 # Larger inputs work the same way.

@@ -306,7 +306,7 @@ def _cmd_check_sep(args) -> int:
         tolerances={"tol": args.tol},
     )
     decomposition = None
-    # A projection search certifies its split only to ~100x the residual
+    # The solver certifies its split only to ~100x the residual
     # tolerance, so its parts are verified at that looser level; the
     # constructive path stays at the strict one.
     verify_tol = args.tol
@@ -315,8 +315,8 @@ def _cmd_check_sep(args) -> int:
         try:
             decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=args.tol)
             run.results["status"] = SEPARABLE
-        except (NotInputDiagonalError, EigenstructureError):
-            run.results["path"] = "dykstra"
+        except (NotInputDiagonalError, EigenstructureError) as err:
+            run.results.update(path="dykstra", skip_reason=str(err))
             report = dykstra_separability(w, tol=args.tol, max_iter=args.max_iter)
             run.results["status"] = report.status
             run.results["residual"] = report.residual
@@ -329,7 +329,7 @@ def _cmd_check_sep(args) -> int:
             verify_tol = max(100.0 * args.tol, 1e-6)
     except DecompositionError as err:
         # A failed split is inconclusive on either path.  On an input-diagonal
-        # matrix a projection search could only pass at a looser tolerance, so
+        # matrix the solver could only pass at a looser tolerance, so
         # a failed constructive split is not retried.
         run.results.update(status=INCONCLUSIVE, error=str(err))
     if decomposition is not None:
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-sep", help="causal separability, constructive fast path then projections")
     common(p)
     p.add_argument("--basis", default="z", help="'z' or a JSON basis file with keys a1, b1")
-    p.add_argument("--max-iter", type=int, default=50_000, help="projection iteration cap")
+    p.add_argument("--max-iter", type=int, default=50_000, help="solver iteration cap")
     p.set_defaults(func=_cmd_check_sep)
 
     p = sub.add_parser("game", help="best causal-game value over the built-in strategy family")

@@ -15,13 +15,14 @@ diagonal in fixed input bases this module builds such a split explicitly:
 The input-diagonal structure makes the kappas commute with each other and
 with every input-block projector, and makes their joint eigenvectors
 products; both facts are verified numerically rather than assumed.  For
-general matrices ``dykstra_separability`` searches for a split directly by
-alternating projections, which also serves as an independent cross-check of
-the constructive path.
+general matrices ``dykstra_separability`` searches for a split or a causal
+witness with one primal-dual iteration, which also serves as an independent
+cross-check of the constructive path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,20 +66,21 @@ def _span_plan(dims: tuple[int, ...], variant: str):
 
     Read as one vector index, a factor's (row, column) pair carries R_F as
     the projector vec(1) vec(1)^T / d_F, so 1 - R_Y1 (1 - R_X2) is one real
-    matrix of (d_X2 d_Y1)^4 floats.
+    matrix of (d_X2 d_Y1)^4 floats.  Axis 0 runs over the members of a stack.
     """
     order = (0, 1, 2, 3) if variant == "a_before_b" else (2, 3, 0, 1)
-    pairs = tuple(axis for f in order for axis in (f, f + 4))
+    pairs = (0,) + tuple(1 + axis for f in order for axis in (f, f + 4))
     x1, x2, y1, y2 = (dims[f] for f in order)
     e_x2, e_y1 = (np.outer(np.eye(d), np.eye(d)) / d for d in (x2, y1))
     middle = np.eye((x2 * y1) ** 2) - np.kron(np.eye(x2 * x2) - e_x2, e_y1)
     unit = np.eye(y2, dtype=complex).reshape(-1) / math.sqrt(y2)
-    split = tuple((dims * 2)[axis] for axis in pairs)
-    return pairs, tuple(np.argsort(pairs)), (x1 * x1, -1, y2 * y2), split, middle, unit
+    split = (-1,) + tuple((dims * 2)[axis - 1] for axis in pairs[1:])
+    return pairs, tuple(np.argsort(pairs)), (-1, x1 * x1, len(middle), y2 * y2), split, middle, unit
 
 
 def _span_project(m: np.ndarray, dims: tuple[int, ...], variant: str) -> np.ndarray:
-    """Projection of ``m`` onto the span allowed for the causal order X < Y.
+    """Projection of ``m`` (or of each member of a stack) onto the span
+    allowed for the causal order X < Y.
 
     ``a_before_b`` has X = A, Y = B; ``b_before_a`` swaps the parties.  The
     projection is R_Y2 (1 - R_Y1 (1 - R_X2)) with the trace-and-replace maps
@@ -87,9 +89,9 @@ def _span_project(m: np.ndarray, dims: tuple[int, ...], variant: str) -> np.ndar
     contraction with vec(1) / sqrt(d_Y2) and the outer product back.
     """
     pairs, back, shape, split, middle, unit = _span_plan(dims, variant)
-    t = m.reshape(dims * 2).transpose(pairs).reshape(shape)
+    t = m.reshape((-1,) + dims * 2).transpose(pairs).reshape(shape)
     # The real middle matrix acts on the real and imaginary parts alike.
-    r = (middle @ (t @ unit).view(np.float64).reshape(shape[0], -1, 2)).view(complex)
+    r = (middle @ (t @ unit).view(np.float64).reshape(t.shape[:3] + (2,))).view(complex)
     return (r * unit).reshape(split).transpose(back).reshape(m.shape)
 
 
@@ -379,11 +381,13 @@ class CausalWitness:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of the alternating-projection separability search.
+    """Outcome of ``dykstra_separability`` after ``iterations`` iterations.
 
     A separable report carries a ``decomposition``, a not-separable one a
-    verified ``witness``, an inconclusive one neither; ``plateau_residual``
-    is the least residual over the last tenth of an unconverged run.
+    verified ``witness``, an inconclusive one neither.  ``residual`` is the
+    least split-candidate violation of the run, that of the verified split
+    when separable; ``plateau_residual`` the least over the last tenth of the
+    iterations of a run that found no split.
     """
 
     status: str
@@ -394,9 +398,10 @@ class FeasibilityReport:
     witness: CausalWitness | None = None
 
 
-def _negative_part_norm(evals: np.ndarray) -> float:
-    neg = np.minimum(evals, 0.0)
-    return float(np.sqrt(neg @ neg))
+def _violation(parts: np.ndarray) -> float:
+    """The largest negative-part norm over a stack of Hermitian matrices."""
+    neg = np.minimum(np.linalg.eigvalsh(parts), 0.0)
+    return float(np.sqrt((neg * neg).sum(axis=-1)).max())
 
 
 def _psd_project(m: np.ndarray) -> np.ndarray:
@@ -405,9 +410,6 @@ def _psd_project(m: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(evals, 0.0)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-# No witness step before sweep _WITNESS_START, then one every _WITNESS_EVERY sweeps.
-_WITNESS_START = 8
-_WITNESS_EVERY = 4
 _WITNESS_MARGIN = 16.0
 
 
@@ -427,28 +429,67 @@ def _witness_from(target: np.ndarray, s, q1, q2, dims: tuple[int, ...]) -> Causa
     return CausalWitness(s + delta * np.eye(side), q1, q2, value, float(margin))
 
 
-def _witness_candidates(target: np.ndarray, dims: tuple[int, ...]):
-    """Dykstra search for a causal witness of ``target``, one candidate per step.
-
-    z = (P1, Q1, P2, Q2) alternates between the product set PSD x span_AB
-    complement x PSD x span_BA complement, where only the PSD components
-    carry corrections, and the affine set {P1 + Q1 = P2 + Q2,
-    Tr((P1 + Q1) W) = -1}, starting from the affine projection of 0.  The
-    candidate S = P1 + Q1 is read right after the affine step.
+def _admm_iterates(target: np.ndarray, dims: tuple[int, ...], tol: float):
+    """Scaled ADMM (Boyd et al., Found. Trends ML 3(1), 2011) on the
+    white-noise robustness problem (Araujo et al., NJP 17, 102001 (2015)):
+    minimise r with X1 + X2 = W + r 1, X1 positive in the A < B span and X2
+    in the B < A span.  From Y = (W / 2, W / 2), U = 0, each iteration takes
+    the closed-form affine step X nearest Y - U under the objective r / rho,
+    Y = PSD(X + U) and U += X - Y, and yields (violation, x, P): the split
+    candidate (X1 - r/2 1, X2 - r/2 1) or, where its violation (the larger
+    negative-part norm of the two parts) is ``tol`` or more and theirs is
+    smaller, Y with its shared terms rebalanced to sum to W's; its A < B
+    part x; and the positive duals P = -rho U for ``_dual_witness``.
     """
-    norm2 = float(np.vdot(target, target).real)
-    sign = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
-    z = np.stack([-target / (2.0 * norm2)] * 4)
-    corrections = np.zeros_like(z[:2])
-    while True:
-        shifted = z[0::2] + corrections
-        z[0::2] = _psd_project(shifted)
-        corrections = shifted - z[0::2]
-        z[1] -= _span_project(z[1], dims, "a_before_b")
-        z[3] -= _span_project(z[3], dims, "b_before_a")
-        z -= sign * (sign * z).sum(axis=0) / 4.0
-        z += (-1.0 - np.vdot(target, z[0] + z[1]).real) / (2.0 * norm2) * target
-        yield _witness_from(target, z[0] + z[1], z[1], z[3], dims)
+    side = len(target)
+    eye = np.eye(side)
+
+    def shared(m):
+        return _span_project(_span_project(m, dims, "b_before_a"), dims, "a_before_b")
+
+    w_ab = _span_project(target, dims, "a_before_b")
+    w_c = _span_project(w_ab, dims, "b_before_a")
+    w_a, w_b = w_ab - w_c, target - w_ab
+    y = np.stack((target, target)) / 2.0
+    u = np.zeros_like(y)
+    zc = np.stack((w_c, w_c)) / 2.0
+    rho = 1.0
+    for k in itertools.count(1):
+        # Outside the shared span X holds W's own terms (w_a, w_b); its shared
+        # parts and r minimise r / rho + |X - (Y - U)|^2 / 2, with zc = L_c(Y - U).
+        r = -(np.trace(w_c - zc[0] - zc[1]).real + 2.0 / rho) / side
+        c = (zc[0] - zc[1] + w_c + r * eye) / 2.0
+        x = np.stack((w_a + c, w_b + w_c + r * eye - c))
+        y_prev, y = y, _psd_project(x + u)
+        u += x - y
+
+        split = x - (r / 2.0) * eye
+        violation = _violation(split)
+        if violation >= tol:
+            yc = shared(y)
+            rebalanced = np.stack((w_a + yc[0], w_b + yc[1])) + (w_c - yc[0] - yc[1]) / 2.0
+            other = _violation(rebalanced)
+            if other < violation:
+                split, violation = rebalanced, other
+        yield violation, split[0], -rho * u
+
+        if k % 10 == 0:  # residual balancing (Boyd et al. sec. 3.4.1); rho U is kept
+            primal, dual = np.linalg.norm(x - y), rho * np.linalg.norm(y - y_prev)
+            scale = 2.0 if primal > 10.0 * dual else 0.5 if dual > 10.0 * primal else 1.0
+            rho *= scale
+            u /= scale
+        zc = shared(y - u)
+
+
+def _dual_witness(target: np.ndarray, p: np.ndarray, dims: tuple[int, ...]) -> CausalWitness | None:
+    """The witness S = L_AB(P1) + L_BA(P2) - L_c(P2) of positive P_i,
+    repaired by ``_witness_from``; None when Tr(S W) >= 0, which no repair
+    can make negative."""
+    ba = _span_project(p[1], dims, "b_before_a")
+    s = _span_project(p[0] - ba, dims, "a_before_b") + ba
+    if np.vdot(target, s).real >= 0.0:
+        return None
+    return _witness_from(target, s, s - p[0], s - p[1], dims)
 
 
 def verify_witness(w: ProcessMatrix, witness: CausalWitness) -> bool:
@@ -469,25 +510,13 @@ def verify_witness(w: ProcessMatrix, witness: CausalWitness) -> bool:
 
 
 def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50_000) -> FeasibilityReport:
-    """Search for a causal split of W by Dykstra alternating projections.
+    """Decide causal separability of W with the iteration of ``_admm_iterates``.
 
-    Looks for X with: X positive, X in the A < B span, W - X positive and
-    W - X in the B < A span; any such X equals p * w_ab of a causal
-    decomposition.  The search starts at the projection of W / 2 onto both
-    span constraints, L_AB(W - L_BA(W) / 2), and cycles the four
-    projections; only the two PSD steps carry Dykstra correction terms.
-    Each sweep tracks the negative parts of X and W - X and the distance of
-    X from the A < B span.  The fourth residual, the distance of W - X from
-    the B < A span, is zero by construction: the sweep's last step sets
-    W - X to a projection onto that span.  All residuals below ``tol``
-    count as separable once the extracted decomposition passes
-    ``verify_decomposition`` at max(100 tol, 1e-6); a split that fails is
-    inconclusive.  From sweep 8 on, every 4th sweep also runs one step of a
-    causal witness search that never touches the sweep's iterates; the run
-    stops as not-separable when a witness verifies.  At the cap
-    (``max_iter`` >= 1 sweeps; memory grows with the sweeps run) with
-    neither certificate the run is inconclusive, so caps below 8 never give
-    not-separable.
+    A split candidate whose violation is below ``tol`` ends the run separable
+    once ``verify_decomposition`` passes it at max(100 tol, 1e-6); a witness
+    from ``_dual_witness`` ends it not-separable once it verifies.  At the
+    cap (``max_iter`` >= 1 iterations; memory grows with the iterations run)
+    with neither certificate the run is inconclusive.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -496,63 +525,20 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
         raise ValueError("dykstra_separability needs a valid process matrix")
 
     dims = w.layout.dims
-    target = w.matrix
-
-    # The feasible set lies inside both span constraints, so Dykstra aims at
-    # the same limit from this projection of W / 2 as from W / 2 itself.
-    x = _span_project(target - _span_project(target, dims, "b_before_a") / 2.0, dims, "a_before_b")
-    # A Dykstra correction on a linear or affine set lies in its orthogonal
-    # complement and never changes the iterate (Boyle & Dykstra 1986), so
-    # only the PSD steps keep one.
-    correction_x = np.zeros_like(x)
-    correction_rest = np.zeros_like(x)
+    check_tol = max(100.0 * tol, 1e-6)
     history = []
-    converged = False
-    candidates = _witness_candidates(target, dims)  # runs nothing until asked
     witness = None
-
-    for iterations in range(1, max_iter + 1):
-        # Cycle: PSD(X), span(X), PSD(W - X), span(W - X).
-        shifted = x + correction_x
-        x = _psd_project(shifted)
-        correction_x = shifted - x
-
-        x = _span_project(x, dims, "a_before_b")
-
-        shifted = x + correction_rest
-        x = target - _psd_project(target - shifted)
-        correction_rest = shifted - x
-
-        x = target - _span_project(target - x, dims, "b_before_a")
-
-        x = (x + x.conj().T) / 2.0
-        spectra = np.linalg.eigvalsh(np.stack((x, target - x)))
-        residual = max(
-            _negative_part_norm(spectra[0]),
-            float(np.linalg.norm(x - _span_project(x, dims, "a_before_b"))),
-            _negative_part_norm(spectra[1]),
-        )
-        history.append(residual)
-        if residual < tol:
-            converged = True
+    for iterations, (violation, x, duals) in zip(range(1, max_iter + 1), _admm_iterates(w.matrix, dims, tol)):
+        history.append(violation)
+        if violation < tol:
+            # x / p of a lopsided split amplifies rounding, the anti-Hermitian part too.
+            decomposition = _extract_decomposition(w, (x + x.conj().T) / 2.0, tol)
+            if verify_decomposition(w, decomposition, tol=check_tol, psd_tol=check_tol).ok:
+                return FeasibilityReport(SEPARABLE, violation, iterations, decomposition)
+        candidate = _dual_witness(w.matrix, duals, dims)
+        if candidate is not None and candidate.value < -candidate.margin:
+            witness = candidate
             break
-        if iterations >= _WITNESS_START and iterations % _WITNESS_EVERY == 0:
-            candidate = next(candidates)
-            if candidate.value < -candidate.margin:
-                witness = candidate
-                break
-
-    if converged:
-        # The last step left W - x exactly in the B < A span, so x lies in the
-        # valid span, where it differs from its A < B projection only by B < A
-        # terms.  Both parts then hold their spans exactly, and x / p of a
-        # lopsided split amplifies only the positivity error.  A split that
-        # still fails its checks is inconclusive.
-        decomposition = _extract_decomposition(w, _span_project(x, dims, "a_before_b"), tol)
-        check = verify_decomposition(w, decomposition, tol=max(100.0 * tol, 1e-6),
-                                     psd_tol=max(100.0 * tol, 1e-6))
-        if check.ok:
-            return FeasibilityReport(SEPARABLE, history[-1], iterations, decomposition)
 
     window = max(1, iterations // 10)
     status = INCONCLUSIVE if witness is None else NOT_SEPARABLE

@@ -50,10 +50,12 @@ def hermiticity_defect(matrix) -> float:
 
 
 def require_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Coerce to complex and check Hermiticity; a ``(..., n, n)`` stack is checked member by member."""
+    """Coerce to complex and check finiteness and Hermiticity; a ``(..., n, n)`` stack is checked member by member."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
     defect = hermiticity_defect(m)
     if defect > tol:
         raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {defect:.3e} > {tol:.1e}")

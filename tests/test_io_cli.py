@@ -74,6 +74,34 @@ class TestCli:
         assert code == 1
         assert "offset" in err
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_document_exits_one(self, tmp_path, capsys, token):
+        # Python's json reads and writes the NaN and Infinity tokens; such a
+        # document is invalid input, never a table or a document of NaN.
+        payload = json.loads(encode_process(identity_process()))
+        payload["matrix"][0][0][0] = float(token)
+        doc = tmp_path / "bad.json"
+        doc.write_text(json.dumps(payload))
+        assert token in doc.read_text()
+        for command in (["born", "--json"], ["dephase"], ["validate", "--json"]):
+            code, out, err = run_cli(command + ["--input", str(doc)], capsys)
+            assert code == 1
+            assert "non-finite" in err
+            assert token not in out and "nan" not in out.lower()
+
+    def test_check_sep_records_skip_reason(self, tmp_path, capsys):
+        doc = tmp_path / "w.json"
+        run_cli(["gen-random", "--seed", "4", "--output", str(doc)], capsys)
+        code, out, _ = run_cli(["check-sep", "--input", str(doc), "--json"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["path"] == "dykstra"
+        assert results["skip_reason"].startswith("matrix is not input-diagonal in the given bases")
+        dephased = tmp_path / "dephased.json"
+        run_cli(["dephase", "--input", str(doc), "--output", str(dephased)], capsys)
+        _, out, _ = run_cli(["check-sep", "--input", str(dephased), "--json"], capsys)
+        assert "skip_reason" not in json.loads(out)["results"]
+
     def test_check_failure_exits_two(self, tmp_path, capsys):
         doc = tmp_path / "ocb.json"
         run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
@@ -107,7 +135,7 @@ class TestCli:
         code, out, _ = run_cli(["check-sep", "--input", str(doc), "--json"], capsys)
         assert code == 0
         assert list(json.loads(out)["results"]) == [
-            "path", "status", "residual", "iterations", "p", "reconstruction_residual",
+            "path", "skip_reason", "status", "residual", "iterations", "p", "reconstruction_residual",
             "verified", "w_ab_digest", "w_ba_digest",
         ]
 
@@ -152,8 +180,10 @@ class TestCli:
         assert code == 2
         report = json.loads(out)
         assert report["status"] == "check-failed"
-        assert report["results"] == {"path": "dykstra", "status": "inconclusive",
+        assert report["results"] == {"path": "dykstra", "skip_reason": report["results"]["skip_reason"],
+                                     "status": "inconclusive",
                                      "error": "feasible point failed decomposition checks"}
+        assert "not input-diagonal" in report["results"]["skip_reason"]
 
     @pytest.mark.parametrize("command", ["separate", "check-sep"])
     def test_failed_constructive_check_is_reported(self, tmp_path, capsys, command):

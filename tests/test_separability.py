@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -39,13 +40,22 @@ from procmat.separability import (
     INCONCLUSIVE,
     NOT_SEPARABLE,
     SEPARABLE,
+    _admm_iterates,
+    _dual_witness,
     _span_project,
-    _witness_candidates,
 )
 
-from conftest import EYE2, SIGMA_Z, random_hermitian
+from conftest import EYE2, SIGMA_X, SIGMA_Z, random_hermitian
 
 Z2 = MeasurementBasis.computational(2)
+# OCB = (1 + (T_AB + T_BA) / sqrt(2)) / 4.
+T_AB = tensor_product([EYE2, SIGMA_Z, SIGMA_Z, EYE2])
+T_BA = tensor_product([SIGMA_Z, EYE2, SIGMA_X, SIGMA_Z])
+
+
+def plane_point(a, b):
+    """(1 + a T_AB + b T_BA) / 4, a valid process for a^2 + b^2 <= 1."""
+    return ProcessMatrix(SystemLayout.qubit(), (np.eye(16) + a * T_AB + b * T_BA) / 4.0)
 
 
 def dephased_ocb():
@@ -393,12 +403,19 @@ class TestDykstraSeparability:
             check = verify_decomposition(w, report.decomposition, tol=check_tol, psd_tol=check_tol)
             assert check.ok
 
-    @pytest.mark.parametrize("p", [0.0, 1e-7, 1e-3, 1.0 - 1e-7, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 1e-7, 1e-3, 1.0 - 1e-5, 1.0 - 1e-7, 1.0])
     def test_lopsided_and_one_way_mixtures_split(self, p):
         # The A < B part of a split is x / p, so a weight near 0 amplifies any
         # error of x by 1 / p; a valid input must still never raise.  p = 0
         # and p = 1 are exactly one-way.
         w = w0_process(p)
+        report = dykstra_separability(w, tol=1e-8)
+        assert report.status == SEPARABLE
+        assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
+
+    def test_one_way_plane_point_splits(self):
+        # (1 + T_BA) / 4 is exactly one-way, on the boundary of the cone.
+        w = plane_point(0.0, 1.0)
         report = dykstra_separability(w, tol=1e-8)
         assert report.status == SEPARABLE
         assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
@@ -415,8 +432,8 @@ def _trivial_part(m, dims, factors):
 
 class TestTraceReplace:
     """The span projector, a composition of trace-and-replace maps, against
-    HS-mask references; the sweep's start as the equal split of the shared
-    terms."""
+    HS-mask references; the equal split of the shared terms, the solver's
+    first split candidate."""
 
     LAYOUTS = [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2), (2, 1, 2, 1)]
 
@@ -470,9 +487,8 @@ class TestSpanTables:
 
 class TestNoisyFixtureThreshold:
     """Mixing the violating fixture with noise loses separability exactly at
-    visibility 1/sqrt(2); the boundary case forces thousands of projection
-    sweeps, which exercises the correction terms properly.  Only the two
-    PSD steps carry corrections; the span steps are plain projections."""
+    visibility 1/sqrt(2); points on both sides of it, and mixtures on other
+    lines, pin the solver's iteration counts and certificates."""
 
     @staticmethod
     def _noisy(q):
@@ -499,11 +515,11 @@ class TestNoisyFixtureThreshold:
 
     def test_barely_separable_needs_many_sweeps(self):
         # Feasible, but the equal split of the shared terms is not, so the
-        # search genuinely has to iterate with its corrections.
+        # solver genuinely has to iterate.
         w = self._mixed(0.656, 0.3)
         report = dykstra_separability(w, tol=1e-8)
         assert report.status == SEPARABLE
-        assert report.iterations > 40
+        assert report.iterations == 22
         assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
 
     def test_above_threshold_is_rejected(self):
@@ -520,20 +536,21 @@ class TestNoisyFixtureThreshold:
         assert report.status == SEPARABLE
         assert report.iterations == iterations
 
-    @pytest.mark.parametrize("family, t, iterations", [("dephasing", 0.6, 24), ("w0", 0.1, 59), ("mixed", 0.656, 49)])
+    @pytest.mark.parametrize("family, t, iterations", [("dephasing", 0.6, 2), ("w0", 0.1, 107), ("mixed", 0.656, 22)])
     def test_iterating_sweep_counts_pinned(self, family, t, iterations):
-        # Inputs whose start is not feasible.  The residual one sweep before
-        # the stop is at least 1.3e-8, 30% above tol, so the count does not
-        # hinge on rounding.
+        # Inputs whose equal split is not feasible.  The violation one
+        # iteration before the stop is at least 1.4e-8, 40% above tol, so the
+        # count does not hinge on rounding.
         w = {"dephasing": self._dephasing, "w0": w0_process, "mixed": lambda t: self._mixed(t, 0.3)}[family](t)
         report = dykstra_separability(w, tol=1e-8, max_iter=1000)
         assert report.status == SEPARABLE
         assert report.iterations == iterations
+        assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
 
     def test_non_qubit_sweep_count_pinned(self):
         # OCB on qubit subspaces of qutrit inputs, mixed with a random
-        # (3, 2, 3, 2) process: the start is not feasible, and the residual
-        # one sweep before the stop is at least 1.34e-8.
+        # (3, 2, 3, 2) process: the equal split is not feasible (violation
+        # 3.0e-5), the second iteration's candidate is.
         layout = SystemLayout(3, 2, 3, 2)
         embed = np.eye(3)[:, :2]
         lift = tensor_product([embed, EYE2, embed, EYE2])
@@ -541,8 +558,32 @@ class TestNoisyFixtureThreshold:
         w = ProcessMatrix(layout, 0.506 * ocb + 0.494 * random_process(0, layout).matrix)
         report = dykstra_separability(w, tol=1e-8, max_iter=1000)
         assert report.status == SEPARABLE
-        assert report.iterations == 33
+        assert report.iterations == 2
         assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
+
+    @staticmethod
+    def _lifted(t, other):
+        ocb = _lifted_ocb((3, 2, 3, 2))
+        rest = (identity_process(ocb.layout) if other == "noise" else random_process(0, ocb.layout)).matrix
+        return ProcessMatrix(ocb.layout, t * ocb.matrix + (1.0 - t) * rest)
+
+    @pytest.mark.parametrize("point", [
+        *[("dephasing", lam) for lam in (0.5, 0.55, 0.57, 0.58, 0.584, 0.585, 0.5855)],
+        ("mixed", 0.66), ("mixed", 0.69), ("plane", 0.71),
+        *[("lifted-noise", t) for t in (0.52, 0.53, 0.54, 0.55, 0.6, 0.62)],
+        *[("lifted-random", t) for t in (0.51, 0.52, 0.53, 0.545)],
+    ], ids=lambda point: f"{point[0]}-{point[1]}")
+    def test_recorded_blind_spot_certified(self, point):
+        # Blind spots recorded for the alternating-projection search this
+        # solver replaced: no certificate at the cap it ran with (600 to
+        # 5,000 sweeps), or one only after thousands.  Each is not separable.
+        family, t = point
+        w = {"dephasing": self._dephasing, "mixed": lambda t: self._mixed(t, 0.3),
+             "plane": lambda b: plane_point(0.3, b), "lifted-noise": lambda t: self._lifted(t, "noise"),
+             "lifted-random": lambda t: self._lifted(t, "random")}[family](t)
+        report = dykstra_separability(w, tol=1e-8, max_iter=1000)
+        assert report.status == NOT_SEPARABLE
+        assert verify_witness(w, report.witness)
 
     def test_formerly_capped_point_separates_in_one_sweep(self):
         w = self._noisy(1.0 / np.sqrt(2.0) - 3e-5)
@@ -551,10 +592,10 @@ class TestNoisyFixtureThreshold:
         assert report.iterations == 1
         assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
 
-    @pytest.mark.parametrize("q, iterations", [(0.7072, 36), (0.75, 8)])
+    @pytest.mark.parametrize("q, iterations", [(0.7072, 1), (0.75, 1)])
     def test_witnessed_sweep_counts_pinned(self, q, iterations):
-        # Above the threshold the run stops at the first verified witness;
-        # witness steps run after sweep 8 and then every 4 sweeps.
+        # Above the threshold the run stops at the first verified witness,
+        # read from the duals of the first iteration.
         w = self._noisy(q)
         report = dykstra_separability(w, tol=1e-8, max_iter=1000)
         assert report.status == NOT_SEPARABLE
@@ -562,14 +603,15 @@ class TestNoisyFixtureThreshold:
         assert verify_witness(w, report.witness)
 
     def test_capped_plateau_pinned(self):
-        # Near the dephasing threshold neither certificate appears within the
-        # cap, so the run is inconclusive; the plateau is the same from the
-        # W / 2 start and from the equal split.
-        report = dykstra_separability(self._dephasing(0.58), tol=1e-8, max_iter=1000)
-        assert report.status == INCONCLUSIVE
-        assert report.witness is None and report.decomposition is None
-        assert report.iterations == 1000
-        assert report.plateau_residual == pytest.approx(1.9309134541e-3, rel=1e-6)
+        # Near the dephasing threshold 2 - sqrt(2) a witness verifies at the
+        # fourth iteration; the plateau is that iteration's split violation.
+        w = self._dephasing(0.58)
+        report = dykstra_separability(w, tol=1e-8, max_iter=1000)
+        assert report.status == NOT_SEPARABLE
+        assert report.decomposition is None
+        assert report.iterations == 4
+        assert verify_witness(w, report.witness)
+        assert report.plateau_residual == pytest.approx(3.76966094067e-2, rel=1e-6)
 
     def test_near_above_capped_run_is_witnessed(self):
         w = self._noisy(1.0 / np.sqrt(2.0) + 1e-7)
@@ -578,9 +620,11 @@ class TestNoisyFixtureThreshold:
         assert verify_witness(w, report.witness)
 
     def test_cap_below_witness_start_is_inconclusive(self):
-        report = dykstra_separability(ocb_process(), tol=1e-8, max_iter=7)
+        # The dephasing-line point needs 4 iterations to its witness.
+        report = dykstra_separability(self._dephasing(0.58), tol=1e-8, max_iter=1)
         assert report.status == INCONCLUSIVE
-        assert report.witness is None
+        assert report.witness is None and report.decomposition is None
+        assert report.iterations == 1
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(q=st.floats(0.0, 1.0 / np.sqrt(2.0)))
@@ -601,10 +645,31 @@ class TestNoisyFixtureThreshold:
         assert verify_witness(w, report.witness)
 
 
+def _lifted_ocb(dims):
+    """OCB on the qubit subspaces of the inputs of a layout with qubit outputs."""
+    lift = tensor_product([np.eye(dims[0])[:, :2], EYE2, np.eye(dims[2])[:, :2], EYE2])
+    return ProcessMatrix(SystemLayout(*dims), lift @ ocb_process().matrix @ lift.T)
+
+
+@functools.lru_cache(maxsize=None)
+def _verified_split_parts(dims):
+    """(part, order) of the constructive splits of dephased random processes on ``dims``; order 0 is A < B."""
+    layout = SystemLayout(*dims)
+    parts = []
+    for seed in range(3):
+        ba, bb = MeasurementBasis.random(dims[0], seed=810 + seed), MeasurementBasis.random(dims[2], seed=820 + seed)
+        w = luders_input_dephase(random_process(830 + seed, layout), ba, bb).matrix
+        split = constructive_decomposition(w, ba, bb, tol=1e-8)
+        assert verify_decomposition(w, split, tol=1e-8).ok
+        parts += [(part.matrix, order) for order, part in enumerate((split.w_ab, split.w_ba)) if part is not None]
+    return parts
+
+
 def _search(w, steps):
-    """The first verified candidate within ``steps`` forced witness-search steps, or None."""
-    candidates = _witness_candidates(w.matrix, w.layout.dims)
-    return next((c for c in itertools.islice(candidates, steps) if c.value < -c.margin), None)
+    """The first verified witness candidate within ``steps`` solver iterations, splits ignored, or None."""
+    iterates = itertools.islice(_admm_iterates(w.matrix, w.layout.dims, 1e-8), steps)
+    candidates = (_dual_witness(w.matrix, duals, w.layout.dims) for _, _, duals in iterates)
+    return next((c for c in candidates if c is not None and c.value < -c.margin), None)
 
 
 class TestCausalWitness:
@@ -655,6 +720,35 @@ class TestCausalWitness:
             report = dykstra_separability(w, tol=1e-8, max_iter=1000)
             assert verify_witness(w, report.witness)
             assert min(np.vdot(x, report.witness.s).real for x in parts) >= 0.0
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(dims=st.sampled_from([(2, 2, 2, 2), (3, 2, 3, 2), (2, 2, 3, 2)]),
+           line=st.sampled_from(["white-noise", "dephasing"]), t=st.floats(0.0, 1.0))
+    def test_witnesses_nonnegative_on_verified_splits(self, dims, line, t):
+        # A part X verified at tol = 1e-8 has X >= -1e-9 side (the default
+        # positivity floor) and each forbidden Hilbert-Schmidt coefficient
+        # below tol on a basis element of norm sqrt(side), so
+        # |X - L(X)| <= tol side^1.5 for its order's span projector L.  With
+        # S - Q >= 0 and Tr Q = 0 (Q is orthogonal to the identity),
+        # Tr(S X) = Tr((S - Q) X) + Tr(Q (X - L(X)))
+        #         >= -1e-9 side Tr S - |Q| tol side^1.5 >= -tol side^1.5 (|S| + |Q|).
+        ocb = _lifted_ocb(dims)
+        if line == "white-noise":
+            other = identity_process(ocb.layout).matrix
+        else:
+            other = luders_input_dephase(ocb, MeasurementBasis.computational(dims[0]),
+                                         MeasurementBasis.computational(dims[2])).matrix.matrix
+        w = ProcessMatrix(ocb.layout, (1.0 - t) * ocb.matrix + t * other)
+        report = dykstra_separability(w, tol=1e-8, max_iter=300)
+        if report.status != NOT_SEPARABLE:
+            return
+        witness = report.witness
+        assert verify_witness(w, witness)
+        side = ocb.layout.d_total
+        for x, order in _verified_split_parts(dims):
+            q = (witness.q1, witness.q2)[order]
+            bound = 1e-8 * side**1.5 * (np.linalg.norm(witness.s) + np.linalg.norm(q))
+            assert np.vdot(x, witness.s).real >= -bound
 
     @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2)],
                              ids=lambda dims: "-".join(map(str, dims)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procmat import (
     frobenius_inner,
@@ -12,7 +13,7 @@ from procmat import (
     tensor_product,
     w0_process,
 )
-from procmat.tensor import HSDecomposition
+from procmat.tensor import HSDecomposition, _eigvalsh
 
 from conftest import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state, random_hermitian
 
@@ -156,6 +157,29 @@ class TestHermitianEig:
                 member_evals, member_vecs = hermitian_eig(stack[k, j])
                 assert np.max(np.abs(evals[k, j] - member_evals)) <= 1e-14
                 assert np.max(np.abs(vecs[k, j] - member_vecs)) <= 1e-14
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, 6), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_member_calls(self, k, n, seed):
+        # One solve over a (k, n, n) stack gives exactly the per-member results.
+        rng = np.random.default_rng(seed)
+        stack = np.stack([random_hermitian(rng, n) for _ in range(k)])
+        evals, vecs = hermitian_eig(stack)
+        only_evals = _eigvalsh(stack)
+        for j in range(k):
+            member_evals, member_vecs = hermitian_eig(stack[j])
+            assert np.array_equal(evals[j], member_evals)
+            assert np.array_equal(vecs[j], member_vecs)
+            assert np.array_equal(only_evals[j], _eigvalsh(stack[j]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_stack_with_one_non_finite_member_rejected(self, value):
+        rng = np.random.default_rng(14)
+        stack = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+        stack[2, 1, 1] = value
+        for solver in (hermitian_eig, _eigvalsh):
+            with pytest.raises(ValueError, match="non-finite"):
+                solver(stack)
 
     def test_stack_with_one_non_hermitian_member_rejected(self):
         rng = np.random.default_rng(13)
