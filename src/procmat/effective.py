@@ -42,6 +42,8 @@ class MeasurementBasis:
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"basis must be a square matrix of column vectors, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("basis has non-finite entries")
         gram = v.conj().T @ v
         defect = float(np.max(np.abs(gram - np.eye(v.shape[0]))))
         if defect > ORTHONORMALITY_TOL:
@@ -192,8 +194,7 @@ def selective_update(w: ProcessMatrix, n: int, m: int, basis_a1, basis_b1):
     weight = float(np.trace(block).real)
     if weight <= 1e-12:
         raise DegenerateInputError(f"block ({n}, {m}) has zero weight; cannot renormalize")
-    renormalized = block * (layout.target_trace / weight)
-    pm = ProcessMatrix(layout, (renormalized + renormalized.conj().T) / 2.0)
+    pm = ProcessMatrix(layout, block * (layout.target_trace / weight))
     return pm, validate_process(pm)
 
 

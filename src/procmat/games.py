@@ -35,7 +35,7 @@ _X_STATES = (
 )
 
 
-def ocb_process(layout: SystemLayout | None = None) -> ProcessMatrix:
+def ocb_process() -> ProcessMatrix:
     """Qubit fixture violating the causal game bound.
 
     One quarter of identity plus two mutually anticommuting correlation
@@ -43,13 +43,10 @@ def ocb_process(layout: SystemLayout | None = None) -> ProcessMatrix:
     to Bob's input and a back-signaling term coupling Bob's output to
     Alice's input.
     """
-    layout = layout or SystemLayout.qubit()
-    if layout.dims != (2, 2, 2, 2):
-        raise ValueError("ocb_process is a qubit fixture")
     term_channel = tensor_product([_EYE2, _SIGMA_Z, _SIGMA_Z, _EYE2])
     term_back = tensor_product([_SIGMA_Z, _EYE2, _SIGMA_X, _SIGMA_Z])
     m = (np.eye(16, dtype=complex) + (term_channel + term_back) / math.sqrt(2.0)) / 4.0
-    return ProcessMatrix(layout, m)
+    return ProcessMatrix(SystemLayout.qubit(), m)
 
 
 @dataclass(frozen=True)

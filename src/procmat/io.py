@@ -50,11 +50,14 @@ def decode_process(text: str) -> tuple[ProcessMatrix, dict[str, Any]]:
         raise ProcessDocumentError("document must be a JSON object")
 
     layout_raw = payload.get("layout")
-    if not isinstance(layout_raw, dict) or set(layout_raw) < set(_LAYOUT_KEYS):
+    if not isinstance(layout_raw, dict) or not set(_LAYOUT_KEYS) <= set(layout_raw):
         raise ProcessDocumentError(f"layout must carry keys {_LAYOUT_KEYS}")
+    dims = [layout_raw[k] for k in _LAYOUT_KEYS]
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+        raise ProcessDocumentError(f"layout dimensions must be JSON integers, got {dims}")
     try:
-        layout = SystemLayout(*(int(layout_raw[k]) for k in _LAYOUT_KEYS))
-    except (TypeError, ValueError) as err:
+        layout = SystemLayout(*dims)
+    except ValueError as err:
         raise ProcessDocumentError(f"bad layout: {err}") from err
 
     matrix_raw = payload.get("matrix")

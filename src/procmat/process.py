@@ -115,8 +115,9 @@ class SystemLayout:
 class ProcessMatrix:
     """A Hermitian operator on (A1, A2, B1, B2) together with its layout.
 
-    Construction checks shape and Hermiticity only; positivity, trace and
-    term structure are the business of :func:`validate_process`.
+    Construction checks shape and Hermiticity only and stores the exact
+    Hermitian part of the matrix; positivity, trace and term structure are
+    the business of :func:`validate_process`.
     """
 
     layout: SystemLayout
@@ -125,7 +126,7 @@ class ProcessMatrix:
     def __post_init__(self):
         m = require_hermitian(self.matrix, name="process matrix")
         check_factor_dims(m, self.layout.dims, name="process matrix")
-        m = m.copy()
+        m = (m + m.conj().T) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

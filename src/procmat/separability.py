@@ -99,28 +99,25 @@ def _span_project(m: np.ndarray, dims: tuple[int, ...], variant: str) -> np.ndar
 class KappaSplit:
     """The split d * W = (1 + lambda0) * 1 + kappa1 + kappa2.
 
-    ``lambda0`` is the minimal eigenvalue of d * W - 1; the identity shift
-    -lambda0 is allocated between the kappas by ``alpha`` (fraction assigned
-    to kappa1), which leaves their sum, and hence W, unchanged.
+    ``lambda0`` is the minimal eigenvalue of d * W - 1, read off the minimal
+    eigenvalue of W; kappa1 carries the identity shift -lambda0.
     """
 
     layout: SystemLayout
     lambda0: float
     kappa1: np.ndarray
     kappa2: np.ndarray
-    alpha: float
 
 
-def kappa_split(w_eff: ProcessMatrix, alpha: float = 1.0) -> KappaSplit:
+def kappa_split(w_eff: ProcessMatrix) -> KappaSplit:
     """Split d * W_eff - 1 into a B2-trivial and an A2-trivial part.
 
     With g = d * W_eff - 1, the A < B part of g, for a valid W_eff its
     B2-trivial part Tr_B2(g) (x) 1 / d_B2, goes to kappa1 and the rest to
-    kappa2; the identity is then shifted so kappa1 + kappa2 has minimal
-    eigenvalue zero.
+    kappa2; kappa1 then takes the identity shift -lambda0 that gives
+    kappa1 + kappa2 minimal eigenvalue zero.  lambda0 = d * min eig(W_eff) - 1
+    comes from the validity check, which solved for that eigenvalue already.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     layout = w_eff.layout
     report = validate_process(w_eff)
     if not report.overall:
@@ -128,17 +125,11 @@ def kappa_split(w_eff: ProcessMatrix, alpha: float = 1.0) -> KappaSplit:
             f"kappa_split needs a valid process matrix; offending terms {report.offending_terms}, "
             f"min eigenvalue {report.min_eigenvalue:.3e}, trace {report.trace_value:.6f}"
         )
-    side = layout.d_total
-    g = layout.d * w_eff.matrix - np.eye(side)
-    lambda0 = float(_eigvalsh(g)[0])
-    if lambda0 < -1.0 - 1e-9:
-        raise ValueError(f"minimal eigenvalue {lambda0:.6f} below -1; matrix cannot be a valid process")
-
+    eye = np.eye(layout.d_total)
+    g = layout.d * w_eff.matrix - eye
+    lambda0 = layout.d * report.min_eigenvalue - 1.0
     b2_trivial = _span_project(g, layout.dims, "a_before_b")
-    eye = np.eye(side)
-    kappa1 = b2_trivial - alpha * lambda0 * eye
-    kappa2 = g - b2_trivial - (1.0 - alpha) * lambda0 * eye
-    return KappaSplit(layout, lambda0, kappa1, kappa2, alpha)
+    return KappaSplit(layout, lambda0, b2_trivial - lambda0 * eye, g - b2_trivial)
 
 
 @dataclass(frozen=True)
@@ -312,55 +303,43 @@ def verify_decomposition(w: ProcessMatrix, decomposition: CausalDecomposition,
 
 
 def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
-                               alpha: float = 1.0, tol: float = 1e-8) -> CausalDecomposition:
+                               tol: float = 1e-8) -> CausalDecomposition:
     """Build a causal decomposition of an input-diagonal process matrix.
 
     Per input block the smallest eigenvalue s(n, m) = min_a m1(n, a, m) is
-    moved from kappa1 to kappa2 (their sum is untouched), which makes both
-    shifted operators positive: m1 - s >= 0 by construction and
-    m2 + s >= 0 because kappa1 + kappa2 >= 0 forces m1 + m2 >= 0 on every
-    joint eigenvector.  The positive parts, with the identity weight
-    (1 + lambda0) kept on the kappa1 side, normalize into the two one-way
-    processes of the split.
+    moved from kappa1 to kappa2 as S = sum_(n,m) s(n, m) P_n (x) 1 (x) P_m (x) 1,
+    which leaves their sum untouched and makes both shifted operators
+    positive: kappa1 - S has block eigenvalues m1 - s >= 0, and kappa2 + S
+    has m2 + s >= 0 because kappa1 + kappa2 >= 0 forces m1 + m2 >= 0 on
+    every joint eigenvector.  With the identity weight (1 + lambda0) on the
+    kappa1 side, x = (kappa1 - S + (1 + lambda0) 1) / d is the A < B part of
+    W and W - x the B < A part.
     """
     layout = w_eff.layout
-    split = kappa_split(w_eff, alpha=alpha)
+    split = kappa_split(w_eff)
     structure = eigenstructure(split, basis_a1, basis_b1, w_eff, tol=tol)
 
     shift = structure.m1.min(axis=1)  # s(n, m)
-    m1_bar = structure.m1 - shift[:, None, :]
     m2_bar = structure.m2 + shift[:, :, None]
-    if m1_bar.min() < -tol or m2_bar.min() < -tol:
-        raise DecompositionError(
-            f"shifted eigenvalues went negative: min m1_bar {m1_bar.min():.3e}, "
-            f"min m2_bar {m2_bar.min():.3e}"
-        )
+    if m2_bar.min() < -tol:
+        raise DecompositionError(f"shifted eigenvalues went negative: min m2 + s {m2_bar.min():.3e}")
 
-    # Sum_(n,a,m,b) of m_bar psi psi^dag over the joint product eigenvectors,
-    # which is sum_(n,m) P_n (x) shifted block (x) P_m (x) 1 (or its mirror).
-    side = layout.d_total
-    psi = _product_vectors(structure.basis_a1, structure.a_bases, structure.basis_b1, structure.b_bases)
-    psi_dag = psi.reshape(side, side).conj().T
-    kappa1_bar = (psi * m1_bar[..., None]).reshape(side, side) @ psi_dag
-    kappa1_bar += (1.0 + split.lambda0) * np.eye(side)
-    kappa2_bar = (psi * m2_bar[:, None]).reshape(side, side) @ psi_dag
-
-    p = float(np.trace(kappa1_bar).real) / layout.d_total
-    edge = 1e-12
-    if p <= edge:
-        decomposition = CausalDecomposition(0.0, None, w_eff)
-    elif p >= 1.0 - edge:
-        decomposition = CausalDecomposition(1.0, ProcessMatrix(layout, kappa1_bar / layout.d), None)
-    else:
-        w_ab = ProcessMatrix(layout, kappa1_bar / (p * layout.d))
-        w_ba = ProcessMatrix(layout, kappa2_bar / ((1.0 - p) * layout.d))
-        decomposition = CausalDecomposition(p, w_ab, w_ba)
+    # S = sum_(n,m) s(n, m) P_n (x) 1 (x) P_m (x) 1: its (A1, B1) factor from
+    # one contraction of the input bases, the identities on A2 and B2 broadcast in.
+    u, v = structure.basis_a1.vectors, structure.basis_b1.vectors
+    s_in = np.einsum("in,jn,nm,km,lm->ikjl", u, u.conj(), shift, v, v.conj())
+    d_a2, d_b2 = layout.d_a2, layout.d_b2
+    s_op = (s_in[:, None, :, None, :, None, :, None]
+            * np.eye(d_a2).reshape(1, d_a2, 1, 1, 1, d_a2, 1, 1)
+            * np.eye(d_b2).reshape(1, 1, 1, d_b2, 1, 1, 1, d_b2)).reshape(split.kappa1.shape)
+    x = (split.kappa1 - s_op + (1.0 + split.lambda0) * np.eye(layout.d_total)) / layout.d
+    decomposition = _extract_decomposition(w_eff, x, 1e-12)
 
     check = verify_decomposition(w_eff, decomposition, tol=tol)
     if not check.ok:
         raise DecompositionError(
             f"constructed decomposition failed verification: residual "
-            f"{check.reconstruction_residual:.3e}, p = {p:.6f}"
+            f"{check.reconstruction_residual:.3e}, p = {decomposition.p:.6f}"
         )
     return decomposition
 
@@ -531,8 +510,7 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     for iterations, (violation, x, duals) in zip(range(1, max_iter + 1), _admm_iterates(w.matrix, dims, tol)):
         history.append(violation)
         if violation < tol:
-            # x / p of a lopsided split amplifies rounding, the anti-Hermitian part too.
-            decomposition = _extract_decomposition(w, (x + x.conj().T) / 2.0, tol)
+            decomposition = _extract_decomposition(w, x, tol)
             if verify_decomposition(w, decomposition, tol=check_tol, psd_tol=check_tol).ok:
                 return FeasibilityReport(SEPARABLE, violation, iterations, decomposition)
         candidate = _dual_witness(w.matrix, duals, dims)
@@ -546,19 +524,23 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
                              plateau_residual=min(history[-window:]), witness=witness)
 
 
-def _extract_decomposition(w: ProcessMatrix, x: np.ndarray, tol: float) -> CausalDecomposition:
+def _extract_decomposition(w: ProcessMatrix, x: np.ndarray, edge: float) -> CausalDecomposition:
+    """The split (x / p, (W - x) / (1 - p)) with p = Tr x / Tr W; a weight
+    within ``edge`` of 0 or 1 puts all of W on one side."""
     layout = w.layout
+    # x / p of a lopsided split amplifies rounding, the anti-Hermitian part too.
+    x = (x + x.conj().T) / 2.0
     p = float(np.trace(x).real) / layout.target_trace
-    if p <= tol:
+    if p <= edge:
         return CausalDecomposition(0.0, None, w)
-    if p >= 1.0 - tol:
+    if p >= 1.0 - edge:
         return CausalDecomposition(1.0, w, None)
     w_ab = ProcessMatrix(layout, x / p)
     w_ba = ProcessMatrix(layout, (w.matrix - x) / (1.0 - p))
     return CausalDecomposition(p, w_ab, w_ba)
 
 
-def w0_process(p: float, layout: SystemLayout | None = None) -> ProcessMatrix:
+def w0_process(p: float) -> ProcessMatrix:
     """Qubit fixture: a causally separable mixture whose defining terms do not commute.
 
     Mixes, with weight ``p``, a process trivial on Bob's output against one
@@ -566,12 +548,9 @@ def w0_process(p: float, layout: SystemLayout | None = None) -> ProcessMatrix:
     defining terms exists, so the blockwise constructive route does not
     apply, yet the defining split itself witnesses separability.
     """
-    layout = layout or SystemLayout.qubit()
-    if layout.dims != (2, 2, 2, 2):
-        raise ValueError("w0_process is a qubit fixture")
     split = w0_defining_split(p)
     m = p * split.w_ab.matrix + (1.0 - p) * split.w_ba.matrix
-    return ProcessMatrix(layout, m)
+    return ProcessMatrix(SystemLayout.qubit(), m)
 
 
 def w0_defining_split(p: float) -> CausalDecomposition:

@@ -70,6 +70,14 @@ class TestMeasurementBasis:
         with pytest.raises(ValueError, match="orthonormal"):
             MeasurementBasis(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, entry):
+        # A NaN Gram defect compares false with any bound.
+        with pytest.raises(ValueError, match="non-finite"):
+            MeasurementBasis(np.full((2, 2), entry))
+        with pytest.raises(ValueError, match="non-finite"):
+            MeasurementBasis(np.array([[entry, 0.0], [0.0, 1.0]]))
+
 
 class TestLudersInputDephase:
     def test_idempotent(self):

@@ -5,10 +5,16 @@ import pytest
 
 from procmat import (
     DecompositionError,
+    MeasurementBasis,
     ProcessDocumentError,
+    ProcessMatrix,
+    SystemLayout,
+    channel_process,
     decode_process,
     encode_process,
     identity_process,
+    luders_input_dephase,
+    random_process,
     w0_process,
 )
 from procmat import cli
@@ -66,6 +72,23 @@ class TestCli:
         code, out, _ = run_cli(["validate", "--input", str(doc)], capsys)
         assert code == 0
         assert "valid: True" in out
+
+    @pytest.mark.parametrize(
+        "layout, dims",
+        [({"d_a1": 2, "d_a2": 2, "d_b1": 2, "extra": 2}, (2, 2, 2, 2)),
+         ({"d_a1": 2.7, "d_a2": 2, "d_b1": 2, "d_b2": 2}, (2, 2, 2, 2)),
+         ({"d_a1": True, "d_a2": 2, "d_b1": 2, "d_b2": 2}, (1, 2, 2, 2))],
+        ids=["missing-key", "fraction", "bool"],
+    )
+    def test_malformed_layout_exits_one(self, tmp_path, capsys, layout, dims):
+        # Each layout would otherwise read as ``dims``, which matches the matrix.
+        payload = json.loads(encode_process(identity_process(SystemLayout(*dims))))
+        payload["layout"] = layout
+        doc = tmp_path / "layout.json"
+        doc.write_text(json.dumps(payload))
+        code, _, err = run_cli(["validate", "--input", str(doc)], capsys)
+        assert code == 1
+        assert "layout" in err
 
     def test_invalid_document_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -278,6 +301,17 @@ class TestCli:
         assert code == 0
         assert "hs_coefficients" in out
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_basis_file_exits_one(self, tmp_path, capsys, entry):
+        basis_file = tmp_path / "basis.json"
+        identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        basis_file.write_text(json.dumps({"a1": [[[entry, 0.0]] * 2] * 2, "b1": identity}))
+        doc = tmp_path / "ocb.json"
+        run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
+        code, _, err = run_cli(["dephase", "--input", str(doc), "--basis", str(basis_file)], capsys)
+        assert code == 1
+        assert "basis a1: basis has non-finite entries" in err
+
     def test_basis_file_loading(self, tmp_path, capsys):
         theta = 0.4
         rot = np.array(
@@ -340,3 +374,48 @@ class TestCli:
         _, out1, _ = run_cli(["born", "--input", str(doc), "--seed", "9", "--json"], capsys)
         _, out2, _ = run_cli(["born", "--input", str(doc), "--seed", "9", "--json"], capsys)
         assert out1 == out2
+
+
+def _perturbed_document(w):
+    """Document of W with +4e-11j at entries (0, 1) and (1, 0), a Hermiticity
+    defect of 8e-11, written past ProcessMatrix, which would drop it."""
+    payload = json.loads(encode_process(w))
+    payload["matrix"][0][1][1] += 4e-11
+    payload["matrix"][1][0][1] += 4e-11
+    return json.dumps(payload)
+
+
+class TestDocumentsAtTheTolerances:
+    """Documents that ``validate`` accepts, at the edge of its positivity
+    floor or with a Hermiticity defect below its tolerance, separate."""
+
+    Z2 = MeasurementBasis.computational(2)
+
+    def test_separate_eigenvalue_within_positivity_floor(self, tmp_path, capsys):
+        w = luders_input_dephase(channel_process(), self.Z2, self.Z2).matrix
+        delta = 2e-8
+        near = ProcessMatrix(w.layout, (1.0 + delta) * w.matrix - delta * np.eye(16) / 4.0)
+        doc = tmp_path / "near.json"
+        doc.write_text(encode_process(near))
+        code, out, _ = run_cli(["validate", "--input", str(doc)], capsys)
+        assert code == 0
+        code, out, _ = run_cli(["separate", "--input", str(doc), "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["verified"] is True
+
+    def test_separate_hermiticity_defect_within_tolerance(self, tmp_path, capsys):
+        doc = tmp_path / "perturbed.json"
+        doc.write_text(_perturbed_document(luders_input_dephase(random_process(7), self.Z2, self.Z2).matrix))
+        code, out, _ = run_cli(["separate", "--input", str(doc), "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["verified"] is True
+
+    def test_check_sep_hermiticity_defect_within_tolerance(self, tmp_path, capsys):
+        doc = tmp_path / "perturbed.json"
+        doc.write_text(_perturbed_document(w0_process(0.999)))
+        code, out, _ = run_cli(["check-sep", "--input", str(doc), "--json"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["path"] == "dykstra"
+        assert results["status"] == "separable"
+        assert results["verified"] is True

@@ -14,6 +14,7 @@ from procmat import (
     NotInputDiagonalError,
     ProcessMatrix,
     SystemLayout,
+    channel_process,
     commutator_norm,
     constructive_decomposition,
     dykstra_separability,
@@ -42,6 +43,7 @@ from procmat.separability import (
     SEPARABLE,
     _admm_iterates,
     _dual_witness,
+    _product_vectors,
     _span_project,
 )
 
@@ -70,17 +72,16 @@ class TestKappaSplit:
         assert np.max(np.abs(split.kappa2)) < 1e-12
 
     def test_dephased_ocb_closed_form(self):
-        split = kappa_split(dephased_ocb(), alpha=1.0)
+        split = kappa_split(dephased_ocb())
         assert split.lambda0 == pytest.approx(-1.0 / np.sqrt(2), abs=1e-12)
         expected_k1 = (np.eye(16) + tensor_product([EYE2, SIGMA_Z, SIGMA_Z, EYE2])) / np.sqrt(2)
         assert np.linalg.norm(split.kappa1 - expected_k1) < 1e-10
         assert np.max(np.abs(split.kappa2)) < 1e-12
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
-    def test_reconstruction_identity(self, alpha):
+    def test_reconstruction_identity(self):
         for seed in range(3):
             w = luders_input_dephase(random_process(300 + seed), Z2, Z2).matrix
-            split = kappa_split(w, alpha=alpha)
+            split = kappa_split(w)
             rebuilt = (
                 (1.0 + split.lambda0) * np.eye(16) + split.kappa1 + split.kappa2
             ) / w.layout.d
@@ -104,19 +105,19 @@ class TestKappaSplit:
     @pytest.mark.parametrize(
         "dims", [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2), (2, 1, 2, 1)], ids=lambda dims: "-".join(map(str, dims))
     )
-    @pytest.mark.parametrize("alpha", [0.3, 1.0])
-    def test_matches_hs_mask_split(self, dims, alpha):
-        """Reference: Hilbert-Schmidt terms nontrivial on B2 go to kappa2, the rest to kappa1."""
+    def test_matches_hs_mask_split(self, dims):
+        """Reference: Hilbert-Schmidt terms nontrivial on B2 go to kappa2, the rest
+        to kappa1, which also carries the identity shift -lambda0."""
         w = random_process(11, SystemLayout(*dims))
-        split = kappa_split(w, alpha=alpha)
+        split = kappa_split(w)
         g = w.layout.d * w.matrix - np.eye(w.side)
         coeffs = hs_decompose(g, dims).coefficients
         b2_nontrivial = np.zeros(coeffs.shape, dtype=bool)
         b2_nontrivial[..., 1:] = True
         parts = [hs_reconstruct(HSDecomposition(dims, np.where(b2_nontrivial == side, coeffs, 0.0)))
                  for side in (False, True)]
-        assert np.max(np.abs(split.kappa1 - (parts[0] - alpha * split.lambda0 * np.eye(w.side)))) <= 1e-12
-        assert np.max(np.abs(split.kappa2 - (parts[1] - (1.0 - alpha) * split.lambda0 * np.eye(w.side)))) <= 1e-12
+        assert np.max(np.abs(split.kappa1 - (parts[0] - split.lambda0 * np.eye(w.side)))) <= 1e-12
+        assert np.max(np.abs(split.kappa2 - parts[1])) <= 1e-12
         assert split.lambda0 == pytest.approx(np.linalg.eigvalsh(g)[0], abs=1e-12)
 
 
@@ -175,10 +176,10 @@ class TestConstructiveDecomposition:
         assert dec.p == 1.0
         assert np.allclose(dec.w_ab.matrix, w.matrix)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-    def test_alpha_allocation_invariance(self, alpha):
+    def test_alpha_allocation_invariance(self):
+        # kappa1 carries the whole identity shift -lambda0.
         w = luders_input_dephase(random_process(350), Z2, Z2).matrix
-        dec = constructive_decomposition(w, Z2, Z2, alpha=alpha)
+        dec = constructive_decomposition(w, Z2, Z2)
         assert verify_decomposition(w, dec, tol=1e-8).ok
 
     def test_random_bases_round_trip(self):
@@ -194,6 +195,81 @@ class TestConstructiveDecomposition:
     def test_rejects_non_diagonal(self):
         with pytest.raises(NotInputDiagonalError):
             constructive_decomposition(ocb_process(), Z2, Z2)
+
+    def test_eigenvalue_within_positivity_floor_splits(self):
+        # Min eigenvalue -5e-9 passes validate_process's floor of 1.6e-8, and
+        # lambda0 = d min eig - 1 lies just below -1.
+        w = near_boundary_channel()
+        assert validate_process(w).overall
+        dec = constructive_decomposition(w, Z2, Z2)
+        assert dec.p == 1.0
+        assert verify_decomposition(w, dec, tol=1e-8).ok
+
+    def test_hermiticity_defect_within_tolerance_splits(self):
+        # d W - 1 would amplify a defect of 8e-11 past the Hermiticity check;
+        # ProcessMatrix keeps only the Hermitian part.
+        w = hermiticity_perturbed(luders_input_dephase(random_process(7), Z2, Z2).matrix)
+        assert validate_process(w).overall
+        dec = constructive_decomposition(w, Z2, Z2)
+        assert verify_decomposition(w, dec, tol=1e-8).ok
+
+
+def near_boundary_channel(delta=2e-8):
+    """(1 + delta) W - delta 1 / 4 for the dephased identity channel W."""
+    w = luders_input_dephase(channel_process(), Z2, Z2).matrix
+    return ProcessMatrix(w.layout, (1.0 + delta) * w.matrix - delta * np.eye(16) / 4.0)
+
+
+def hermiticity_perturbed(w):
+    """W with +4e-11j added at entries (0, 1) and (1, 0): a defect of 8e-11."""
+    m = np.array(w.matrix)
+    m[0, 1] += 4e-11j
+    m[1, 0] += 4e-11j
+    return ProcessMatrix(w.layout, m)
+
+
+def reassembled_parts(w, ba, bb):
+    """Reference split from the joint product eigenvectors psi: the shifted
+    block eigenvalues m1 - s and m2 + s summed as m_bar psi psi^dag over all
+    of them at once (``loop_parts`` is the per-block form, too slow for the
+    larger layouts here)."""
+    split = kappa_split(w)
+    structure = eigenstructure(split, ba, bb, w)
+    shift = structure.m1.min(axis=1)
+    side, d = w.side, w.layout.d
+    psi = _product_vectors(structure.basis_a1, structure.a_bases, structure.basis_b1, structure.b_bases)
+    psi_dag = psi.reshape(side, side).conj().T
+    kappa1_bar = (psi * (structure.m1 - shift[:, None, :])[..., None]).reshape(side, side) @ psi_dag
+    kappa1_bar += (1.0 + split.lambda0) * np.eye(side)
+    kappa2_bar = (psi * (structure.m2 + shift[:, :, None])[:, None]).reshape(side, side) @ psi_dag
+    p = float(np.trace(kappa1_bar).real) / side
+    return p, kappa1_bar / (p * d), kappa2_bar / ((1.0 - p) * d)
+
+
+class TestSplitMatchesEigenvectorSum:
+    """Moving S = sum s(n, m) P_n (x) 1 (x) P_m (x) 1 between the kappas gives
+    the split that summing the shifted eigenvalues over the joint product
+    eigenvectors gives."""
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 2, 2), (2, 1, 2, 1), (3, 3, 3, 3), (1, 2, 2, 2),
+                 (2, 2, 1, 2), (3, 2, 2, 3)],
+        ids=lambda dims: "-".join(map(str, dims)),
+    )
+    def test_same_split(self, dims):
+        layout = SystemLayout(*dims)
+        for seed in range(25):
+            ba = MeasurementBasis.random(dims[0], 800 + seed)
+            bb = MeasurementBasis.random(dims[2], 900 + seed)
+            w = luders_input_dephase(random_process(1000 + seed, layout), ba, bb).matrix
+            dec = constructive_decomposition(w, ba, bb)
+            assert verify_decomposition(w, dec, tol=1e-8).ok
+            p, w_ab, w_ba = reassembled_parts(w, ba, bb)
+            assert abs(dec.p - p) <= 1e-14
+            if dec.w_ab is not None:
+                assert np.max(np.abs(dec.w_ab.matrix - w_ab)) <= 1e-12
+            if dec.w_ba is not None:
+                assert np.max(np.abs(dec.w_ba.matrix - w_ba)) <= 1e-12
 
 
 def loop_eigenstructure(split, ba, bb):
@@ -413,6 +489,28 @@ class TestDykstraSeparability:
         assert report.status == SEPARABLE
         assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(dims=st.tuples(*[st.integers(1, 3)] * 4), seed=st.integers(0, 2**32 - 1),
+           strength=st.floats(0.01, 0.99))
+    def test_agrees_with_constructive_over_layouts(self, dims, seed, strength):
+        layout = SystemLayout(*dims)
+        ba = MeasurementBasis.random(dims[0], (seed, 1))
+        bb = MeasurementBasis.random(dims[2], (seed, 2))
+        w = luders_input_dephase(random_process(seed, layout, strength=strength), ba, bb).matrix
+        dec = constructive_decomposition(w, ba, bb)
+        assert verify_decomposition(w, dec, tol=1e-8).ok
+        report = dykstra_separability(w, tol=1e-8)
+        assert report.status == SEPARABLE
+        assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
+
+    def test_hermiticity_defect_within_tolerance_splits(self):
+        # (W - x) / (1 - p) at p = 0.999 would amplify a defect of 8e-11 past
+        # the Hermiticity check; ProcessMatrix keeps only the Hermitian part.
+        w = hermiticity_perturbed(w0_process(0.999))
+        report = dykstra_separability(w, tol=1e-8)
+        assert report.status == SEPARABLE
+        assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
+
     def test_one_way_plane_point_splits(self):
         # (1 + T_BA) / 4 is exactly one-way, on the boundary of the cone.
         w = plane_point(0.0, 1.0)
@@ -457,13 +555,13 @@ class TestTraceReplace:
 
     @pytest.mark.parametrize("dims", LAYOUTS, ids=lambda dims: "-".join(map(str, dims)))
     def test_start_is_span_projection_of_half(self, dims):
-        # The projection of W / 2 onto both span constraints keeps W's one-way
-        # terms on their own sides and halves the shared ones:
+        # The solver's first split candidate keeps W's one-way terms on their
+        # own sides and halves the shared ones: its A < B part is
         # (W + R_B2(W) - R_A2(W)) / 2.
         w = random_process(12, SystemLayout(*dims)).matrix
-        start = _span_project(w - _span_project(w, dims, "b_before_a") / 2.0, dims, "a_before_b")
+        _, first, _ = next(_admm_iterates(w, dims, 1e-8))
         reference = (w + _trivial_part(w, dims, [3]) - _trivial_part(w, dims, [1])) / 2.0
-        assert np.max(np.abs(start - reference)) <= 1e-12
+        assert np.max(np.abs(first - reference)) <= 1e-12
 
 
 class TestSpanTables:
