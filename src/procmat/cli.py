@@ -3,8 +3,9 @@
 Commands that produce a process document write it to ``--output`` when
 given, otherwise to stdout so documents can be piped between commands; the
 human-readable run report then goes to stderr.  Analysis commands print
-their report to stdout.  Exit codes: 0 success, 1 invalid input, 2 a check
-failed (validation, separability, decomposition).
+their report to stdout.  Exit codes: 0 success, 1 invalid input or a
+stdout closed by its reader, 2 a check failed (validation, separability,
+decomposition).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -25,7 +27,7 @@ from .effective import (
 )
 from .games import enumerate_strategies, ocb_game, ocb_process
 from .instruments import NumericIntegrityError, measure_reprepare, probability_table, Instrument
-from .io import ProcessDocumentError, RunReport, decode_process, digest_text, encode_process
+from .io import ProcessDocumentError, RunReport, _pair_matrix, decode_process, digest_text, encode_process
 from .process import (
     FACTOR_NAMES,
     ProcessMatrix,
@@ -43,7 +45,6 @@ from .separability import (
     NotInputDiagonalError,
     constructive_decomposition,
     dykstra_separability,
-    verify_decomposition,
     w0_process,
 )
 from .tensor import hs_decompose
@@ -96,13 +97,7 @@ def _load_basis_pair(args, layout: SystemLayout) -> tuple[MeasurementBasis, Meas
     for key, dim in (("a1", layout.d_a1), ("b1", layout.d_b1)):
         if key not in payload:
             raise CliError(f"basis file {spec} is missing key {key!r}")
-        try:
-            arr = np.asarray(payload[key], dtype=float)
-        except (TypeError, ValueError) as err:
-            raise CliError(f"basis {key} must be an array of [re, im] pairs") from err
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise CliError(f"basis {key} must be an array of [re, im] pairs")
-        mat = arr[..., 0] + 1j * arr[..., 1]
+        mat = _pair_matrix(payload[key], f"basis {key}")
         try:
             basis = MeasurementBasis(mat)
         except ValueError as err:
@@ -247,12 +242,11 @@ def _cmd_effective_classical(args) -> int:
     return EXIT_OK
 
 
-def _decomposition_results(w, decomposition, tol: float, psd_tol: float | None = None) -> dict[str, Any]:
-    check = verify_decomposition(w, decomposition, tol=tol, psd_tol=psd_tol)
+def _decomposition_results(decomposition) -> dict[str, Any]:
     results: dict[str, Any] = {
         "p": decomposition.p,
-        "reconstruction_residual": check.reconstruction_residual,
-        "verified": check.ok,
+        "reconstruction_residual": decomposition.check.reconstruction_residual,
+        "verified": decomposition.check.ok,
     }
     if decomposition.w_ab is not None:
         results["w_ab_digest"] = digest_text(encode_process(decomposition.w_ab))
@@ -289,7 +283,7 @@ def _cmd_separate(args) -> int:
         run.results["error"] = str(err)
         _emit_report(args, run, file_output=False)
         return EXIT_CHECK_FAILED
-    run.results.update(_decomposition_results(w, decomposition, args.tol))
+    run.results.update(_decomposition_results(decomposition))
     _write_decomposition(args, decomposition)
     _emit_report(args, run, file_output=False)
     return EXIT_OK
@@ -306,10 +300,6 @@ def _cmd_check_sep(args) -> int:
         tolerances={"tol": args.tol},
     )
     decomposition = None
-    # The solver certifies its split only to ~100x the residual
-    # tolerance, so its parts are verified at that looser level; the
-    # constructive path stays at the strict one.
-    verify_tol = args.tol
     run.results["path"] = "constructive"
     try:
         try:
@@ -326,16 +316,13 @@ def _cmd_check_sep(args) -> int:
             if report.witness is not None:
                 run.results.update(witness_value=report.witness.value, witness_margin=report.witness.margin)
             decomposition = report.decomposition
-            verify_tol = max(100.0 * args.tol, 1e-6)
     except DecompositionError as err:
         # A failed split is inconclusive on either path.  On an input-diagonal
         # matrix the solver could only pass at a looser tolerance, so
         # a failed constructive split is not retried.
         run.results.update(status=INCONCLUSIVE, error=str(err))
     if decomposition is not None:
-        run.results.update(
-            _decomposition_results(w, decomposition, verify_tol, psd_tol=verify_tol)
-        )
+        run.results.update(_decomposition_results(decomposition))
         _write_decomposition(args, decomposition)
     separable = run.results["status"] == SEPARABLE
     run.status = "ok" if separable else "check-failed"
@@ -471,9 +458,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise CliError(f"--tol must be a positive finite number, got {args.tol}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (CliError, ProcessDocumentError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except BrokenPipeError:  # the reader closed stdout; Python docs, "Note on SIGPIPE"
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the flush at exit cannot fail again
+        os.close(devnull)
         return EXIT_INVALID_INPUT
 
 

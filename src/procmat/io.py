@@ -52,28 +52,16 @@ def decode_process(text: str) -> tuple[ProcessMatrix, dict[str, Any]]:
     layout_raw = payload.get("layout")
     if not isinstance(layout_raw, dict) or not set(_LAYOUT_KEYS) <= set(layout_raw):
         raise ProcessDocumentError(f"layout must carry keys {_LAYOUT_KEYS}")
-    dims = [layout_raw[k] for k in _LAYOUT_KEYS]
-    if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
-        raise ProcessDocumentError(f"layout dimensions must be JSON integers, got {dims}")
     try:
-        layout = SystemLayout(*dims)
+        layout = SystemLayout(*(layout_raw[k] for k in _LAYOUT_KEYS))
     except ValueError as err:
         raise ProcessDocumentError(f"bad layout: {err}") from err
 
-    matrix_raw = payload.get("matrix")
-    if not isinstance(matrix_raw, list):
-        raise ProcessDocumentError("matrix must be a 2-D array of [re, im] pairs")
-    try:
-        arr = np.asarray(matrix_raw, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ProcessDocumentError(f"bad matrix payload: {err}") from err
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ProcessDocumentError(f"matrix must have shape (n, n, 2), got {arr.shape}")
-    if arr.shape[0] != layout.d_total:
+    matrix = _pair_matrix(payload.get("matrix"), "matrix")
+    if len(matrix) != layout.d_total:
         raise ProcessDocumentError(
-            f"matrix side {arr.shape[0]} does not match layout total dimension {layout.d_total}"
+            f"matrix side {len(matrix)} does not match layout total dimension {layout.d_total}"
         )
-    matrix = arr[..., 0] + 1j * arr[..., 1]
     try:
         process = ProcessMatrix(layout, matrix)
     except ValueError as err:
@@ -82,6 +70,17 @@ def decode_process(text: str) -> tuple[ProcessMatrix, dict[str, Any]]:
     if not isinstance(metadata, dict):
         raise ProcessDocumentError("metadata must be an object")
     return process, metadata
+
+
+def _pair_matrix(raw: Any, name: str) -> np.ndarray:
+    """The complex square matrix held by a JSON array of [re, im] pairs."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ProcessDocumentError(f"bad {name} payload: {err}") from err
+    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+        raise ProcessDocumentError(f"{name} must be an (n, n, 2) array of [re, im] pairs, got shape {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def digest_text(text: str) -> str:

@@ -85,8 +85,8 @@ class SystemLayout:
 
     def __post_init__(self):
         for name, d in zip(FACTOR_NAMES, self.dims):
-            if int(d) <= 0:
-                raise ValueError(f"dimension {name} must be positive, got {d}")
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d <= 0:
+                raise ValueError(f"dimension {name} must be a positive integer, got {d!r}")
 
     @property
     def dims(self) -> tuple[int, int, int, int]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -251,12 +251,16 @@ class CausalDecomposition:
     """Convex split W = p * w_ab + (1 - p) * w_ba witnessing causal separability.
 
     A side with vanishing weight is reported as ``None`` rather than as a
-    fabricated normalized zero matrix.
+    fabricated normalized zero matrix.  ``check`` is the
+    ``verify_decomposition`` report that accepted the split, at the
+    tolerances of the path that built it; it is ``None`` only for splits
+    built by hand, such as ``w0_defining_split``.
     """
 
     p: float
     w_ab: ProcessMatrix | None
     w_ba: ProcessMatrix | None
+    check: DecompositionReport | None = None
 
 
 @dataclass(frozen=True)
@@ -341,7 +345,7 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
             f"constructed decomposition failed verification: residual "
             f"{check.reconstruction_residual:.3e}, p = {decomposition.p:.6f}"
         )
-    return decomposition
+    return replace(decomposition, check=check)
 
 
 @dataclass(frozen=True)
@@ -511,8 +515,9 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
         history.append(violation)
         if violation < tol:
             decomposition = _extract_decomposition(w, x, tol)
-            if verify_decomposition(w, decomposition, tol=check_tol, psd_tol=check_tol).ok:
-                return FeasibilityReport(SEPARABLE, violation, iterations, decomposition)
+            check = verify_decomposition(w, decomposition, tol=check_tol, psd_tol=check_tol)
+            if check.ok:
+                return FeasibilityReport(SEPARABLE, violation, iterations, replace(decomposition, check=check))
         candidate = _dual_witness(w.matrix, duals, dims)
         if candidate is not None and candidate.value < -candidate.margin:
             witness = candidate

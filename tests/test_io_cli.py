@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from procmat import (
     random_process,
     w0_process,
 )
-from procmat import cli
+from procmat import cli, separability
 from procmat.cli import main
 from procmat.games import ocb_process
 
@@ -375,6 +378,24 @@ class TestCli:
         _, out2, _ = run_cli(["born", "--input", str(doc), "--seed", "9", "--json"], capsys)
         assert out1 == out2
 
+    def test_closed_stdout_exits_quietly(self, tmp_path, capsys):
+        # As in ``procmat validate --hs | true``: the reader has gone before
+        # the report is written.
+        doc = tmp_path / "ocb.json"
+        run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "procmat.cli", "validate", "--input", str(doc), "--hs"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
 
 def _perturbed_document(w):
     """Document of W with +4e-11j at entries (0, 1) and (1, 0), a Hermiticity
@@ -410,6 +431,27 @@ class TestDocumentsAtTheTolerances:
         assert code == 0
         assert json.loads(out)["results"]["verified"] is True
 
+    def test_floor_document_verified_by_both_commands(self, tmp_path, capsys):
+        # Min eigenvalue -1.25e-8: below --tol, inside validate's floor of
+        # 1e-9 * 16.  Both commands report the library's check of one split.
+        w = luders_input_dephase(channel_process(), self.Z2, self.Z2).matrix
+        delta = 5e-8
+        near = ProcessMatrix(w.layout, (1.0 + delta) * w.matrix - delta * np.eye(16) / 4.0)
+        assert np.linalg.eigvalsh(near.matrix)[0] == pytest.approx(-1.25e-8, rel=1e-6)
+        doc = tmp_path / "near.json"
+        doc.write_text(encode_process(near))
+        code, _, _ = run_cli(["validate", "--input", str(doc)], capsys)
+        assert code == 0
+        results = {}
+        for command in ("separate", "check-sep"):
+            code, out, _ = run_cli([command, "--input", str(doc), "--json"], capsys)
+            assert code == 0
+            results[command] = json.loads(out)["results"]
+            assert results[command]["verified"] is True
+        assert results["check-sep"]["path"] == "constructive"
+        keys = ("p", "reconstruction_residual", "w_ab_digest", "w_ba_digest")
+        assert [results["separate"].get(k) for k in keys] == [results["check-sep"].get(k) for k in keys]
+
     def test_check_sep_hermiticity_defect_within_tolerance(self, tmp_path, capsys):
         doc = tmp_path / "perturbed.json"
         doc.write_text(_perturbed_document(w0_process(0.999)))
@@ -419,3 +461,36 @@ class TestDocumentsAtTheTolerances:
         assert results["path"] == "dykstra"
         assert results["status"] == "separable"
         assert results["verified"] is True
+
+
+class TestValidationCount:
+    """Each split is validated once, in the library: by ``kappa_split`` and
+    one call per part on the constructive path, plus the search's own
+    validity check when ``check-sep`` falls back to it."""
+
+    Z2 = MeasurementBasis.computational(2)
+
+    @pytest.mark.parametrize("command, dephased, calls",
+                             [("separate", True, 3), ("check-sep", True, 3), ("check-sep", False, 4)],
+                             ids=["separate-dephased", "check-sep-dephased", "check-sep-undephased"])
+    def test_validate_process_calls(self, tmp_path, capsys, monkeypatch, command, dephased, calls):
+        w = random_process(0)
+        if dephased:
+            w = luders_input_dephase(w, self.Z2, self.Z2).matrix
+        doc = tmp_path / "w.json"
+        doc.write_text(encode_process(w))
+        counted = []
+        real = separability.validate_process
+
+        def counting(*args, **kwargs):
+            counted.append(args[0])
+            return real(*args, **kwargs)
+
+        for module in (separability, cli):
+            monkeypatch.setattr(module, "validate_process", counting)
+        code, out, _ = run_cli([command, "--input", str(doc), "--json"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["verified"] is True
+        assert results["w_ab_digest"] and results["w_ba_digest"]  # both parts present
+        assert len(counted) == calls

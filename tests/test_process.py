@@ -36,6 +36,16 @@ class TestLayout:
         with pytest.raises(ValueError):
             SystemLayout(2, 0, 2, 2)
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, "3", None], ids=["fraction", "float", "bool", "string", "none"])
+    def test_integer_dims_required(self, dim):
+        with pytest.raises(ValueError, match="dimension A1 must be a positive integer"):
+            SystemLayout(dim, 2, 2, 2)
+
+    def test_numpy_integer_dims_accepted(self):
+        lay = SystemLayout(np.int64(3), 2, np.int32(3), 2)
+        assert lay == SystemLayout(3, 2, 3, 2)
+        assert lay.d_total == 36
+
 
 class TestTermMask:
     def test_general_allows_channel_pattern(self):

@@ -385,6 +385,32 @@ class TestVerifyDecomposition:
         assert not verify_decomposition(w, bad).p_ok
 
 
+class TestStoredCheck:
+    """Each decider returns the ``verify_decomposition`` report that accepted its split."""
+
+    def test_constructive_split_carries_its_check(self):
+        w = luders_input_dephase(random_process(0), Z2, Z2).matrix
+        dec = constructive_decomposition(w, Z2, Z2)
+        assert dec.check.ok
+        assert dec.check == verify_decomposition(w, dec, tol=1e-8)
+
+    def test_constructive_check_uses_validate_floor(self):
+        # Min eigenvalue -1.25e-8: below tol, inside the floor 1e-9 * 16.
+        w = near_boundary_channel(5e-8)
+        dec = constructive_decomposition(w, Z2, Z2)
+        assert dec.check.ok
+        assert dec.check.report_ab.min_eigenvalue == pytest.approx(-1.25e-8, rel=1e-6)
+
+    def test_search_split_carries_its_check(self):
+        w = w0_process(0.3)
+        dec = dykstra_separability(w, tol=1e-8).decomposition
+        assert dec.check.ok
+        assert dec.check == verify_decomposition(w, dec, tol=1e-6, psd_tol=1e-6)
+
+    def test_hand_built_split_has_no_check(self):
+        assert w0_defining_split(0.3).check is None
+
+
 class TestW0Fixture:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_valid_for_all_weights(self, p):
