@@ -22,6 +22,7 @@ import numpy as np
 from .tensor import (
     _eigvalsh,
     check_factor_dims,
+    hermitian_basis,
     hermitian_eig,
     hs_decompose,
     hs_reconstruct,
@@ -172,6 +173,60 @@ def _offending_patterns(coeffs: np.ndarray, dims: tuple[int, ...], variant: str,
     return tuple(sorted(worst.items()))
 
 
+@lru_cache(maxsize=None)
+def _hs_plan(dims: tuple[int, ...]):
+    """Pairing order and tables T_A = kron(tab_A1, tab_A2) / prod(dims),
+    T_B^T = kron(tab_B1, tab_B2)^T over the tables of ``hs_decompose``.
+
+    Validity checks only: ``hs_decompose``, ``hs_reconstruct`` and
+    ``random_process`` keep the one-factor-at-a-time path, since this one
+    rounds differently (by about 1e-17) and would change every generated
+    process.
+    """
+    tables = [hermitian_basis(d).transpose(0, 2, 1).reshape(d * d, d * d) for d in dims]
+    pairs = (0,) + tuple(1 + k for f in range(len(dims)) for k in (f, len(dims) + f))
+    return pairs, np.kron(tables[0], tables[1]) / math.prod(dims), np.kron(tables[2], tables[3]).T
+
+
+def _hs_coefficients(m: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Flat HS coefficients of each member of a stack, C = T_A paired(M) T_B^T."""
+    pairs, t_a, t_b = _hs_plan(dims)
+    paired = m.reshape((-1,) + dims * 2).transpose(pairs).reshape(len(m), len(t_a), len(t_b))
+    return (t_a @ paired @ t_b).real.reshape(len(m), len(t_a) * len(t_b))
+
+
+@lru_cache(maxsize=None)
+def _forbidden_index(dims: tuple[int, ...], variant: str) -> np.ndarray:
+    """Flat indices of the HS coefficients on patterns that ``variant`` forbids."""
+    return np.flatnonzero(~_allowed_coefficient_mask(dims, variant))
+
+
+def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants, psd_tol: float | None):
+    """Validity reports of a ``(k, n, n)`` stack, member i checked against ``variants[i]``.
+
+    One Hermiticity check, one eigensolve and one HS expansion serve the
+    whole stack.  Only a member whose largest forbidden coefficient reaches
+    ``tol`` has its offending patterns collected, from ``hs_decompose``, so
+    the reported magnitudes are exactly that function's.
+    """
+    dims = layout.dims
+    if psd_tol is None:
+        psd_tol = 1e-9 * layout.d_total
+    min_eigs = _eigvalsh(mats)[:, 0].tolist()  # the stack's one Hermiticity check
+    m = np.asarray(mats, dtype=complex)
+    reports = []
+    for mi, min_eig, c, variant in zip(m, min_eigs, _hs_coefficients(m, dims), variants):
+        offending = ()
+        if np.abs(c[_forbidden_index(dims, variant)]).max(initial=0.0) >= tol:
+            offending = _offending_patterns(hs_decompose(mi, dims).coefficients, dims, variant, tol)
+        trace_value = float(np.trace(mi).real)
+        is_psd = min_eig >= -psd_tol
+        trace_ok = abs(trace_value - layout.target_trace) <= tol
+        reports.append(ValidityReport(is_psd, min_eig, trace_ok, trace_value, not offending, offending,
+                                      is_psd and trace_ok and not offending))
+    return reports
+
+
 def validate_process(
     w: ProcessMatrix,
     tol: float = 1e-8,
@@ -184,28 +239,7 @@ def validate_process(
     Hilbert-Schmidt coefficients.  The positivity floor defaults to
     ``1e-9 * side`` to leave headroom for eigensolver accuracy.
     """
-    layout = w.layout
-    if psd_tol is None:
-        psd_tol = 1e-9 * w.side
-    min_eig = float(_eigvalsh(w.matrix)[0])
-    is_psd = min_eig >= -psd_tol
-
-    trace_value = float(np.trace(w.matrix).real)
-    trace_ok = abs(trace_value - layout.target_trace) <= tol
-
-    coeffs = hs_decompose(w.matrix, layout.dims).coefficients
-    offending = _offending_patterns(coeffs, layout.dims, variant, tol)
-    mask_ok = not offending
-
-    return ValidityReport(
-        is_psd=is_psd,
-        min_eigenvalue=min_eig,
-        trace_ok=trace_ok,
-        trace_value=trace_value,
-        mask_ok=mask_ok,
-        offending_terms=offending,
-        overall=is_psd and trace_ok and mask_ok,
-    )
+    return _validate_stack(w.layout, w.matrix[None], tol, (variant,), psd_tol)[0]
 
 
 def project_to_valid_span(

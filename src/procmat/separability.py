@@ -31,7 +31,7 @@ import numpy as np
 
 from .effective import MeasurementBasis, _in_frame, _off_block_norms2, as_basis, is_input_diagonal
 from .games import _EYE2, _SIGMA_X, _SIGMA_Z
-from .process import ProcessMatrix, SystemLayout, ValidityReport, validate_process
+from .process import ProcessMatrix, SystemLayout, ValidityReport, _validate_stack, validate_process
 from .tensor import _eigvalsh, hermitian_eig, tensor_product
 
 SEPARABLE = "separable"
@@ -276,33 +276,22 @@ class DecompositionReport:
 
 def verify_decomposition(w: ProcessMatrix, decomposition: CausalDecomposition,
                          tol: float = 1e-8, psd_tol: float | None = None) -> DecompositionReport:
-    """Check reconstruction, weight range and one-way validity of both parts."""
-    layout = w.layout
-    p = decomposition.p
-    p_ok = -tol <= p <= 1.0 + tol
-
-    total = np.zeros_like(w.matrix)
-    if decomposition.w_ab is not None:
-        total = total + p * decomposition.w_ab.matrix
-    elif p > tol:
-        p_ok = False
-    if decomposition.w_ba is not None:
-        total = total + (1.0 - p) * decomposition.w_ba.matrix
-    elif 1.0 - p > tol:
-        p_ok = False
+    """Check reconstruction, weight range and one-way validity of both parts,
+    the parts in one stacked validity check."""
+    layout, p = w.layout, decomposition.p
+    sides = ((decomposition.w_ab, p, "a_before_b"), (decomposition.w_ba, 1.0 - p, "b_before_a"))
+    present = [side for side in sides if side[0] is not None]
+    for part, _, _ in present:
+        if part.layout != layout:
+            raise ValueError(f"decomposition part has layout {part.layout.dims}, W has {layout.dims}")
+    p_ok = -tol <= p <= 1.0 + tol and all(part is not None or weight <= tol for part, weight, _ in sides)
+    total = sum((weight * part.matrix for part, weight, _ in present), np.zeros_like(w.matrix))
     residual = float(np.linalg.norm(total - w.matrix))
 
-    report_ab, report_ba = (
-        None if part is None else validate_process(part, tol=tol, variant=variant, psd_tol=psd_tol)
-        for part, variant in ((decomposition.w_ab, "a_before_b"), (decomposition.w_ba, "b_before_a"))
-    )
-
-    ok = (
-        p_ok
-        and residual <= tol
-        and (report_ab is None or report_ab.overall)
-        and (report_ba is None or report_ba.overall)
-    )
+    mats = np.array([part.matrix for part, _, _ in present]).reshape((-1,) + w.matrix.shape)
+    reports = iter(_validate_stack(layout, mats, tol, [variant for _, _, variant in present], psd_tol))
+    report_ab, report_ba = (None if part is None else next(reports) for part, _, _ in sides)
+    ok = p_ok and residual <= tol and all(r is None or r.overall for r in (report_ab, report_ba))
     return DecompositionReport(residual, p_ok, report_ab, report_ba, ok)
 
 
@@ -418,11 +407,14 @@ def _admm_iterates(target: np.ndarray, dims: tuple[int, ...], tol: float):
     minimise r with X1 + X2 = W + r 1, X1 positive in the A < B span and X2
     in the B < A span.  From Y = (W / 2, W / 2), U = 0, each iteration takes
     the closed-form affine step X nearest Y - U under the objective r / rho,
-    Y = PSD(X + U) and U += X - Y, and yields (violation, x, P): the split
+    Y = PSD(X + U) and U += X - Y, and yields (violation, x, duals): the split
     candidate (X1 - r/2 1, X2 - r/2 1) or, where its violation (the larger
     negative-part norm of the two parts) is ``tol`` or more and theirs is
     smaller, Y with its shared terms rebalanced to sum to W's; its A < B
-    part x; and the positive duals P = -rho U for ``_dual_witness``.
+    part x; and a callable returning the positive duals P = -rho U for
+    ``_dual_witness``.  The first candidate does not depend on Y, so when it
+    meets ``tol`` the cone and dual steps wait for that call, or for the next
+    iteration: a caller that stops at a verified split never pays for them.
     """
     side = len(target)
     eye = np.eye(side)
@@ -443,18 +435,27 @@ def _admm_iterates(target: np.ndarray, dims: tuple[int, ...], tol: float):
         r = -(np.trace(w_c - zc[0] - zc[1]).real + 2.0 / rho) / side
         c = (zc[0] - zc[1] + w_c + r * eye) / 2.0
         x = np.stack((w_a + c, w_b + w_c + r * eye - c))
-        y_prev, y = y, _psd_project(x + u)
-        u += x - y
+        y_prev, stepped = y, []
+
+        def duals():
+            nonlocal y, u
+            if not stepped:
+                y = _psd_project(x + u)
+                u += x - y
+                stepped.append(-rho * u)
+            return stepped[0]
 
         split = x - (r / 2.0) * eye
         violation = _violation(split)
         if violation >= tol:
+            duals()
             yc = shared(y)
             rebalanced = np.stack((w_a + yc[0], w_b + yc[1])) + (w_c - yc[0] - yc[1]) / 2.0
             other = _violation(rebalanced)
             if other < violation:
                 split, violation = rebalanced, other
-        yield violation, split[0], -rho * u
+        yield violation, split[0], duals
+        duals()
 
         if k % 10 == 0:  # residual balancing (Boyd et al. sec. 3.4.1); rho U is kept
             primal, dual = np.linalg.norm(x - y), rho * np.linalg.norm(y - y_prev)
@@ -501,8 +502,8 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     cap (``max_iter`` >= 1 iterations; memory grows with the iterations run)
     with neither certificate the run is inconclusive.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     report = validate_process(w)
     if not report.overall:
         raise ValueError("dykstra_separability needs a valid process matrix")
@@ -518,7 +519,7 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
             check = verify_decomposition(w, decomposition, tol=check_tol, psd_tol=check_tol)
             if check.ok:
                 return FeasibilityReport(SEPARABLE, violation, iterations, replace(decomposition, check=check))
-        candidate = _dual_witness(w.matrix, duals, dims)
+        candidate = _dual_witness(w.matrix, duals(), dims)
         if candidate is not None and candidate.value < -candidate.margin:
             witness = candidate
             break

@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procmat import (
     DegenerateInputError,
@@ -22,9 +25,10 @@ from procmat import (
     tensor_product,
     validate_process,
 )
+from procmat.effective import _dephase
 from procmat.games import ocb_process
 
-from conftest import EYE2, SIGMA_Z, bell_state
+from conftest import EYE2, SIGMA_Z, bell_state, random_hermitian
 
 Z2 = MeasurementBasis.computational(2)
 
@@ -103,6 +107,17 @@ class TestLudersInputDephase:
         eff = luders_input_dephase(w, ba, bb)
         total = projector_sum(w.matrix, [ba, layout.d_a2, bb, layout.d_b2])
         assert np.linalg.norm(eff.matrix.matrix - total) < 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dims=st.tuples(*[st.integers(1, 3)] * 4), seed=st.integers(0, 2**16))
+    def test_dephase_matches_projector_sum_oracle_over_layouts(self, dims, seed):
+        # sum_(n,m) (P_n x 1 x P_m x 1) M (P_n x 1 x P_m x 1) over Haar bases
+        # of both inputs, on any Hermitian M, not only on processes.
+        m = random_hermitian(np.random.default_rng(seed), math.prod(dims))
+        ba = MeasurementBasis.random(dims[0], [seed, 1])
+        bb = MeasurementBasis.random(dims[2], [seed, 2])
+        factors = [ba, dims[1], bb, dims[3]]
+        assert np.linalg.norm(_dephase(m, factors) - projector_sum(m, factors)) < 1e-12
 
     def test_preserves_trace_positivity_validity(self):
         for seed in range(4):

@@ -20,7 +20,7 @@ from procmat import (
     random_process,
     w0_process,
 )
-from procmat import cli, separability
+from procmat import cli, process, separability
 from procmat.cli import main
 from procmat.games import ocb_process
 
@@ -465,8 +465,10 @@ class TestDocumentsAtTheTolerances:
 
 class TestValidationCount:
     """Each split is validated once, in the library: by ``kappa_split`` and
-    one call per part on the constructive path, plus the search's own
-    validity check when ``check-sep`` falls back to it."""
+    once per part on the constructive path, plus the search's own validity
+    check when ``check-sep`` falls back to it.  Counted as the matrices that
+    reach the stacked validity kernel, which ``validate_process`` and
+    ``verify_decomposition`` share."""
 
     Z2 = MeasurementBasis.computational(2)
 
@@ -480,14 +482,14 @@ class TestValidationCount:
         doc = tmp_path / "w.json"
         doc.write_text(encode_process(w))
         counted = []
-        real = separability.validate_process
+        real = process._validate_stack
 
-        def counting(*args, **kwargs):
-            counted.append(args[0])
-            return real(*args, **kwargs)
+        def counting(layout, mats, *args, **kwargs):
+            counted.extend(mats)
+            return real(layout, mats, *args, **kwargs)
 
-        for module in (separability, cli):
-            monkeypatch.setattr(module, "validate_process", counting)
+        for module in (process, separability):
+            monkeypatch.setattr(module, "_validate_stack", counting)
         code, out, _ = run_cli([command, "--input", str(doc), "--json"], capsys)
         assert code == 0
         results = json.loads(out)["results"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procmat import (
     A1,
@@ -19,6 +21,13 @@ from procmat import (
     validate_process,
 )
 from procmat.games import ocb_process
+from procmat.process import (
+    MASK_VARIANTS,
+    _hs_coefficients,
+    _offending_patterns,
+    _validate_stack,
+)
+from procmat.tensor import _eigvalsh, hs_decompose
 
 from conftest import EYE2, SIGMA_X, SIGMA_Z, random_cptp_instrument, random_hermitian
 
@@ -133,6 +142,77 @@ class TestValidateProcess:
         report = validate_process(ProcessMatrix(QUBIT, np.eye(16) / 2.0))
         assert not report.trace_ok
         assert report.is_psd
+
+
+def _reference_report(w, tol, variant, psd_tol):
+    """The one-member checks, each through its own reference function."""
+    min_eig = float(_eigvalsh(w.matrix)[0])
+    trace = float(np.trace(w.matrix).real)
+    offending = _offending_patterns(hs_decompose(w.matrix, w.layout.dims).coefficients, w.layout.dims, variant, tol)
+    return min_eig >= -psd_tol, min_eig, abs(trace - w.layout.target_trace) <= tol, trace, offending
+
+
+def _kernel_input(dims, kind, seed):
+    """A valid process, or one broken as ``kind`` says."""
+    layout = SystemLayout(*dims)
+    w = random_process(seed, layout).matrix
+    if kind == "hermitian":
+        w = random_hermitian(np.random.default_rng(seed), layout.d_total)
+    elif kind == "trace-shifted":
+        w = w * (1.0 + 1e-3)
+    elif kind == "negative-eigenvalue":
+        w = w - (np.linalg.eigvalsh(w)[0] + 1e-3) * np.eye(layout.d_total)  # min eigenvalue -1e-3
+    return ProcessMatrix(layout, w)
+
+
+KERNEL_CASES = dict(
+    dims=st.tuples(*[st.integers(1, 3)] * 4),
+    kind=st.sampled_from(["valid", "hermitian", "trace-shifted", "negative-eigenvalue"]),
+    seed=st.integers(0, 2**16),
+)
+
+
+class TestValidateStack:
+    """The stacked validity kernel against the one-member reference checks."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(variant=st.sampled_from(MASK_VARIANTS), **KERNEL_CASES)
+    def test_matches_reference(self, dims, kind, seed, variant):
+        w = _kernel_input(dims, kind, seed)
+        report = validate_process(w, variant=variant)
+        is_psd, min_eig, trace_ok, trace, offending = _reference_report(w, 1e-8, variant, 1e-9 * w.side)
+        assert report.min_eigenvalue == min_eig  # bit-equal
+        assert report.trace_value == trace
+        assert (report.is_psd, report.trace_ok, report.mask_ok) == (is_psd, trace_ok, not offending)
+        assert report.overall == (is_psd and trace_ok and not offending)
+        assert [p for p, _ in report.offending_terms] == [p for p, _ in offending]
+        for (_, got), (_, want) in zip(report.offending_terms, offending):
+            assert abs(got - want) <= 1e-15
+        if kind == "valid" and variant == "general":
+            assert report.overall
+        elif kind == "trace-shifted":
+            assert not report.trace_ok
+        elif kind == "negative-eigenvalue":
+            assert not report.is_psd
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(**KERNEL_CASES)
+    def test_plan_coefficients_match_hs_decompose(self, dims, kind, seed):
+        w = _kernel_input(dims, kind, seed)
+        plan = _hs_coefficients(w.matrix[None], dims)[0]
+        assert np.max(np.abs(plan - hs_decompose(w.matrix, dims).coefficients.reshape(-1))) <= 1e-15
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(dims=KERNEL_CASES["dims"], seed=KERNEL_CASES["seed"])
+    def test_stacked_equals_single_calls(self, dims, seed):
+        kinds = ["valid", "hermitian", "trace-shifted", "negative-eigenvalue"]
+        members = [_kernel_input(dims, kind, seed) for kind in kinds]
+        variants = [MASK_VARIANTS[i % 3] for i in range(len(members))]
+        stacked = _validate_stack(members[0].layout, np.stack([w.matrix for w in members]), 1e-8, variants, None)
+        assert stacked == [validate_process(w, variant=v) for w, v in zip(members, variants)]
+
+    def test_empty_stack(self):
+        assert _validate_stack(QUBIT, np.zeros((0, 16, 16)), 1e-8, [], None) == []
 
 
 class TestProjectToValidSpan:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from procmat import separability
 from procmat import (
     CausalDecomposition,
     HSDecomposition,
@@ -384,6 +385,23 @@ class TestVerifyDecomposition:
         bad = CausalDecomposition(1.4, split.w_ab, split.w_ba)
         assert not verify_decomposition(w, bad).p_ok
 
+    @pytest.mark.parametrize("dims", [(3, 2, 3, 2), (2, 2, 2, 3)], ids=["other-side", "same-side"])
+    def test_part_layout_mismatch_rejected(self, dims):
+        # A part on another layout is rejected before any arithmetic: with
+        # another side the weighted sum would fail inside numpy, with the
+        # same side the part would be checked against W's layout.
+        w = ocb_process() if dims[0] == 3 else random_process(1, SystemLayout(2, 2, 3, 2))
+        other = random_process(0, SystemLayout(*dims))
+        for split in (CausalDecomposition(0.5, other, w), CausalDecomposition(0.5, w, other),
+                      CausalDecomposition(1.0, other, None)):
+            with pytest.raises(ValueError, match=r"layout \(.*\), W has \("):
+                verify_decomposition(w, split)
+
+    def test_no_parts_fails_without_raising(self):
+        check = verify_decomposition(w0_process(0.5), CausalDecomposition(0.5, None, None))
+        assert not check.ok and not check.p_ok
+        assert check.report_ab is None and check.report_ba is None
+
 
 class TestStoredCheck:
     """Each decider returns the ``verify_decomposition`` report that accepted its split."""
@@ -491,6 +509,29 @@ class TestDykstraSeparability:
     def test_cap_below_one_rejected(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             dykstra_separability(identity_process(), max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 1.0, True, False, "3", None],
+                             ids=["fraction", "float", "true", "false", "string", "none"])
+    def test_cap_must_be_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            dykstra_separability(identity_process(), max_iter=max_iter)
+
+    def test_numpy_integer_cap_accepted(self):
+        report = dykstra_separability(identity_process(), max_iter=np.int64(5))
+        assert report.status == SEPARABLE
+
+    def test_verified_split_skips_cone_step(self, monkeypatch):
+        # The first split candidate does not depend on the cone step, so an
+        # iteration whose split verifies never projects onto the cone.
+        calls = []
+        real = separability._psd_project
+        monkeypatch.setattr(separability, "_psd_project", lambda m: calls.append(m) or real(m))
+        report = dykstra_separability(TestNoisyFixtureThreshold._noisy(0.6), tol=1e-8)
+        assert report.status == SEPARABLE and report.iterations == 1 and report.decomposition.check.ok
+        assert calls == []
+        report = dykstra_separability(TestNoisyFixtureThreshold._noisy(0.75), tol=1e-8, max_iter=1000)
+        assert report.status == NOT_SEPARABLE
+        assert len(calls) == report.iterations
 
     @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 1, 2, 1), (3, 1, 2, 1)],
                              ids=lambda dims: "-".join(map(str, dims)))
@@ -792,7 +833,7 @@ def _verified_split_parts(dims):
 def _search(w, steps):
     """The first verified witness candidate within ``steps`` solver iterations, splits ignored, or None."""
     iterates = itertools.islice(_admm_iterates(w.matrix, w.layout.dims, 1e-8), steps)
-    candidates = (_dual_witness(w.matrix, duals, w.layout.dims) for _, _, duals in iterates)
+    candidates = (_dual_witness(w.matrix, duals(), w.layout.dims) for _, _, duals in iterates)
     return next((c for c in candidates if c is not None and c.value < -c.margin), None)
 
 
