@@ -7,7 +7,11 @@ matrix is constrained to a linear span described here as a mask over
 Hilbert-Schmidt term patterns: the subset of factors on which a product
 basis term is traceless ("nontrivial").  Allowed patterns are exactly those
 that keep at least one output trivial and tie each nontrivial output to the
-other party's input, which rules out causal loops.
+other party's input, which rules out causal loops.  One projector,
+``_span_project``, built from trace-and-replace maps, serves every span:
+the one-way spans directly and the general span through
+``project_to_valid_span``.  Validity checks expand matrices with the HS plan
+of ``tensor``.
 """
 
 from __future__ import annotations
@@ -19,15 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor import (
-    _eigvalsh,
-    check_factor_dims,
-    hermitian_basis,
-    hermitian_eig,
-    hs_decompose,
-    hs_reconstruct,
-    require_hermitian,
-)
+from .tensor import _eigvalsh, _hs_coefficients, check_factor_dims, require_hermitian
 
 A1, A2, B1, B2 = 0, 1, 2, 3
 FACTOR_NAMES = ("A1", "A2", "B1", "B2")
@@ -174,28 +170,6 @@ def _offending_patterns(coeffs: np.ndarray, dims: tuple[int, ...], variant: str,
 
 
 @lru_cache(maxsize=None)
-def _hs_plan(dims: tuple[int, ...]):
-    """Pairing order and tables T_A = kron(tab_A1, tab_A2) / prod(dims),
-    T_B^T = kron(tab_B1, tab_B2)^T over the tables of ``hs_decompose``.
-
-    Validity checks only: ``hs_decompose``, ``hs_reconstruct`` and
-    ``random_process`` keep the one-factor-at-a-time path, since this one
-    rounds differently (by about 1e-17) and would change every generated
-    process.
-    """
-    tables = [hermitian_basis(d).transpose(0, 2, 1).reshape(d * d, d * d) for d in dims]
-    pairs = (0,) + tuple(1 + k for f in range(len(dims)) for k in (f, len(dims) + f))
-    return pairs, np.kron(tables[0], tables[1]) / math.prod(dims), np.kron(tables[2], tables[3]).T
-
-
-def _hs_coefficients(m: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Flat HS coefficients of each member of a stack, C = T_A paired(M) T_B^T."""
-    pairs, t_a, t_b = _hs_plan(dims)
-    paired = m.reshape((-1,) + dims * 2).transpose(pairs).reshape(len(m), len(t_a), len(t_b))
-    return (t_a @ paired @ t_b).real.reshape(len(m), len(t_a) * len(t_b))
-
-
-@lru_cache(maxsize=None)
 def _forbidden_index(dims: tuple[int, ...], variant: str) -> np.ndarray:
     """Flat indices of the HS coefficients on patterns that ``variant`` forbids."""
     return np.flatnonzero(~_allowed_coefficient_mask(dims, variant))
@@ -204,21 +178,26 @@ def _forbidden_index(dims: tuple[int, ...], variant: str) -> np.ndarray:
 def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants, psd_tol: float | None):
     """Validity reports of a ``(k, n, n)`` stack, member i checked against ``variants[i]``.
 
-    One Hermiticity check, one eigensolve and one HS expansion serve the
-    whole stack.  Only a member whose largest forbidden coefficient reaches
-    ``tol`` has its offending patterns collected, from ``hs_decompose``, so
-    the reported magnitudes are exactly that function's.
+    Every member is the ``matrix`` of a :class:`ProcessMatrix`, which is
+    exactly Hermitian: its constructor checked it and stored (M + M^dag) / 2,
+    which floating point keeps exactly Hermitian.  So the stack goes to
+    ``eigvalsh`` as it is, with the same minimal eigenvalues as
+    :func:`~procmat.tensor._eigvalsh`.  One eigensolve and one HS expansion
+    serve the whole stack; only a member whose largest forbidden coefficient
+    reaches ``tol`` has its offending patterns collected, from those
+    coefficients.
     """
     dims = layout.dims
     if psd_tol is None:
         psd_tol = 1e-9 * layout.d_total
-    min_eigs = _eigvalsh(mats)[:, 0].tolist()  # the stack's one Hermiticity check
     m = np.asarray(mats, dtype=complex)
+    min_eigs = np.linalg.eigvalsh(m)[:, 0].tolist()
+    shape = tuple(d * d for d in dims)
     reports = []
     for mi, min_eig, c, variant in zip(m, min_eigs, _hs_coefficients(m, dims), variants):
         offending = ()
         if np.abs(c[_forbidden_index(dims, variant)]).max(initial=0.0) >= tol:
-            offending = _offending_patterns(hs_decompose(mi, dims).coefficients, dims, variant, tol)
+            offending = _offending_patterns(c.reshape(shape), dims, variant, tol)
         trace_value = float(np.trace(mi).real)
         is_psd = min_eig >= -psd_tol
         trace_ok = abs(trace_value - layout.target_trace) <= tol
@@ -242,25 +221,56 @@ def validate_process(
     return _validate_stack(w.layout, w.matrix[None], tol, (variant,), psd_tol)[0]
 
 
-def project_to_valid_span(
-    matrix,
-    layout: SystemLayout,
-    variant: str = "general",
-    normalize: bool = False,
-) -> np.ndarray:
-    """Orthogonal projection onto the span of allowed Hilbert-Schmidt terms.
+@lru_cache(maxsize=None)
+def _span_plan(dims: tuple[int, ...], variant: str):
+    """Axis orders, shapes and the (X2, Y1) matrix of ``_span_project``.
 
-    Zeroes every coefficient on a forbidden pattern; idempotent.  With
-    ``normalize`` the all-identity coefficient is pinned so the output trace
-    equals ``layout.target_trace``.
+    Read as one vector index, a factor's (row, column) pair carries R_F as
+    the projector vec(1) vec(1)^T / d_F, so 1 - R_Y1 (1 - R_X2) is one real
+    matrix of (d_X2 d_Y1)^4 floats.  Axis 0 runs over the members of a stack.
+    """
+    order = (0, 1, 2, 3) if variant == "a_before_b" else (2, 3, 0, 1)
+    pairs = (0,) + tuple(1 + axis for f in order for axis in (f, f + 4))
+    x1, x2, y1, y2 = (dims[f] for f in order)
+    e_x2, e_y1 = (np.outer(np.eye(d), np.eye(d)) / d for d in (x2, y1))
+    middle = np.eye((x2 * y1) ** 2) - np.kron(np.eye(x2 * x2) - e_x2, e_y1)
+    unit = np.eye(y2, dtype=complex).reshape(-1) / math.sqrt(y2)
+    split = (-1,) + tuple((dims * 2)[axis - 1] for axis in pairs[1:])
+    return pairs, tuple(np.argsort(pairs)), (-1, x1 * x1, len(middle), y2 * y2), split, middle, unit
+
+
+def _span_project(m: np.ndarray, dims: tuple[int, ...], variant: str) -> np.ndarray:
+    """Projection of ``m`` (or of each member of a stack) onto the span
+    allowed for the causal order X < Y.
+
+    ``a_before_b`` has X = A, Y = B; ``b_before_a`` swaps the parties.  The
+    projection is R_Y2 (1 - R_Y1 (1 - R_X2)) with the trace-and-replace maps
+    R_F(m) = Tr_F(m) (x) 1_F / d_F (Araujo et al., NJP 17, 102001 (2015)).
+    One transpose pairs each factor's row and column index; R_Y2 is the
+    contraction with vec(1) / sqrt(d_Y2) and the outer product back.
+    """
+    pairs, back, shape, split, middle, unit = _span_plan(dims, variant)
+    t = m.reshape((-1,) + dims * 2).transpose(pairs).reshape(shape)
+    # The real middle matrix acts on the real and imaginary parts alike.
+    r = (middle @ (t @ unit).view(np.float64).reshape(t.shape[:3] + (2,))).view(complex)
+    return (r * unit).reshape(split).transpose(back).reshape(m.shape)
+
+
+def project_to_valid_span(matrix, layout: SystemLayout, variant: str = "general") -> np.ndarray:
+    """Orthogonal projection onto the span of allowed Hilbert-Schmidt terms; idempotent.
+
+    The one-way variants are :func:`_span_project`.  ``general`` is
+    L_AB + L_BA (1 - L_AB): the HS-term spans are coordinate subspaces, so
+    the two one-way projectors commute and this projects onto their sum.
     """
     m = require_hermitian(matrix)
-    dec = hs_decompose(m, layout.dims)
-    coeffs = dec.coefficients.copy()
-    coeffs[~_allowed_coefficient_mask(layout.dims, variant)] = 0.0
-    if normalize:
-        coeffs[(0,) * len(layout.dims)] = layout.target_trace / layout.d_total
-    return hs_reconstruct(type(dec)(layout.dims, coeffs))
+    dims = check_factor_dims(m, layout.dims)
+    m = (m + m.conj().T) / 2.0  # the span is real: project the Hermitian part only
+    allowed_term_mask(variant)  # raises on an unknown variant
+    if variant != "general":
+        return _span_project(m, dims, variant)
+    ab = _span_project(m, dims, "a_before_b")
+    return ab + _span_project(m - ab, dims, "b_before_a")
 
 
 def identity_process(layout: SystemLayout | None = None) -> ProcessMatrix:
@@ -307,8 +317,7 @@ def random_process(seed: int, layout: SystemLayout | None = None, strength: floa
     herm = (raw + raw.conj().T) / 2.0
     projected = project_to_valid_span(herm, layout)
     traceless = projected - np.trace(projected) / side * np.eye(side)
-    evals, _ = hermitian_eig(traceless)
-    min_eig = float(evals[0])
+    min_eig = float(_eigvalsh(traceless)[0])
     if abs(min_eig) < 1e-12:
         return identity_process(layout)
     t = strength / (layout.d * abs(min_eig))

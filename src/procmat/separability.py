@@ -25,13 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .effective import MeasurementBasis, _in_frame, _off_block_norms2, as_basis, is_input_diagonal
 from .games import _EYE2, _SIGMA_X, _SIGMA_Z
-from .process import ProcessMatrix, SystemLayout, ValidityReport, _validate_stack, validate_process
+from .process import ProcessMatrix, SystemLayout, ValidityReport, _span_project, _validate_stack, validate_process
 from .tensor import _eigvalsh, hermitian_eig, tensor_product
 
 SEPARABLE = "separable"
@@ -58,41 +57,6 @@ def commutator_norm(x, y) -> float:
     if xm.shape != ym.shape:
         raise ValueError(f"dimension mismatch: {xm.shape} vs {ym.shape}")
     return float(np.linalg.norm(xm @ ym - ym @ xm))
-
-
-@lru_cache(maxsize=None)
-def _span_plan(dims: tuple[int, ...], variant: str):
-    """Axis orders, shapes and the (X2, Y1) matrix of ``_span_project``.
-
-    Read as one vector index, a factor's (row, column) pair carries R_F as
-    the projector vec(1) vec(1)^T / d_F, so 1 - R_Y1 (1 - R_X2) is one real
-    matrix of (d_X2 d_Y1)^4 floats.  Axis 0 runs over the members of a stack.
-    """
-    order = (0, 1, 2, 3) if variant == "a_before_b" else (2, 3, 0, 1)
-    pairs = (0,) + tuple(1 + axis for f in order for axis in (f, f + 4))
-    x1, x2, y1, y2 = (dims[f] for f in order)
-    e_x2, e_y1 = (np.outer(np.eye(d), np.eye(d)) / d for d in (x2, y1))
-    middle = np.eye((x2 * y1) ** 2) - np.kron(np.eye(x2 * x2) - e_x2, e_y1)
-    unit = np.eye(y2, dtype=complex).reshape(-1) / math.sqrt(y2)
-    split = (-1,) + tuple((dims * 2)[axis - 1] for axis in pairs[1:])
-    return pairs, tuple(np.argsort(pairs)), (-1, x1 * x1, len(middle), y2 * y2), split, middle, unit
-
-
-def _span_project(m: np.ndarray, dims: tuple[int, ...], variant: str) -> np.ndarray:
-    """Projection of ``m`` (or of each member of a stack) onto the span
-    allowed for the causal order X < Y.
-
-    ``a_before_b`` has X = A, Y = B; ``b_before_a`` swaps the parties.  The
-    projection is R_Y2 (1 - R_Y1 (1 - R_X2)) with the trace-and-replace maps
-    R_F(m) = Tr_F(m) (x) 1_F / d_F (Araujo et al., NJP 17, 102001 (2015)).
-    One transpose pairs each factor's row and column index; R_Y2 is the
-    contraction with vec(1) / sqrt(d_Y2) and the outer product back.
-    """
-    pairs, back, shape, split, middle, unit = _span_plan(dims, variant)
-    t = m.reshape((-1,) + dims * 2).transpose(pairs).reshape(shape)
-    # The real middle matrix acts on the real and imaginary parts alike.
-    r = (middle @ (t @ unit).view(np.float64).reshape(t.shape[:3] + (2,))).view(complex)
-    return (r * unit).reshape(split).transpose(back).reshape(m.shape)
 
 
 @dataclass(frozen=True)

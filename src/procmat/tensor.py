@@ -7,7 +7,9 @@ implicitly.  Alongside Kronecker products, partial trace/transpose and a
 checked Hermitian eigensolver, this module provides decompositions over the
 product Hilbert-Schmidt basis (identity plus traceless Hermitian elements
 per factor), which downstream code uses to reason about which tensor
-factors an operator acts on nontrivially.
+factors an operator acts on nontrivially.  ``hs_decompose``,
+``hs_reconstruct`` and the stacked validity check in ``process`` share one
+expansion plan per layout, ``_hs_plan``.
 """
 
 from __future__ import annotations
@@ -199,39 +201,54 @@ class HSDecomposition:
         return math.prod(self.dims)
 
 
-def _factor_transform(t: np.ndarray, dims: tuple[int, ...], tables) -> np.ndarray:
-    """Apply one (d^2, d^2) table per factor to a tensor of shape (d_1^2, ..., d_n^2).
+@lru_cache(maxsize=None)
+def _hs_plan(dims: tuple[int, ...]):
+    """Pairing order and tables of the product-basis expansion, cached per ``dims``.
 
-    Each step multiplies the leading factor index and rotates it to the
-    back, so after n steps the factor order is restored.
+    The factors split into a first half A and a second half B, either of
+    which may be empty.  Factor F with basis elements b_t has the forward
+    table tab_F[t, (i, j)] = b_t[j, i] and the inverse table
+    inv_F[(i, j), t] = b_t[i, j]; T_A = kron(tab_F for F in A) / prod(dims),
+    R_A = kron(inv_F for F in A), and likewise over B, so that
+    C = T_A paired(M) T_B^T and paired(M) = R_A C R_B^T.  Returns
+    ``(pairs, T_A, T_B^T, R_A, R_B^T)``; axis 0 of ``pairs`` runs over the
+    members of a stack.
     """
-    for d, table in zip(dims, tables):
-        t = (table @ t.reshape(d * d, -1)).T
-    return t.reshape(tuple(d * d for d in dims))
+    n, half = len(dims), len(dims) // 2
+    pairs = (0,) + tuple(1 + k for f in range(n) for k in (f, n + f))
+    fwd = [hermitian_basis(d).transpose(0, 2, 1).reshape(d * d, d * d) for d in dims]
+    inv = [hermitian_basis(d).reshape(d * d, d * d).T for d in dims]
+    t_a, t_b, r_a, r_b = (reduce(np.kron, tabs, np.ones((1, 1))) for tabs in
+                          (fwd[:half], fwd[half:], inv[:half], inv[half:]))
+    return pairs, t_a / math.prod(dims), t_b.T, r_a, r_b.T
+
+
+def _hs_coefficients(m: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Flat HS coefficients of each member of a stack, C = T_A paired(M) T_B^T."""
+    pairs, t_a, t_b, _, _ = _hs_plan(dims)
+    paired = m.reshape((-1,) + dims * 2).transpose(pairs).reshape(len(m), len(t_a), len(t_b))
+    return (t_a @ paired @ t_b).real.reshape(len(m), len(t_a) * len(t_b))
 
 
 def hs_decompose(matrix, dims: Sequence[int]) -> HSDecomposition:
     """Expand a Hermitian matrix over the product Hilbert-Schmidt basis.
 
     Coefficients are c_T = Tr(M B_T) / ||B_T||_F^2 and are real for Hermitian
-    input; ``hs_reconstruct`` inverts the expansion exactly.  The trace is
-    taken one factor at a time, over that factor's (row, column) index pair.
+    input; ``hs_reconstruct`` inverts the expansion exactly.  One transpose
+    pairs each factor's row and column index, and two products with the
+    tables of :func:`_hs_plan` take the traces.
     """
     m = require_hermitian(matrix)
     dims = check_factor_dims(m, dims)
-    # Pair each factor's row and column indices: (i_1, j_1, ..., i_n, j_n).
-    paired = m.reshape(dims + dims).transpose([k for f in range(len(dims)) for k in (f, len(dims) + f)])
-    tables = [hermitian_basis(d).transpose(0, 2, 1).reshape(d * d, d * d) for d in dims]
-    coeffs = _factor_transform(paired, dims, tables)
-    return HSDecomposition(dims, coeffs.real / math.prod(dims))
+    return HSDecomposition(dims, _hs_coefficients(m[None], dims).reshape(tuple(d * d for d in dims)))
 
 
 def hs_reconstruct(decomposition: HSDecomposition) -> np.ndarray:
-    """Rebuild the Hermitian matrix from its product-basis coefficients."""
+    """Rebuild the Hermitian matrix from its product-basis coefficients, paired(M) = R_A C R_B^T."""
     dims = decomposition.dims
     n = len(dims)
-    tables = [hermitian_basis(d).reshape(d * d, d * d).T for d in dims]
-    paired = _factor_transform(decomposition.coefficients, dims, tables)
+    _, _, _, r_a, r_b = _hs_plan(dims)
+    paired = r_a @ decomposition.coefficients.reshape(r_a.shape[1], r_b.shape[0]) @ r_b
     # Unpair (i_1, j_1, ..., i_n, j_n) back into rows then columns.
     t = paired.reshape([d for d in dims for _ in range(2)])
     t = t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))

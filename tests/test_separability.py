@@ -48,7 +48,7 @@ from procmat.separability import (
     _span_project,
 )
 
-from conftest import EYE2, SIGMA_X, SIGMA_Z, random_hermitian
+from conftest import EYE2, SIGMA_X, SIGMA_Z, mask_projection, random_hermitian
 
 Z2 = MeasurementBasis.computational(2)
 # OCB = (1 + (T_AB + T_BA) / sqrt(2)) / 4.
@@ -608,7 +608,7 @@ class TestTraceReplace:
     def test_projector_matches_project_to_valid_span(self, dims, variant, seed):
         m = random_hermitian(np.random.default_rng(seed), math.prod(dims))
         projected = _span_project(m, dims, variant)
-        assert np.max(np.abs(projected - project_to_valid_span(m, SystemLayout(*dims), variant))) <= 1e-12
+        assert np.max(np.abs(projected - mask_projection(m, dims, variant))) <= 1e-12
         assert np.max(np.abs(_span_project(projected, dims, variant) - projected)) <= 1e-12
 
     @pytest.mark.parametrize("dims", LAYOUTS, ids=lambda dims: "-".join(map(str, dims)))
@@ -633,8 +633,8 @@ class TestTraceReplace:
 
 class TestSpanTables:
     """The span projector against the HS-mask reference projector on fixed
-    layouts, several draws each; the class keeps its name from the real
-    coordinate tables the projector replaced."""
+    layouts, several draws each; the class and its test keep the names of
+    references they once compared with."""
 
     @pytest.mark.parametrize("variant", ["a_before_b", "b_before_a"])
     @pytest.mark.parametrize("dims", TestTraceReplace.LAYOUTS, ids=lambda dims: "-".join(map(str, dims)))
@@ -642,7 +642,7 @@ class TestSpanTables:
         layout = SystemLayout(*dims)
         for _ in range(3):
             m = random_hermitian(rng, layout.d_total)
-            reference = project_to_valid_span(m, layout, variant)
+            reference = mask_projection(m, dims, variant)
             projected = _span_project(m, dims, variant)
             assert np.max(np.abs(projected - reference)) <= 1e-12
             assert np.max(np.abs(_span_project(projected, dims, variant) - projected)) <= 1e-12

@@ -262,7 +262,15 @@ class TestHSDecomposition:
         with pytest.raises(ValueError):
             hs_decompose(np.eye(8), (2, 2, 2, 2))
 
-    @pytest.mark.parametrize("dims", [(3, 2, 3, 2), (2, 3, 2, 2), (3, 2)],
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple), seed=st.integers(0, 2**16))
+    def test_round_trip_any_factor_count(self, dims, seed):
+        # The expansion splits the factors into two halves; odd counts and
+        # factors of dimension 1 leave one half small or empty.
+        m = random_hermitian(np.random.default_rng(seed), int(np.prod(dims)))
+        assert np.max(np.abs(hs_reconstruct(hs_decompose(m, dims)) - m)) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(3, 2, 3, 2), (2, 3, 2, 2), (3, 2), (2, 1, 1, 3), (3,), (2, 3, 2)],
                              ids=lambda dims: "-".join(map(str, dims)))
     def test_coefficients_match_trace_oracle(self, dims):
         # c_T = Tr(M B_T) / ||B_T||^2 term by term; a swapped row/column or
