@@ -6,6 +6,10 @@ human-readable run report then goes to stderr.  Analysis commands print
 their report to stdout.  Exit codes: 0 success, 1 invalid input or a
 stdout closed by its reader, 2 a check failed (validation, separability,
 decomposition).
+
+Every command reads or writes a document, so only ``io`` and ``process``
+are imported here; each command imports the rest of the library it runs
+when it runs, so ``validate`` never loads the separability code.
 """
 
 from __future__ import annotations
@@ -15,18 +19,10 @@ import json
 import math
 import os
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .effective import (
-    MeasurementBasis,
-    classical_effective,
-    luders_input_dephase,
-    random_cq_instrument,
-)
-from .games import enumerate_strategies, ocb_game, ocb_process
-from .instruments import NumericIntegrityError, measure_reprepare, probability_table, Instrument
 from .io import ProcessDocumentError, RunReport, _pair_matrix, decode_process, digest_text, encode_process
 from .process import (
     FACTOR_NAMES,
@@ -37,17 +33,9 @@ from .process import (
     random_process,
     validate_process,
 )
-from .separability import (
-    INCONCLUSIVE,
-    SEPARABLE,
-    DecompositionError,
-    EigenstructureError,
-    NotInputDiagonalError,
-    constructive_decomposition,
-    dykstra_separability,
-    w0_process,
-)
-from .tensor import hs_decompose
+
+if TYPE_CHECKING:
+    from .effective import MeasurementBasis
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -78,6 +66,8 @@ def _read_input(args) -> tuple[ProcessMatrix, dict, str]:
 
 
 def _load_basis_pair(args, layout: SystemLayout) -> tuple[MeasurementBasis, MeasurementBasis]:
+    from .effective import MeasurementBasis
+
     spec = getattr(args, "basis", "z") or "z"
     if spec == "z":
         return (
@@ -134,6 +124,8 @@ def _emit_report(args, report: RunReport, file_output: bool = True) -> None:
 
 
 def _hs_summary(w: ProcessMatrix, tol: float) -> list[str]:
+    from .tensor import hs_decompose
+
     dec = hs_decompose(w.matrix, w.layout.dims)
     lines = []
     for idx in np.argwhere(np.abs(dec.coefficients) > tol):
@@ -171,6 +163,8 @@ def _cmd_validate(args) -> int:
 
 def _canonical_instruments(layout: SystemLayout, seed: int | None):
     if seed is None:
+        from .instruments import Instrument, measure_reprepare
+
         # Measure each z state, reprepare the first z state.
         instr_a, instr_b = (
             Instrument(tuple(measure_reprepare(v, np.eye(d_out, dtype=complex)[0])
@@ -178,6 +172,8 @@ def _canonical_instruments(layout: SystemLayout, seed: int | None):
             for d_in, d_out in ((layout.d_a1, layout.d_a2), (layout.d_b1, layout.d_b2))
         )
         return instr_a, instr_b, "z-measure-reprepare"
+    from .effective import MeasurementBasis, random_cq_instrument
+
     rng = np.random.default_rng(seed)
     instr_a = random_cq_instrument(MeasurementBasis.computational(layout.d_a1), layout.d_a2, rng)
     instr_b = random_cq_instrument(MeasurementBasis.computational(layout.d_b1), layout.d_b2, rng)
@@ -185,6 +181,8 @@ def _canonical_instruments(layout: SystemLayout, seed: int | None):
 
 
 def _cmd_born(args) -> int:
+    from .instruments import NumericIntegrityError, probability_table
+
     w, _, digest = _read_input(args)
     instr_a, instr_b, label = _canonical_instruments(w.layout, args.seed)
     try:
@@ -206,6 +204,8 @@ def _cmd_born(args) -> int:
 
 
 def _cmd_dephase(args) -> int:
+    from .effective import luders_input_dephase
+
     w, metadata, digest = _read_input(args)
     basis_a1, basis_b1 = _load_basis_pair(args, w.layout)
     effective = luders_input_dephase(w, basis_a1, basis_b1)
@@ -223,6 +223,8 @@ def _cmd_dephase(args) -> int:
 
 
 def _cmd_effective_classical(args) -> int:
+    from .effective import MeasurementBasis, classical_effective
+
     w, metadata, digest = _read_input(args)
     layout = w.layout
     if args.basis != "z":
@@ -269,6 +271,13 @@ def _write_decomposition(args, decomposition) -> None:
 
 
 def _cmd_separate(args) -> int:
+    from .separability import (
+        DecompositionError,
+        EigenstructureError,
+        NotInputDiagonalError,
+        constructive_decomposition,
+    )
+
     w, _, digest = _read_input(args)
     basis_a1, basis_b1 = _load_basis_pair(args, w.layout)
     run = RunReport(
@@ -290,6 +299,16 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_check_sep(args) -> int:
+    from .separability import (
+        INCONCLUSIVE,
+        SEPARABLE,
+        DecompositionError,
+        EigenstructureError,
+        NotInputDiagonalError,
+        constructive_decomposition,
+        dykstra_separability,
+    )
+
     if args.max_iter < 1:
         raise CliError(f"--max-iter must be at least 1, got {args.max_iter}")
     w, _, digest = _read_input(args)
@@ -331,6 +350,8 @@ def _cmd_check_sep(args) -> int:
 
 
 def _cmd_game(args) -> int:
+    from .games import enumerate_strategies, ocb_game
+
     w, _, digest = _read_input(args)
     if w.layout.dims != (2, 2, 2, 2):
         raise CliError("game requires the qubit layout (2, 2, 2, 2)")
@@ -368,9 +389,16 @@ def _cmd_gen_random(args) -> int:
 
 def _cmd_fixture(args) -> int:
     name = args.name  # argparse restricts the choices
-    builders = {"ocb": ocb_process, "w0": lambda: w0_process(args.p),
-                "identity": identity_process, "channel": channel_process}
-    w = builders[name]()
+    if name == "ocb":
+        from .games import ocb_process
+
+        w = ocb_process()
+    elif name == "w0":
+        from .separability import w0_process
+
+        w = w0_process(args.p)
+    else:
+        w = identity_process() if name == "identity" else channel_process()
     metadata: dict[str, Any] = {"name": name}
     if name == "w0":
         metadata["p"] = args.p
@@ -458,6 +486,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise CliError(f"--tol must be a positive finite number, got {args.tol}")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -18,12 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .instruments import Instrument, _cq_born_tables, cq_instrument
 from .process import ProcessMatrix, validate_process
 from .tensor import _eigvalsh, partial_transpose
+
+# The two functions that sample instruments import ``instruments`` themselves,
+# so that dephasing and the separability code do not load it.
+if TYPE_CHECKING:
+    from .instruments import Instrument
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -209,6 +214,8 @@ def _cq_draws(rngs, d_in: int, output_dim: int, n_outcomes: int = 2):
 
 def random_cq_instrument(basis: MeasurementBasis, output_dim: int, rng, n_outcomes: int = 2) -> Instrument:
     """Random fixed-basis instrument: stochastic outcome table, Wishart repreparations."""
+    from .instruments import cq_instrument
+
     p, states = _cq_draws([rng], basis.dim, output_dim, n_outcomes)
     return cq_instrument(basis.vectors, p[0], states[0])
 
@@ -224,6 +231,8 @@ def indistinguishability_residual(w: ProcessMatrix, effective: EffectiveProcess,
     Alice's and then Bob's instrument from child k of ``SeedSequence(seed)``,
     as ``random_cq_instrument`` would; all tables come from one contraction.
     """
+    from .instruments import _cq_born_tables
+
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(samples)]

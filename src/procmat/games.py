@@ -22,11 +22,7 @@ import numpy as np
 
 from .instruments import Instrument, cj_from_kraus, measure_reprepare, probability_table
 from .process import ProcessMatrix, SystemLayout
-from .tensor import tensor_product
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_EYE2 = np.eye(2, dtype=complex)
+from .tensor import _EYE2, _SIGMA_X, _SIGMA_Z, tensor_product
 
 _Z_STATES = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 _X_STATES = (

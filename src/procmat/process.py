@@ -147,12 +147,16 @@ class ValidityReport:
 
 @lru_cache(maxsize=None)
 def _allowed_coefficient_mask(dims: tuple[int, ...], variant: str) -> np.ndarray:
-    """Boolean array over HS coefficient indices: True where the pattern is allowed."""
-    mask = allowed_term_mask(variant)
-    shape = tuple(d * d for d in dims)
-    out = np.zeros(shape, dtype=bool)
-    for idx in np.ndindex(shape):
-        out[idx] = mask.allows(f for f, t in enumerate(idx) if t != 0)
+    """Boolean array over HS coefficient indices: True where the pattern is allowed.
+
+    Index t of a factor is nontrivial when t > 0; the nontrivial factors of
+    every index, as bits, look up a table over all 2^n patterns.
+    """
+    allowed = allowed_term_mask(variant).allowed
+    n = len(dims)
+    table = np.array([frozenset(f for f in range(n) if bits >> f & 1) in allowed for bits in range(1 << n)])
+    grids = np.ix_(*(np.arange(d * d) for d in dims))
+    out = table[sum((g > 0).astype(np.intp) << f for f, g in enumerate(grids))]
     out.setflags(write=False)
     return out
 

@@ -29,9 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .effective import MeasurementBasis, _in_frame, _off_block_norms2, as_basis, is_input_diagonal
-from .games import _EYE2, _SIGMA_X, _SIGMA_Z
 from .process import ProcessMatrix, SystemLayout, ValidityReport, _span_project, _validate_stack, validate_process
-from .tensor import _eigvalsh, hermitian_eig, tensor_product
+from .tensor import _EYE2, _SIGMA_X, _SIGMA_Z, _eigvalsh, hermitian_eig, tensor_product
 
 SEPARABLE = "separable"
 NOT_SEPARABLE = "not-separable-up-to-tolerance"

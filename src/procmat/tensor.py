@@ -23,6 +23,10 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_EYE2 = np.eye(2, dtype=complex)
+
 
 def as_square_matrix(matrix, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex ndarray, raising on bad shape."""

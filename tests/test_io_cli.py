@@ -185,6 +185,16 @@ class TestCli:
         assert "--tol" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["gen-random --seed -1", "born --input {doc} --seed -3"],
+                             ids=["gen-random", "born"])
+    def test_rejects_negative_seed(self, tmp_path, capsys, command):
+        doc = tmp_path / "ocb.json"
+        run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
+        code, out, err = run_cli(command.format(doc=doc).split(), capsys)
+        assert code == 1
+        assert "--seed" in err
+        assert out == ""
+
     def test_check_sep_one_way_fixture_separable(self, tmp_path, capsys):
         doc = tmp_path / "w0.json"
         run_cli(["fixture", "w0", "--p", "0", "--output", str(doc)], capsys)
@@ -199,7 +209,7 @@ class TestCli:
         def failing(*args, **kwargs):
             raise DecompositionError("feasible point failed decomposition checks")
 
-        monkeypatch.setattr(cli, "dykstra_separability", failing)
+        monkeypatch.setattr(separability, "dykstra_separability", failing)
         doc = tmp_path / "w0.json"
         run_cli(["fixture", "w0", "--output", str(doc)], capsys)
         code, out, _ = run_cli(["check-sep", "--input", str(doc), "--json"], capsys)

@@ -23,6 +23,7 @@ from procmat import (
 from procmat.games import ocb_process
 from procmat.process import (
     MASK_VARIANTS,
+    _allowed_coefficient_mask,
     _offending_patterns,
     _validate_stack,
 )
@@ -79,6 +80,26 @@ class TestTermMask:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             allowed_term_mask("sideways")
+
+
+def _loop_coefficient_mask(dims, variant):
+    """Reference: the term mask asked once per HS coefficient index."""
+    mask = allowed_term_mask(variant)
+    shape = tuple(d * d for d in dims)
+    out = np.zeros(shape, dtype=bool)
+    for idx in np.ndindex(shape):
+        out[idx] = mask.allows(f for f, t in enumerate(idx) if t != 0)
+    return out
+
+
+class TestAllowedCoefficientMask:
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 3, 2), (1, 2, 3, 2), (2, 1, 1, 3), (3, 3, 3, 3)])
+    @pytest.mark.parametrize("variant", MASK_VARIANTS)
+    def test_matches_loop(self, dims, variant):
+        mask = _allowed_coefficient_mask(dims, variant)
+        assert mask.dtype == bool
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, _loop_coefficient_mask(dims, variant))
 
 
 class TestLoneOutputTermBreaksNormalization:
