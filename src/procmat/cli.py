@@ -3,9 +3,12 @@
 Commands that produce a process document write it to ``--output`` when
 given, otherwise to stdout so documents can be piped between commands; the
 human-readable run report then goes to stderr.  Analysis commands print
-their report to stdout.  Exit codes: 0 success, 1 invalid input or a
-stdout closed by its reader, 2 a check failed (validation, separability,
-decomposition).
+their report to stdout.  Each command returns its run report, and
+:func:`main` alone turns it into the exit code: 0 success, 1 invalid input,
+a usage error or a stdout closed by its reader, 2 a check failed
+(validation, separability, decomposition).  Only ``validate``, ``separate``
+and ``check-sep`` compute at a tolerance, so only they take ``--tol`` and
+echo it in their report.
 
 Every command reads or writes a document, so only ``io`` and ``process``
 are imported here; each command imports the rest of the library it runs
@@ -46,8 +49,10 @@ class CliError(Exception):
     """Invalid input or unusable flags; maps to exit code 1."""
 
 
-def _read_input(args) -> tuple[ProcessMatrix, dict, str]:
-    path = getattr(args, "input", None)
+def _read_input(args) -> tuple[ProcessMatrix, dict, RunReport]:
+    """The input process, its metadata, and the command's report holding
+    the input digest and the tolerance the command runs at."""
+    path = args.input
     if path in (None, "-"):
         text = sys.stdin.read()
         name = "<stdin>"
@@ -62,13 +67,14 @@ def _read_input(args) -> tuple[ProcessMatrix, dict, str]:
         process, metadata = decode_process(text)
     except ProcessDocumentError as err:
         raise CliError(f"{name}: {err}") from err
-    return process, metadata, digest_text(text)
+    tolerances = {"tol": args.tol} if "tol" in args else {}
+    return process, metadata, RunReport(args.cmd, {"process": digest_text(text)}, tolerances)
 
 
 def _load_basis_pair(args, layout: SystemLayout) -> tuple[MeasurementBasis, MeasurementBasis]:
     from .effective import MeasurementBasis
 
-    spec = getattr(args, "basis", "z") or "z"
+    spec = args.basis or "z"
     if spec == "z":
         return (
             MeasurementBasis.computational(layout.d_a1),
@@ -98,29 +104,32 @@ def _load_basis_pair(args, layout: SystemLayout) -> tuple[MeasurementBasis, Meas
     return out[0], out[1]
 
 
-def _emit_document(args, report: RunReport, text: str) -> None:
-    """Write a document to --output or stdout; report goes to the other stream."""
+def _emit_document(args, report: RunReport, w: ProcessMatrix, metadata: dict) -> RunReport:
+    """Encode a document, record its digest, and write it to --output or
+    stdout; the report goes to the other stream."""
+    text = encode_process(w, metadata)
+    report.results["output_digest"] = digest_text(text)
     report_text = report.to_json() if args.json else report.to_text()
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         print(report_text)
     else:
         print(text)
         print(report_text, file=sys.stderr)
+    return report
 
 
-def _emit_report(args, report: RunReport, file_output: bool = True) -> None:
+def _emit_report(args, report: RunReport, file_output: bool = True) -> RunReport:
     """Report to stdout; for pure-analysis commands --output archives it.
 
-    Commands whose --output carries a document pass ``file_output=False``.
+    The split commands, whose --output carries the split, pass ``file_output=False``.
     """
     print(report.to_json() if args.json else report.to_text())
-    output = getattr(args, "output", None)
-    if output and file_output:
-        with open(output, "w", encoding="utf-8") as fh:
+    if args.output and file_output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
+    return report
 
 
 def _hs_summary(w: ProcessMatrix, tol: float) -> list[str]:
@@ -135,30 +144,24 @@ def _hs_summary(w: ProcessMatrix, tol: float) -> list[str]:
     return lines
 
 
-def _cmd_validate(args) -> int:
-    w, _, digest = _read_input(args)
+def _cmd_validate(args) -> RunReport:
+    w, _, run = _read_input(args)
     report = validate_process(w, tol=args.tol)
-    run = RunReport(
-        command="validate",
-        inputs={"process": digest},
-        tolerances={"tol": args.tol},
-        results={
-            "is_psd": report.is_psd,
-            "min_eigenvalue": report.min_eigenvalue,
-            "trace_ok": report.trace_ok,
-            "trace": report.trace_value,
-            "mask_ok": report.mask_ok,
-            "offending_terms": [
-                {"pattern": list(p), "magnitude": m} for p, m in report.offending_terms
-            ],
-            "valid": report.overall,
-        },
-        status="ok" if report.overall else "check-failed",
-    )
+    run.results = {
+        "is_psd": report.is_psd,
+        "min_eigenvalue": report.min_eigenvalue,
+        "trace_ok": report.trace_ok,
+        "trace": report.trace_value,
+        "mask_ok": report.mask_ok,
+        "offending_terms": [
+            {"pattern": list(p), "magnitude": m} for p, m in report.offending_terms
+        ],
+        "valid": report.overall,
+    }
+    run.status = "ok" if report.overall else "check-failed"
     if args.hs:
         run.results["hs_coefficients"] = _hs_summary(w, args.tol)
-    _emit_report(args, run)
-    return EXIT_OK if report.overall else EXIT_CHECK_FAILED
+    return _emit_report(args, run)
 
 
 def _canonical_instruments(layout: SystemLayout, seed: int | None):
@@ -180,97 +183,57 @@ def _canonical_instruments(layout: SystemLayout, seed: int | None):
     return instr_a, instr_b, f"random-cq(seed={seed})"
 
 
-def _cmd_born(args) -> int:
+def _cmd_born(args) -> RunReport:
     from .instruments import NumericIntegrityError, probability_table
 
-    w, _, digest = _read_input(args)
+    w, _, run = _read_input(args)
     instr_a, instr_b, label = _canonical_instruments(w.layout, args.seed)
     try:
         table = probability_table(w, instr_a, instr_b)
     except NumericIntegrityError as err:
         raise CliError(str(err)) from err
-    run = RunReport(
-        command="born",
-        inputs={"process": digest},
-        tolerances={"tol": args.tol},
-        results={
-            "instruments": label,
-            "table": [[float(v) for v in row] for row in table.entries],
-            "total": table.total,
-        },
-    )
-    _emit_report(args, run)
-    return EXIT_OK
+    run.results = {
+        "instruments": label,
+        "table": [[float(v) for v in row] for row in table.entries],
+        "total": table.total,
+    }
+    return _emit_report(args, run)
 
 
-def _cmd_dephase(args) -> int:
+def _cmd_dephase(args) -> RunReport:
     from .effective import luders_input_dephase
 
-    w, metadata, digest = _read_input(args)
+    w, metadata, run = _read_input(args)
     basis_a1, basis_b1 = _load_basis_pair(args, w.layout)
     effective = luders_input_dephase(w, basis_a1, basis_b1)
-    metadata = dict(metadata)
-    metadata["provenance"] = "dephase"
-    text = encode_process(effective.matrix, metadata)
-    run = RunReport(
-        command="dephase",
-        inputs={"process": digest},
-        tolerances={"tol": args.tol},
-        results={"basis": args.basis, "output_digest": digest_text(text)},
-    )
-    _emit_document(args, run, text)
-    return EXIT_OK
+    run.results["basis"] = args.basis
+    return _emit_document(args, run, effective.matrix, {**metadata, "provenance": "dephase"})
 
 
-def _cmd_effective_classical(args) -> int:
+def _cmd_effective_classical(args) -> RunReport:
     from .effective import MeasurementBasis, classical_effective
 
-    w, metadata, digest = _read_input(args)
-    layout = w.layout
-    if args.basis != "z":
-        raise CliError("effective-classical supports only the computational bases")
-    bases = [MeasurementBasis.computational(d) for d in layout.dims]
-    result = classical_effective(w, *bases)
-    metadata = dict(metadata)
-    metadata["provenance"] = "effective-classical"
-    text = encode_process(result, metadata)
-    run = RunReport(
-        command="effective-classical",
-        inputs={"process": digest},
-        tolerances={"tol": args.tol},
-        results={"output_digest": digest_text(text)},
-    )
-    _emit_document(args, run, text)
-    return EXIT_OK
+    w, metadata, run = _read_input(args)
+    result = classical_effective(w, *(MeasurementBasis.computational(d) for d in w.layout.dims))
+    return _emit_document(args, run, result, {**metadata, "provenance": "effective-classical"})
 
 
-def _decomposition_results(decomposition) -> dict[str, Any]:
-    results: dict[str, Any] = {
-        "p": decomposition.p,
-        "reconstruction_residual": decomposition.check.reconstruction_residual,
-        "verified": decomposition.check.ok,
-    }
-    if decomposition.w_ab is not None:
-        results["w_ab_digest"] = digest_text(encode_process(decomposition.w_ab))
-    if decomposition.w_ba is not None:
-        results["w_ba_digest"] = digest_text(encode_process(decomposition.w_ba))
-    return results
+def _record_split(args, run: RunReport, decomposition) -> None:
+    """Add a split's check and part digests to the report, and write the
+    split to --output; each part is encoded once."""
+    run.results.update(p=decomposition.p, reconstruction_residual=decomposition.check.reconstruction_residual,
+                       verified=decomposition.check.ok)
+    parts = {name: encode_process(part) for name, part in
+             (("w_ab", decomposition.w_ab), ("w_ba", decomposition.w_ba)) if part is not None}
+    for name, text in parts.items():
+        run.results[f"{name}_digest"] = digest_text(text)
+    if args.output:
+        payload = {"p": decomposition.p, **{name: json.loads(text) for name, text in parts.items()}}
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload) + "\n")
 
 
-def _write_decomposition(args, decomposition) -> None:
-    output = getattr(args, "output", None)
-    if not output:
-        return
-    payload: dict[str, Any] = {"p": decomposition.p}
-    if decomposition.w_ab is not None:
-        payload["w_ab"] = json.loads(encode_process(decomposition.w_ab))
-    if decomposition.w_ba is not None:
-        payload["w_ba"] = json.loads(encode_process(decomposition.w_ba))
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload) + "\n")
-
-
-def _cmd_separate(args) -> int:
+def _cmd_separate(args) -> RunReport:
     from .separability import (
         DecompositionError,
         EigenstructureError,
@@ -278,27 +241,19 @@ def _cmd_separate(args) -> int:
         constructive_decomposition,
     )
 
-    w, _, digest = _read_input(args)
+    w, _, run = _read_input(args)
     basis_a1, basis_b1 = _load_basis_pair(args, w.layout)
-    run = RunReport(
-        command="separate",
-        inputs={"process": digest},
-        tolerances={"tol": args.tol},
-    )
     try:
         decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=args.tol)
     except (NotInputDiagonalError, EigenstructureError, DecompositionError, ValueError) as err:
         run.status = "check-failed"
         run.results["error"] = str(err)
-        _emit_report(args, run, file_output=False)
-        return EXIT_CHECK_FAILED
-    run.results.update(_decomposition_results(decomposition))
-    _write_decomposition(args, decomposition)
-    _emit_report(args, run, file_output=False)
-    return EXIT_OK
+    else:
+        _record_split(args, run, decomposition)
+    return _emit_report(args, run, file_output=False)
 
 
-def _cmd_check_sep(args) -> int:
+def _cmd_check_sep(args) -> RunReport:
     from .separability import (
         INCONCLUSIVE,
         SEPARABLE,
@@ -311,13 +266,8 @@ def _cmd_check_sep(args) -> int:
 
     if args.max_iter < 1:
         raise CliError(f"--max-iter must be at least 1, got {args.max_iter}")
-    w, _, digest = _read_input(args)
+    w, _, run = _read_input(args)
     basis_a1, basis_b1 = _load_basis_pair(args, w.layout)
-    run = RunReport(
-        command="check-sep",
-        inputs={"process": digest},
-        tolerances={"tol": args.tol},
-    )
     decomposition = None
     run.results["path"] = "constructive"
     try:
@@ -340,54 +290,41 @@ def _cmd_check_sep(args) -> int:
         # matrix the solver could only pass at a looser tolerance, so
         # a failed constructive split is not retried.
         run.results.update(status=INCONCLUSIVE, error=str(err))
+    except ValueError as err:
+        # Not a valid process matrix: as for ``separate``, a failed check with
+        # no verdict and no search.
+        run.results["error"] = str(err)
     if decomposition is not None:
-        run.results.update(_decomposition_results(decomposition))
-        _write_decomposition(args, decomposition)
-    separable = run.results["status"] == SEPARABLE
-    run.status = "ok" if separable else "check-failed"
-    _emit_report(args, run, file_output=False)
-    return EXIT_OK if separable else EXIT_CHECK_FAILED
+        _record_split(args, run, decomposition)
+    run.status = "ok" if run.results.get("status") == SEPARABLE else "check-failed"
+    return _emit_report(args, run, file_output=False)
 
 
-def _cmd_game(args) -> int:
+def _cmd_game(args) -> RunReport:
     from .games import enumerate_strategies, ocb_game
 
-    w, _, digest = _read_input(args)
+    w, _, run = _read_input(args)
     if w.layout.dims != (2, 2, 2, 2):
         raise CliError("game requires the qubit layout (2, 2, 2, 2)")
     result = enumerate_strategies(w, ocb_game())
-    run = RunReport(
-        command="game",
-        inputs={"process": digest},
-        tolerances={"tol": args.tol},
-        results={
-            "value": result.value,
-            "strategy": result.strategy,
-            "classical_bound": 0.75,
-            "per_condition": [
-                {"inputs": list(cond), "success": val} for cond, val in result.per_condition
-            ],
-        },
-    )
-    _emit_report(args, run)
-    return EXIT_OK
+    run.results = {
+        "value": result.value,
+        "strategy": result.strategy,
+        "classical_bound": 0.75,
+        "per_condition": [
+            {"inputs": list(cond), "success": val} for cond, val in result.per_condition
+        ],
+    }
+    return _emit_report(args, run)
 
 
-def _cmd_gen_random(args) -> int:
-    dims = args.dims
-    layout = SystemLayout(*dims)
-    w = random_process(args.seed, layout, strength=args.strength)
-    text = encode_process(w, {"name": "random", "seed": args.seed, "strength": args.strength})
-    run = RunReport(
-        command="gen-random",
-        tolerances={"tol": args.tol},
-        results={"seed": args.seed, "strength": args.strength, "output_digest": digest_text(text)},
-    )
-    _emit_document(args, run, text)
-    return EXIT_OK
+def _cmd_gen_random(args) -> RunReport:
+    w = random_process(args.seed, SystemLayout(*args.dims), strength=args.strength)
+    run = RunReport("gen-random", results={"seed": args.seed, "strength": args.strength})
+    return _emit_document(args, run, w, {"name": "random", "seed": args.seed, "strength": args.strength})
 
 
-def _cmd_fixture(args) -> int:
+def _cmd_fixture(args) -> RunReport:
     name = args.name  # argparse restricts the choices
     if name == "ocb":
         from .games import ocb_process
@@ -402,14 +339,7 @@ def _cmd_fixture(args) -> int:
     metadata: dict[str, Any] = {"name": name}
     if name == "w0":
         metadata["p"] = args.p
-    text = encode_process(w, metadata)
-    run = RunReport(
-        command=f"fixture {name}",
-        tolerances={"tol": args.tol},
-        results={"output_digest": digest_text(text)},
-    )
-    _emit_document(args, run, text)
-    return EXIT_OK
+    return _emit_document(args, RunReport(f"fixture {name}"), w, metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,15 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, with_input: bool = True, with_tol: bool = False) -> None:
         if with_input:
             p.add_argument("--input", help="process document path (default: stdin)")
         p.add_argument("--output", help="write the produced document or report here")
-        p.add_argument("--tol", type=float, default=1e-8, help="numeric tolerance (default 1e-8)")
+        if with_tol:
+            p.add_argument("--tol", type=float, default=1e-8, help="numeric tolerance (default 1e-8)")
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
     p = sub.add_parser("validate", help="check positivity, trace and term structure")
-    common(p)
+    common(p, with_tol=True)
     p.add_argument("--hs", action="store_true", help="list nonzero Hilbert-Schmidt coefficients")
     p.set_defaults(func=_cmd_validate)
 
@@ -441,18 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default="z", help="'z' or a JSON basis file with keys a1, b1")
     p.set_defaults(func=_cmd_dephase)
 
-    p = sub.add_parser("effective-classical", help="fully diagonal effective matrix")
+    p = sub.add_parser("effective-classical", help="fully diagonal effective matrix (computational bases)")
     common(p)
-    p.add_argument("--basis", default="z", help="only 'z' is supported")
     p.set_defaults(func=_cmd_effective_classical)
 
     p = sub.add_parser("separate", help="constructive causal decomposition (input-diagonal matrices)")
-    common(p)
+    common(p, with_tol=True)
     p.add_argument("--basis", default="z", help="'z' or a JSON basis file with keys a1, b1")
     p.set_defaults(func=_cmd_separate)
 
     p = sub.add_parser("check-sep", help="causal separability, constructive fast path then projections")
-    common(p)
+    common(p, with_tol=True)
     p.add_argument("--basis", default="z", help="'z' or a JSON basis file with keys a1, b1")
     p.add_argument("--max-iter", type=int, default=50_000, help="solver iteration cap")
     p.set_defaults(func=_cmd_check_sep)
@@ -481,16 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place a run becomes an exit code."""
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0.0):
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:  # argparse has printed the help, or the usage error to stderr
+        return EXIT_OK if err.code == 0 else EXIT_INVALID_INPUT
+    try:
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0.0):
             raise CliError(f"--tol must be a positive finite number, got {args.tol}")
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
-        code = args.func(args)
+        run = args.func(args)
         sys.stdout.flush()
-        return code
+        return EXIT_OK if run.status == "ok" else EXIT_CHECK_FAILED
     except (CliError, ProcessDocumentError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID_INPUT

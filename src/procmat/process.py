@@ -145,6 +145,9 @@ class ValidityReport:
     overall: bool
 
 
+_PSD_FLOOR = 1e-9  # per unit of side: the default positivity floor is -1e-9 * side
+
+
 @lru_cache(maxsize=None)
 def _allowed_coefficient_mask(dims: tuple[int, ...], variant: str) -> np.ndarray:
     """Boolean array over HS coefficient indices: True where the pattern is allowed.
@@ -193,7 +196,7 @@ def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants
     """
     dims = layout.dims
     if psd_tol is None:
-        psd_tol = 1e-9 * layout.d_total
+        psd_tol = _PSD_FLOOR * layout.d_total
     m = np.asarray(mats, dtype=complex)
     min_eigs = np.linalg.eigvalsh(m)[:, 0].tolist()
     shape = tuple(d * d for d in dims)

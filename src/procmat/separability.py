@@ -29,7 +29,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .effective import MeasurementBasis, _in_frame, _off_block_norms2, as_basis, is_input_diagonal
-from .process import ProcessMatrix, SystemLayout, ValidityReport, _span_project, _validate_stack, validate_process
+from .process import (
+    _PSD_FLOOR,
+    ProcessMatrix,
+    SystemLayout,
+    ValidityReport,
+    _span_project,
+    _validate_stack,
+    validate_process,
+)
 from .tensor import _EYE2, _SIGMA_X, _SIGMA_Z, _eigvalsh, hermitian_eig, tensor_product
 
 SEPARABLE = "separable"
@@ -294,10 +302,34 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
     check = verify_decomposition(w_eff, decomposition, tol=tol)
     if not check.ok:
         raise DecompositionError(
-            f"constructed decomposition failed verification: residual "
-            f"{check.reconstruction_residual:.3e}, p = {decomposition.p:.6f}"
+            f"constructed decomposition failed verification: {_failed_checks(check, decomposition.p, layout, tol)}"
         )
     return replace(decomposition, check=check)
+
+
+def _failed_checks(check: DecompositionReport, p: float, layout: SystemLayout, tol: float) -> str:
+    """The checks a split failed at the default positivity floor, each with
+    its value and its bound."""
+    failed = []
+    if check.reconstruction_residual > tol:
+        failed.append(f"reconstruction residual {check.reconstruction_residual:.3e} above {tol:g}")
+    if not check.p_ok:
+        failed.append(f"weight p = {p!r} outside [0, 1] or on a missing part, within {tol:g}")
+    for name, report in (("w_ab", check.report_ab), ("w_ba", check.report_ba)):
+        if report is None:
+            continue
+        if not report.is_psd:
+            floor = _PSD_FLOOR * layout.d_total
+            failed.append(f"{name} psd: min eigenvalue {report.min_eigenvalue:.3e} below -{floor:g}")
+        if not report.trace_ok:
+            deviation = abs(report.trace_value - layout.target_trace)
+            failed.append(f"{name} trace {report.trace_value!r} is {deviation:.3e} from {layout.target_trace}, "
+                          f"above {tol:g}")
+        if not report.mask_ok:
+            pattern, magnitude = max(report.offending_terms, key=lambda term: term[1])
+            failed.append(f"{name} mask: forbidden term {','.join(pattern)} of magnitude {magnitude:.3e}, "
+                          f"at least {tol:g}")
+    return "; ".join(failed)
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,54 @@ class TestCli:
         report = json.loads(out)
         assert report["status"] == "check-failed"
         assert "failed verification" in report["results"]["error"]
+        assert "trace" in report["results"]["error"]
         assert "iterations" not in report["results"]  # no projection-search fallback
+
+    @pytest.mark.parametrize("command", ["check-sep --max-iter abc", "validate --bogus", "fixture nope",
+                                         "born --tol 1e-6", "effective-classical --basis z"],
+                             ids=["bad-integer", "unknown-flag", "bad-fixture", "born-tol", "classical-basis"])
+    def test_usage_error_exits_one(self, capsys, command):
+        code, out, err = run_cli(command.split(), capsys)
+        assert code == 1
+        assert "usage: procmat" in err
+        assert out == ""
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run_cli(["check-sep", "--help"], capsys)
+        assert code == 0
+        assert "--max-iter" in out
+
+    def test_invalid_process_is_a_failed_check(self, tmp_path, capsys):
+        # OCB plus a forbidden A2.B2 term: every command that checks at a
+        # tolerance reports a failed check, and check-sep claims no verdict.
+        w = ocb_process()
+        z = np.diag([1.0, -1.0])
+        doc = tmp_path / "bad.json"
+        doc.write_text(encode_process(ProcessMatrix(w.layout, w.matrix + 0.05 * np.kron(np.kron(np.eye(2), z),
+                                                                                        np.kron(np.eye(2), z)))))
+        for command in ("validate", "separate", "check-sep"):
+            code, out, _ = run_cli([command, "--input", str(doc), "--json"], capsys)
+            assert code == 2
+            assert json.loads(out)["status"] == "check-failed"
+        results = json.loads(out)["results"]
+        assert list(results) == ["path", "error"]
+        assert results["error"].startswith("kappa_split needs a valid process matrix")
+
+    def test_tolerance_echoed_only_where_used(self, tmp_path, capsys):
+        doc = tmp_path / "ocb.json"
+        out_doc = tmp_path / "out.json"
+        run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
+        used = {"validate": [], "separate": [], "check-sep": ["--max-iter", "10"]}
+        unused = {"born": [], "dephase": [], "effective-classical": [], "game": [],
+                  "gen-random": None, "fixture": None}
+        for command, extra in {**used, **unused}.items():
+            if extra is None:  # documents made from nothing
+                args = [command] + (["ocb"] if command == "fixture" else [])
+            else:
+                args = [command, "--input", str(doc)] + extra
+            _, out, _ = run_cli(args + ["--json", "--output", str(out_doc)], capsys)
+            tolerances = json.loads(out)["tolerances"]
+            assert tolerances == ({"tol": 1e-8} if command in used else {}), command
 
     def test_dephase_then_separate_reports_pure_channel(self, tmp_path, capsys):
         ocb = tmp_path / "ocb.json"
