@@ -17,13 +17,12 @@ fixed-basis instruments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .process import ProcessMatrix, validate_process
-from .tensor import _eigvalsh, partial_transpose
+from .tensor import _eigvalsh, _kron, partial_transpose
 
 # The two functions that sample instruments import ``instruments`` themselves,
 # so that dephasing and the separability code do not load it.
@@ -109,7 +108,7 @@ def _in_frame(matrix: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
     """
     measured = [isinstance(b, MeasurementBasis) for b in bases]
     dims = tuple(b.dim if m else int(b) for b, m in zip(bases, measured))
-    frame = reduce(np.kron, [b.vectors if m else np.eye(b) for b, m in zip(bases, measured)])
+    frame = _kron([b.vectors if m else np.eye(b) for b, m in zip(bases, measured)])
     return frame, (frame.conj().T @ matrix @ frame).reshape(matrix.shape[:-2] + dims + dims)
 
 
@@ -141,7 +140,7 @@ def luders_input_dephase(w: ProcessMatrix, basis_a1, basis_b1) -> EffectiveProce
     ba1 = as_basis(basis_a1, layout.d_a1)
     bb1 = as_basis(basis_b1, layout.d_b1)
     dephased = _dephase(w.matrix, (ba1, layout.d_a2, bb1, layout.d_b2))
-    return EffectiveProcess(w, ba1, bb1, ProcessMatrix(layout, dephased))
+    return EffectiveProcess(w, ba1, bb1, ProcessMatrix._exact(layout, dephased))
 
 
 def classical_effective(w: ProcessMatrix, basis_a1, basis_a2, basis_b1, basis_b2) -> ProcessMatrix:
@@ -152,7 +151,7 @@ def classical_effective(w: ProcessMatrix, basis_a1, basis_a2, basis_b1, basis_b2
     """
     layout = w.layout
     bases = [as_basis(b, d) for b, d in zip((basis_a1, basis_a2, basis_b1, basis_b2), layout.dims)]
-    return ProcessMatrix(layout, _dephase(w.matrix, bases))
+    return ProcessMatrix._exact(layout, _dephase(w.matrix, bases))
 
 
 def is_input_diagonal(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-10):
@@ -191,10 +190,7 @@ def selective_update(w: ProcessMatrix, n: int, m: int, basis_a1, basis_b1):
         raise IndexError(f"index n={n} out of range for dimension {layout.d_a1}")
     if not 0 <= m < layout.d_b1:
         raise IndexError(f"index m={m} out of range for dimension {layout.d_b1}")
-    projector = np.kron(
-        np.kron(ba1.projector(n), np.eye(layout.d_a2)),
-        np.kron(bb1.projector(m), np.eye(layout.d_b2)),
-    )
+    projector = _kron((ba1.projector(n), np.eye(layout.d_a2), bb1.projector(m), np.eye(layout.d_b2)))
     block = projector @ w.matrix @ projector
     weight = float(np.trace(block).real)
     if weight <= 1e-12:

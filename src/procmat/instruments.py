@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .process import ProcessMatrix
-from .tensor import _eigvalsh, as_square_matrix, partial_trace
+from .tensor import _eigvalsh, _kron, as_square_matrix, partial_trace
 
 COMPLETENESS_TOL = 1e-9
 CP_TOL = 1e-9
@@ -163,7 +163,7 @@ def classical_instrument(p, basis_in, basis_out) -> Instrument:
     if np.any(table < -1e-12):
         raise ValueError("probabilities must be nonnegative")
     col_sums = table.sum(axis=(0, 1))
-    if not np.allclose(col_sums, 1.0, atol=1e-9):
+    if not (np.abs(col_sums - 1.0) <= 1e-9).all():
         raise ValueError(f"columns of p must sum to 1, got sums {col_sums}")
 
     in_proj = np.einsum("il,jl->lij", bin_m, bin_m.conj())
@@ -201,7 +201,7 @@ def _cq_maps(basis: np.ndarray, table: np.ndarray, states: np.ndarray) -> np.nda
     """CJ matrices kron(sum_n p[..., i, n] |n><n|, states[..., i]) of checked, stacked cq instruments."""
     if np.any(table < -1e-12):
         raise ValueError("probabilities must be nonnegative")
-    if not np.allclose(table.sum(axis=-2), 1.0, atol=1e-9):
+    if not (np.abs(table.sum(axis=-2) - 1.0) <= 1e-9).all():
         raise ValueError("p must be column stochastic: sums over outcomes must be 1")
     traces = np.trace(states, axis1=-2, axis2=-1)
     bad = np.argwhere((np.abs(traces.real - 1.0) > 1e-9) | (np.abs(traces.imag) > 1e-9))
@@ -247,7 +247,7 @@ def _real_probabilities(values: np.ndarray) -> np.ndarray:
 def born_probability(w: ProcessMatrix, m_a: CPMap, m_b: CPMap) -> float:
     """Joint probability Tr[W (M_A (x) M_B)] for one outcome pair; reference for ``probability_table``."""
     _check_layout(w, (m_a.input_dim, m_a.output_dim), (m_b.input_dim, m_b.output_dim))
-    return float(_real_probabilities(np.einsum("ij,ji->", w.matrix, np.kron(m_a.cj, m_b.cj))))
+    return float(_real_probabilities(np.einsum("ij,ji->", w.matrix, _kron((m_a.cj, m_b.cj)))))
 
 
 def _born_tables(w: np.ndarray, cj_a: np.ndarray, cj_b: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor import _eigvalsh, _hs_coefficients, check_factor_dims, require_hermitian
+from .tensor import _eigvalsh, _hs_coefficients, _kron, check_factor_dims, require_hermitian
 
 A1, A2, B1, B2 = 0, 1, 2, 3
 FACTOR_NAMES = ("A1", "A2", "B1", "B2")
@@ -127,6 +127,16 @@ class ProcessMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _exact(cls, layout: SystemLayout, m: np.ndarray) -> "ProcessMatrix":
+        """An unchecked process over ``m``, which the library built finite,
+        of the layout's shape and exactly Hermitian."""
+        m.setflags(write=False)
+        w = object.__new__(cls)
+        object.__setattr__(w, "layout", layout)
+        object.__setattr__(w, "matrix", m)
+        return w
+
     @property
     def side(self) -> int:
         return self.matrix.shape[0]
@@ -186,9 +196,9 @@ def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants
     """Validity reports of a ``(k, n, n)`` stack, member i checked against ``variants[i]``.
 
     Every member is the ``matrix`` of a :class:`ProcessMatrix`, which is
-    exactly Hermitian: its constructor checked it and stored (M + M^dag) / 2,
-    which floating point keeps exactly Hermitian.  So the stack goes to
-    ``eigvalsh`` as it is, with the same minimal eigenvalues as
+    exactly Hermitian: ``ProcessMatrix._exact`` takes only matrices built so,
+    and the constructor stores (M + M^dag) / 2, exact in floating point.  So
+    the stack goes to ``eigvalsh`` as it is, with the same minimal eigenvalues as
     :func:`~procmat.tensor._eigvalsh`.  One eigensolve and one HS expansion
     serve the whole stack; only a member whose largest forbidden coefficient
     reaches ``tol`` has its offending patterns collected, from those
@@ -240,7 +250,7 @@ def _span_plan(dims: tuple[int, ...], variant: str):
     pairs = (0,) + tuple(1 + axis for f in order for axis in (f, f + 4))
     x1, x2, y1, y2 = (dims[f] for f in order)
     e_x2, e_y1 = (np.outer(np.eye(d), np.eye(d)) / d for d in (x2, y1))
-    middle = np.eye((x2 * y1) ** 2) - np.kron(np.eye(x2 * x2) - e_x2, e_y1)
+    middle = np.eye((x2 * y1) ** 2) - _kron((np.eye(x2 * x2) - e_x2, e_y1))
     unit = np.eye(y2, dtype=complex).reshape(-1) / math.sqrt(y2)
     split = (-1,) + tuple((dims * 2)[axis - 1] for axis in pairs[1:])
     return pairs, tuple(np.argsort(pairs)), (-1, x1 * x1, len(middle), y2 * y2), split, middle, unit
@@ -299,10 +309,7 @@ def channel_process(layout: SystemLayout | None = None) -> ProcessMatrix:
     # Unnormalized maximally entangled operator sum_pq |p><q| x |p><q| = |1>><<1|.
     vec = np.eye(d, dtype=complex).reshape(-1)
     link = np.outer(vec, vec)
-    m = np.kron(
-        np.kron(np.eye(layout.d_a1, dtype=complex) / layout.d_a1, link),
-        np.eye(layout.d_b2, dtype=complex),
-    )
+    m = _kron((np.eye(layout.d_a1, dtype=complex) / layout.d_a1, link, np.eye(layout.d_b2, dtype=complex)))
     return ProcessMatrix(layout, m)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .effective import MeasurementBasis, _in_frame, _off_block_norms2, as_basis, is_input_diagonal
+from .effective import MeasurementBasis, _in_frame, _off_block_norms2, as_basis
 from .process import (
     _PSD_FLOOR,
     ProcessMatrix,
@@ -92,8 +92,9 @@ def kappa_split(w_eff: ProcessMatrix) -> KappaSplit:
     layout = w_eff.layout
     report = validate_process(w_eff)
     if not report.overall:
+        terms = "; ".join(f"{','.join(pattern)} {magnitude:.3g}" for pattern, magnitude in report.offending_terms)
         raise ValueError(
-            f"kappa_split needs a valid process matrix; offending terms {report.offending_terms}, "
+            f"kappa_split needs a valid process matrix; offending terms {terms or 'none'}, "
             f"min eigenvalue {report.min_eigenvalue:.3e}, trace {report.trace_value:.6f}"
         )
     eye = np.eye(layout.d_total)
@@ -149,23 +150,23 @@ def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
     Requires ``w_eff`` to be input-diagonal in the given bases; raises
     :class:`EigenstructureError` when a block fails the A (x) 1 / 1 (x) B
     product form or a commutation residual exceeds ``tol``.  All blocks are
-    handled at once in the input frame: the diagonal input blocks of both
-    kappas come from one rotation, and one eigensolver call per kappa
-    diagonalizes the whole stack of block operators.
+    handled at once in the input frame: one rotation serves W_eff and both
+    kappas, and one eigensolver call per kappa diagonalizes the whole stack
+    of block operators.
     """
     layout = split.layout
     ba1 = as_basis(basis_a1, layout.d_a1)
     bb1 = as_basis(basis_b1, layout.d_b1)
-    diagonal, off_norm = is_input_diagonal(w_eff, ba1, bb1, tol=tol)
-    if not diagonal:
+    d_a2, d_b2 = layout.d_a2, layout.d_b2
+    # W_eff, kappa1 and kappa2 in the input frame, indices (A1 A2 B1 B2, A1' A2' B1' B2').
+    mats = np.stack((w_eff.matrix, split.kappa1, split.kappa2))
+    _, frame = _in_frame(mats, (ba1, d_a2, bb1, d_b2))
+    off_norm = float(np.sqrt(_off_block_norms2(frame[0]).max()))
+    if not off_norm <= tol:  # a NaN norm fails too
         raise NotInputDiagonalError(
             f"matrix is not input-diagonal in the given bases: off-block norm {off_norm:.3e} > {tol:.1e}"
         )
-
-    d_a2, d_b2 = layout.d_a2, layout.d_b2
-    # t[k] is kappa_(k+1) in the input frame, indices (A1 A2 B1 B2, A1' A2' B1' B2').
-    kappas = np.stack((split.kappa1, split.kappa2))
-    _, t = _in_frame(kappas, (ba1, d_a2, bb1, d_b2))
+    kappas, t = mats[1:], frame[1:]
     # blocks[k, n, m] = <n, m| kappa_(k+1) |n, m> with indices (A2 B2, A2' B2').
     blocks = np.einsum("karbsatbu->kabrstu", t)
     block_a = np.einsum("abrsts->abrt", blocks[0]) / d_b2
@@ -536,8 +537,8 @@ def _extract_decomposition(w: ProcessMatrix, x: np.ndarray, edge: float) -> Caus
         return CausalDecomposition(0.0, None, w)
     if p >= 1.0 - edge:
         return CausalDecomposition(1.0, w, None)
-    w_ab = ProcessMatrix(layout, x / p)
-    w_ba = ProcessMatrix(layout, (w.matrix - x) / (1.0 - p))
+    w_ab = ProcessMatrix._exact(layout, x / p)
+    w_ba = ProcessMatrix._exact(layout, (w.matrix - x) / (1.0 - p))
     return CausalDecomposition(p, w_ab, w_ba)
 
 

@@ -110,6 +110,16 @@ class TestClassicalInstrument:
         with pytest.raises(ValueError, match="sum to 1"):
             classical_instrument(p, np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("offset, accepted", [(5e-6, False), (5e-10, True)], ids=["5e-6", "5e-10"])
+    def test_column_sums_held_to_1e_9(self, offset, accepted):
+        p = np.full((2, 2, 2), 0.25)
+        p[0, 0, 0] += offset
+        if accepted:
+            assert check_instrument(classical_instrument(p, np.eye(2), np.eye(2))).overall
+        else:
+            with pytest.raises(ValueError, match="sum to 1"):
+                classical_instrument(p, np.eye(2), np.eye(2))
+
 
 class TestCqInstrument:
     def test_delta_table_matches_classical_relay(self):
@@ -155,6 +165,18 @@ class TestCqInstrument:
         with pytest.raises(ValueError, match="column stochastic"):
             cq_instrument(np.eye(2), np.full((2, 2), 0.7), [np.eye(2) / 2.0] * 2)
 
+    @pytest.mark.parametrize("offset, accepted", [(5e-6, False), (5e-10, True)], ids=["5e-6", "5e-10"])
+    def test_column_sums_held_to_1e_9(self, offset, accepted):
+        # An offset of 5e-6 lies inside np.allclose's default rtol of 1e-5,
+        # and check_instrument would then report the instrument incomplete.
+        p = np.full((2, 2), 0.5)
+        p[0, 0] += offset
+        if accepted:
+            assert check_instrument(cq_instrument(np.eye(2), p, [np.eye(2) / 2.0] * 2)).overall
+        else:
+            with pytest.raises(ValueError, match="column stochastic"):
+                cq_instrument(np.eye(2), p, [np.eye(2) / 2.0] * 2)
+
 
 class TestStackedCqTables:
     """The stacked sampler path checks every sample's instruments as ``cq_instrument`` does."""
@@ -189,6 +211,12 @@ class TestStackedCqTables:
     def test_non_stochastic_table_rejected(self, rng):
         party_a, party_b = self.parties(rng)
         party_b[1][0] = 0.7
+        with pytest.raises(ValueError, match="column stochastic"):
+            _cq_born_tables((random_process(5),), party_a, party_b)
+
+    def test_column_sum_off_by_5e_6_rejected(self, rng):
+        party_a, party_b = self.parties(rng)
+        party_a[1][1, 0, 0] += 5e-6
         with pytest.raises(ValueError, match="column stochastic"):
             _cq_born_tables((random_process(5),), party_a, party_b)
 

@@ -266,6 +266,8 @@ class TestCli:
         results = json.loads(out)["results"]
         assert list(results) == ["path", "error"]
         assert results["error"].startswith("kappa_split needs a valid process matrix")
+        # Each offending term is named as its pattern and magnitude, as a failed split check names it.
+        assert "; offending terms A2,B2 0.05, min eigenvalue" in results["error"]
 
     def test_tolerance_echoed_only_where_used(self, tmp_path, capsys):
         doc = tmp_path / "ocb.json"

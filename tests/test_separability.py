@@ -7,20 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procmat import separability
+from procmat import effective, separability, tensor
 from procmat import (
     CausalDecomposition,
+    EigenstructureError,
     HSDecomposition,
     MeasurementBasis,
     NotInputDiagonalError,
     ProcessMatrix,
     SystemLayout,
     channel_process,
+    classical_effective,
     commutator_norm,
     constructive_decomposition,
     dykstra_separability,
     eigenstructure,
     identity_process,
+    is_input_diagonal,
     kappa_split,
     hermitian_eig,
     hs_decompose,
@@ -161,6 +164,29 @@ class TestEigenstructure:
         split = kappa_split(w)
         with pytest.raises(NotInputDiagonalError):
             eigenstructure(split, Z2, Z2, w)
+
+    def test_input_diagonal_boundary(self):
+        # An A1 coherence of 1e-9 on dephased OCB: an off-block norm equal to
+        # tol passes the input-diagonal check, and the commutator check then
+        # catches the coherence; one just above tol raises, with the message
+        # of is_input_diagonal's norm.
+        w = dephased_ocb()
+        w = ProcessMatrix(w.layout, w.matrix + 1e-9 * tensor_product([SIGMA_X, EYE2, EYE2, EYE2]))
+        split = kappa_split(w)
+        diagonal, off_norm = is_input_diagonal(w, Z2, Z2, tol=1e-9)
+        assert not diagonal
+        with pytest.raises(EigenstructureError, match="commutation residuals too large"):
+            eigenstructure(split, Z2, Z2, w, tol=off_norm)
+        below = np.nextafter(off_norm, 0.0)
+        with pytest.raises(NotInputDiagonalError) as raised:
+            eigenstructure(split, Z2, Z2, w, tol=below)
+        assert str(raised.value) == (
+            f"matrix is not input-diagonal in the given bases: off-block norm {off_norm:.3e} > {below:.1e}")
+
+    def test_nan_tolerance_raises_not_input_diagonal(self):
+        w = dephased_ocb()
+        with pytest.raises(NotInputDiagonalError):
+            eigenstructure(kappa_split(w), Z2, Z2, w, tol=float("nan"))
 
 
 class TestConstructiveDecomposition:
@@ -427,6 +453,64 @@ class TestStoredCheck:
 
     def test_hand_built_split_has_no_check(self):
         assert w0_defining_split(0.3).check is None
+
+
+class TestLibraryBuiltMatrices:
+    """Dephased matrices and split parts are built exactly Hermitian, so they
+    skip the constructor's checks; each is read-only and equals, bit for bit,
+    what ``ProcessMatrix`` stores for the same matrix."""
+
+    @staticmethod
+    def assert_as_constructed(w):
+        assert not w.matrix.flags.writeable
+        assert w.matrix.tobytes() == ProcessMatrix(w.layout, w.matrix).matrix.tobytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3), st.integers(1, 2)),
+           seed=st.integers(0, 2**16), random_bases=st.booleans())
+    def test_dephased_matrices_and_split_parts(self, dims, seed, random_bases):
+        layout = SystemLayout(*dims)
+        ba, bb = (MeasurementBasis.random(d, [seed, k]) if random_bases else MeasurementBasis.computational(d)
+                  for k, d in ((1, layout.d_a1), (2, layout.d_b1)))
+        w = random_process(seed, layout)
+        effective = luders_input_dephase(w, ba, bb).matrix
+        self.assert_as_constructed(effective)
+        self.assert_as_constructed(classical_effective(w, *(MeasurementBasis.random(d, [seed, 3 + f])
+                                                            for f, d in enumerate(dims))))
+        search = dykstra_separability(effective, tol=1e-8, max_iter=1000)
+        assert search.status == SEPARABLE
+        for dec in (constructive_decomposition(effective, ba, bb), search.decomposition):
+            assert dec.check.ok
+            for part in (dec.w_ab, dec.w_ba):
+                if part is not None:
+                    self.assert_as_constructed(part)
+
+
+class TestTheoremPathCount:
+    """One constructive split rotates into the input frame once, for W_eff
+    and both kappas together, and runs no Hermiticity pass on a full-size
+    matrix: its parts are built exactly Hermitian and are not re-checked."""
+
+    def test_one_rotation_and_no_full_size_hermiticity_pass(self, monkeypatch):
+        w = luders_input_dephase(random_process(0), Z2, Z2).matrix
+        rotations, checked = [], []
+        real_frame, real_defect = effective._in_frame, tensor.hermiticity_defect
+
+        def counting_frame(matrix, bases):
+            rotations.append(matrix)
+            return real_frame(matrix, bases)
+
+        def counting_defect(matrix):
+            checked.append(np.shape(matrix))
+            return real_defect(matrix)
+
+        for module in (effective, separability):
+            monkeypatch.setattr(module, "_in_frame", counting_frame)
+        monkeypatch.setattr(tensor, "hermiticity_defect", counting_defect)
+        dec = constructive_decomposition(w, Z2, Z2)
+        assert dec.check.ok and dec.w_ab is not None and dec.w_ba is not None
+        assert len(rotations) == 1
+        assert checked and not [shape for shape in checked if shape[-2:] == w.matrix.shape]
 
 
 class TestW0Fixture:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from procmat import (
     tensor_product,
     w0_process,
 )
-from procmat.tensor import HSDecomposition, _eigvalsh
+from procmat.tensor import HSDecomposition, _eigvalsh, _kron
 
 from conftest import EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z, bell_state, random_hermitian
 
@@ -53,6 +55,23 @@ class TestTensorProduct:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             tensor_product([])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(kinds=st.lists(st.tuples(st.integers(1, 3), st.sampled_from(["identity", "real", "complex"])),
+                          min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kron_helper_matches_numpy_bit_for_bit(self, kinds, seed):
+        # The frames, HS tables and CJ products mix float identities with complex factors.
+        rng = np.random.default_rng(seed)
+        factors = [np.eye(d) if kind == "identity" else rng.standard_normal((d, d)) if kind == "real"
+                   else rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d, kind in kinds]
+        expected = functools.reduce(np.kron, factors)
+        got = _kron(factors)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_kron_helper_of_no_factors_is_one(self):
+        assert np.array_equal(_kron([]), np.ones((1, 1)))
 
 
 class TestPartialTrace:
