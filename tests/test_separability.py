@@ -166,10 +166,10 @@ class TestEigenstructure:
             eigenstructure(split, Z2, Z2, w)
 
     def test_input_diagonal_boundary(self):
-        # An A1 coherence of 1e-9 on dephased OCB: an off-block norm equal to
-        # tol passes the input-diagonal check, and the commutator check then
-        # catches the coherence; one just above tol raises, with the message
-        # of is_input_diagonal's norm.
+        # An A1 coherence of 1e-9 on dephased OCB: with tol equal to the
+        # off-block norm that is_input_diagonal measures, the input-diagonal
+        # check passes and the commutator check catches the coherence; with
+        # tol one float below it, the input-diagonal check raises.
         w = dephased_ocb()
         w = ProcessMatrix(w.layout, w.matrix + 1e-9 * tensor_product([SIGMA_X, EYE2, EYE2, EYE2]))
         split = kappa_split(w)
@@ -473,13 +473,13 @@ class TestLibraryBuiltMatrices:
         ba, bb = (MeasurementBasis.random(d, [seed, k]) if random_bases else MeasurementBasis.computational(d)
                   for k, d in ((1, layout.d_a1), (2, layout.d_b1)))
         w = random_process(seed, layout)
-        effective = luders_input_dephase(w, ba, bb).matrix
-        self.assert_as_constructed(effective)
+        w_eff = luders_input_dephase(w, ba, bb).matrix
+        self.assert_as_constructed(w_eff)
         self.assert_as_constructed(classical_effective(w, *(MeasurementBasis.random(d, [seed, 3 + f])
                                                             for f, d in enumerate(dims))))
-        search = dykstra_separability(effective, tol=1e-8, max_iter=1000)
+        search = dykstra_separability(w_eff, tol=1e-8, max_iter=1000)
         assert search.status == SEPARABLE
-        for dec in (constructive_decomposition(effective, ba, bb), search.decomposition):
+        for dec in (constructive_decomposition(w_eff, ba, bb), search.decomposition):
             assert dec.check.ok
             for part in (dec.w_ab, dec.w_ba):
                 if part is not None:
