@@ -31,8 +31,8 @@ effective = luders_input_dephase(w, basis_a, basis_b)
 residual = indistinguishability_residual(w, effective, samples=200, seed=7)
 print("operational distinguishability under fixed-basis instruments:", residual)
 
-# The split d W = (1 + lambda0) 1 + kappa1 + kappa2 and its per-block
-# eigenstructure drive the construction.
+# The split d W = (1 + lambda0) 1 + kappa1 + kappa2 and the per-block
+# eigenstructure that audits the proof behind the construction.
 split = kappa_split(effective.matrix)
 structure = eigenstructure(split, basis_a, basis_b, effective.matrix)
 print("lambda0 =", split.lambda0)

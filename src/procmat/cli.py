@@ -234,18 +234,13 @@ def _record_split(args, run: RunReport, decomposition) -> None:
 
 
 def _cmd_separate(args) -> RunReport:
-    from .separability import (
-        DecompositionError,
-        EigenstructureError,
-        NotInputDiagonalError,
-        constructive_decomposition,
-    )
+    from .separability import DecompositionError, constructive_decomposition
 
     w, _, run = _read_input(args)
     basis_a1, basis_b1 = _load_basis_pair(args, w.layout)
     try:
         decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=args.tol)
-    except (NotInputDiagonalError, EigenstructureError, DecompositionError, ValueError) as err:
+    except (DecompositionError, ValueError) as err:  # NotInputDiagonalError is a ValueError
         run.status = "check-failed"
         run.results["error"] = str(err)
     else:
@@ -258,7 +253,6 @@ def _cmd_check_sep(args) -> RunReport:
         INCONCLUSIVE,
         SEPARABLE,
         DecompositionError,
-        EigenstructureError,
         NotInputDiagonalError,
         constructive_decomposition,
         dykstra_separability,
@@ -274,7 +268,7 @@ def _cmd_check_sep(args) -> RunReport:
         try:
             decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=args.tol)
             run.results["status"] = SEPARABLE
-        except (NotInputDiagonalError, EigenstructureError) as err:
+        except NotInputDiagonalError as err:
             run.results.update(path="dykstra", skip_reason=str(err))
             report = dykstra_separability(w, tol=args.tol, max_iter=args.max_iter)
             run.results["status"] = report.status
@@ -381,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default="z", help="'z' or a JSON basis file with keys a1, b1")
     p.set_defaults(func=_cmd_separate)
 
-    p = sub.add_parser("check-sep", help="causal separability, constructive fast path then projections")
+    p = sub.add_parser("check-sep", help="causal separability, constructive fast path then the primal-dual solver")
     common(p, with_tol=True)
     p.add_argument("--basis", default="z", help="'z' or a JSON basis file with keys a1, b1")
     p.add_argument("--max-iter", type=int, default=50_000, help="solver iteration cap")

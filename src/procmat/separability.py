@@ -7,17 +7,18 @@ diagonal in fixed input bases this module builds such a split explicitly:
 
   1. write d * W = (1 + lambda0) * 1 + kappa1 + kappa2 with kappa1 trivial
      on B2, kappa2 trivial on A2 and kappa1 + kappa2 >= 0 (``kappa_split``);
-  2. per input block (n, m) the kappas act as A_(n,m) (x) 1 and
-     1 (x) B_(n,m); diagonalize those blocks (``eigenstructure``);
-  3. shift eigenvalue weight between the kappas blockwise until both sides
-     are positive, and normalize (``constructive_decomposition``).
+  2. per input block (n, m), take the least eigenvalue s(n, m) of the
+     operator A_(n,m) with kappa1 = A_(n,m) (x) 1 on that block;
+  3. move S = sum_(n,m) s(n, m) P_n (x) 1 (x) P_m (x) 1 from kappa1 to
+     kappa2 and normalize (``constructive_decomposition``);
+     ``verify_decomposition`` is the only acceptance.
 
 The input-diagonal structure makes the kappas commute with each other and
 with every input-block projector, and makes their joint eigenvectors
-products; both facts are verified numerically rather than assumed.  For
-general matrices ``dykstra_separability`` searches for a split or a causal
-witness with one primal-dual iteration, which also serves as an independent
-cross-check of the constructive path.
+products, so kappa2 + S stays positive; ``eigenstructure`` audits these
+facts numerically.  For general matrices ``dykstra_separability`` searches
+for a split or a causal witness with one primal-dual iteration, which also
+serves as an independent cross-check of the constructive path.
 """
 
 from __future__ import annotations
@@ -143,11 +144,29 @@ def _product_vectors(basis_a1: MeasurementBasis, a_bases: np.ndarray,
     return psi.reshape((side,) + psi.shape[4:])
 
 
+def _input_blocks(w_eff: ProcessMatrix, kappas, basis_a1, basis_b1, tol: float):
+    """The bases, the kappas rotated with W_eff into the input frame, t[k],
+    and their diagonal input blocks blocks[k, n, m] = <n, m| kappa_k |n, m>
+    with indices (A2 B2, A2' B2'); raises :class:`NotInputDiagonalError`
+    when an off-diagonal input block of W_eff has a norm above ``tol`` or NaN.
+    """
+    layout = w_eff.layout
+    ba1 = as_basis(basis_a1, layout.d_a1)
+    bb1 = as_basis(basis_b1, layout.d_b1)
+    _, frame = _in_frame(np.stack((w_eff.matrix, *kappas)), (ba1, layout.d_a2, bb1, layout.d_b2))
+    off_norm = float(np.sqrt(_off_block_norms2(frame[0]).max()))
+    if not off_norm <= tol:  # a NaN norm fails too
+        raise NotInputDiagonalError(f"matrix is not input-diagonal in the given bases: "
+                                    f"off-block norm {off_norm:.3e} > {tol:.1e}")
+    return ba1, bb1, frame[1:], np.einsum("karbsatbu->kabrstu", frame[1:])
+
+
 def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
                    tol: float = 1e-8) -> EigenStructure:
     """Extract and diagonalize the per-block operators of a kappa split.
 
-    Requires ``w_eff`` to be input-diagonal in the given bases; raises
+    The audit of the proof behind ``constructive_decomposition``.  Requires
+    ``w_eff`` to be input-diagonal in the given bases; raises
     :class:`EigenstructureError` when a block fails the A (x) 1 / 1 (x) B
     product form or a commutation residual exceeds ``tol``.  All blocks are
     handled at once in the input frame: one rotation serves W_eff and both
@@ -155,20 +174,9 @@ def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
     of block operators.
     """
     layout = split.layout
-    ba1 = as_basis(basis_a1, layout.d_a1)
-    bb1 = as_basis(basis_b1, layout.d_b1)
+    kappas = np.stack((split.kappa1, split.kappa2))
+    ba1, bb1, t, blocks = _input_blocks(w_eff, kappas, basis_a1, basis_b1, tol)
     d_a2, d_b2 = layout.d_a2, layout.d_b2
-    # W_eff, kappa1 and kappa2 in the input frame, indices (A1 A2 B1 B2, A1' A2' B1' B2').
-    mats = np.stack((w_eff.matrix, split.kappa1, split.kappa2))
-    _, frame = _in_frame(mats, (ba1, d_a2, bb1, d_b2))
-    off_norm = float(np.sqrt(_off_block_norms2(frame[0]).max()))
-    if not off_norm <= tol:  # a NaN norm fails too
-        raise NotInputDiagonalError(
-            f"matrix is not input-diagonal in the given bases: off-block norm {off_norm:.3e} > {tol:.1e}"
-        )
-    kappas, t = mats[1:], frame[1:]
-    # blocks[k, n, m] = <n, m| kappa_(k+1) |n, m> with indices (A2 B2, A2' B2').
-    blocks = np.einsum("karbsatbu->kabrstu", t)
     block_a = np.einsum("abrsts->abrt", blocks[0]) / d_b2
     block_b = np.einsum("abrsru->absu", blocks[1]) / d_a2
     defects = np.stack((blocks[0] - block_a[:, :, :, None, :, None] * np.eye(d_b2)[:, None, :],
@@ -271,29 +279,25 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
                                tol: float = 1e-8) -> CausalDecomposition:
     """Build a causal decomposition of an input-diagonal process matrix.
 
-    Per input block the smallest eigenvalue s(n, m) = min_a m1(n, a, m) is
-    moved from kappa1 to kappa2 as S = sum_(n,m) s(n, m) P_n (x) 1 (x) P_m (x) 1,
-    which leaves their sum untouched and makes both shifted operators
-    positive: kappa1 - S has block eigenvalues m1 - s >= 0, and kappa2 + S
-    has m2 + s >= 0 because kappa1 + kappa2 >= 0 forces m1 + m2 >= 0 on
-    every joint eigenvector.  With the identity weight (1 + lambda0) on the
-    kappa1 side, x = (kappa1 - S + (1 + lambda0) 1) / d is the A < B part of
-    W and W - x the B < A part.
+    The least eigenvalue s(n, m) of the block operator A_(n,m), with kappa1
+    acting as A_(n,m) (x) 1 on input block (n, m), is moved from kappa1 to
+    kappa2 as S = sum_(n,m) s(n, m) P_n (x) 1 (x) P_m (x) 1.  Their sum is
+    untouched and kappa1 - S >= 0, so with the identity weight (1 + lambda0)
+    on the kappa1 side x = (kappa1 - S + (1 + lambda0) 1) / d is the A < B
+    part of W and W - x the B < A part.  ``verify_decomposition`` certifies
+    the split, kappa2 + S >= 0 included, and is its only acceptance.
     """
     layout = w_eff.layout
     split = kappa_split(w_eff)
-    structure = eigenstructure(split, basis_a1, basis_b1, w_eff, tol=tol)
-
-    shift = structure.m1.min(axis=1)  # s(n, m)
-    m2_bar = structure.m2 + shift[:, :, None]
-    if m2_bar.min() < -tol:
-        raise DecompositionError(f"shifted eigenvalues went negative: min m2 + s {m2_bar.min():.3e}")
+    d_a2, d_b2 = layout.d_a2, layout.d_b2
+    ba1, bb1, _, blocks = _input_blocks(w_eff, (split.kappa1,), basis_a1, basis_b1, tol)
+    evals, _ = hermitian_eig(np.einsum("abrsts->abrt", blocks[0]) / d_b2)
+    shift = evals.min(axis=-1)  # s(n, m)
 
     # S = sum_(n,m) s(n, m) P_n (x) 1 (x) P_m (x) 1: its (A1, B1) factor from
     # one contraction of the input bases, the identities on A2 and B2 broadcast in.
-    u, v = structure.basis_a1.vectors, structure.basis_b1.vectors
+    u, v = ba1.vectors, bb1.vectors
     s_in = np.einsum("in,jn,nm,km,lm->ikjl", u, u.conj(), shift, v, v.conj())
-    d_a2, d_b2 = layout.d_a2, layout.d_b2
     s_op = (s_in[:, None, :, None, :, None, :, None]
             * np.eye(d_a2).reshape(1, d_a2, 1, 1, 1, d_a2, 1, 1)
             * np.eye(d_b2).reshape(1, 1, 1, d_b2, 1, 1, 1, d_b2)).reshape(split.kappa1.shape)
@@ -485,8 +489,9 @@ def verify_witness(w: ProcessMatrix, witness: CausalWitness) -> bool:
         raise ValueError(f"witness parts must be {side}x{side} for layout {dims}")
     check = _witness_from(w.matrix, *parts, dims)
     drift = max(np.linalg.norm(a - b) for a, b in zip((check.s, check.q1, check.q2), parts))
-    drift = max(drift * np.linalg.norm(w.matrix), abs(check.value - witness.value))
-    return check.value < -check.margin and drift <= check.margin
+    # The stated value is compared on its own, so that a NaN fails.
+    return (check.value < -check.margin and drift * np.linalg.norm(w.matrix) <= check.margin
+            and abs(check.value - witness.value) <= check.margin)
 
 
 def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50_000) -> FeasibilityReport:

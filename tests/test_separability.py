@@ -299,6 +299,55 @@ class TestSplitMatchesEigenvectorSum:
                 assert np.max(np.abs(dec.w_ba.matrix - w_ba)) <= 1e-12
 
 
+def audited_split(w, ba, bb):
+    """Reference split with s(n, m) read off the audit,
+    ``eigenstructure(...).m1.min(axis=1)``, and S, x and the parts formed
+    from it as ``constructive_decomposition`` forms them."""
+    lay = w.layout
+    split = kappa_split(w)
+    structure = eigenstructure(split, ba, bb, w)
+    shift = structure.m1.min(axis=1)
+    u, v = structure.basis_a1.vectors, structure.basis_b1.vectors
+    s_in = np.einsum("in,jn,nm,km,lm->ikjl", u, u.conj(), shift, v, v.conj())
+    s_op = (s_in[:, None, :, None, :, None, :, None]
+            * np.eye(lay.d_a2).reshape(1, lay.d_a2, 1, 1, 1, lay.d_a2, 1, 1)
+            * np.eye(lay.d_b2).reshape(1, 1, 1, lay.d_b2, 1, 1, 1, lay.d_b2)).reshape(split.kappa1.shape)
+    x = (split.kappa1 - s_op + (1.0 + split.lambda0) * np.eye(lay.d_total)) / lay.d
+    return separability._extract_decomposition(w, x, 1e-12)
+
+
+class TestSplitFromBlockMinima:
+    """The constructive split takes s(n, m) from the block minima alone; it
+    equals, bit for bit, the split built from the audit's eigenvalues, and
+    it does not run the audit."""
+
+    LAYOUTS = [(2, 2, 2, 2), (3, 2, 3, 2), (2, 1, 2, 1), (1, 2, 3, 2)]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dims=st.sampled_from(LAYOUTS), seed=st.integers(0, 2**32 - 1))
+    def test_equals_split_from_audit(self, dims, seed):
+        ba, bb = MeasurementBasis.random(dims[0], [seed, 1]), MeasurementBasis.random(dims[2], [seed, 2])
+        w = luders_input_dephase(random_process(seed, SystemLayout(*dims)), ba, bb).matrix
+        dec, ref = constructive_decomposition(w, ba, bb), audited_split(w, ba, bb)
+        assert dec.check.ok
+        assert dec.p == ref.p
+        for got, want in ((dec.w_ab, ref.w_ab), (dec.w_ba, ref.w_ba)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.matrix.tobytes() == want.matrix.tobytes()
+
+    @pytest.mark.parametrize("dims", LAYOUTS, ids=lambda dims: "-".join(map(str, dims)))
+    def test_builds_without_the_audit(self, dims, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenstructure ran")
+
+        monkeypatch.setattr(separability, "eigenstructure", refuse)
+        ba, bb = MeasurementBasis.random(dims[0], 41), MeasurementBasis.random(dims[2], 42)
+        w = luders_input_dephase(random_process(43, SystemLayout(*dims)), ba, bb).matrix
+        dec = constructive_decomposition(w, ba, bb)
+        assert dec.check.ok and verify_decomposition(w, dec, tol=1e-8).ok
+
+
 def loop_eigenstructure(split, ba, bb):
     """Per-block reference for ``eigenstructure``: one block, projector and vector at a time."""
     lay = split.layout
@@ -488,13 +537,14 @@ class TestLibraryBuiltMatrices:
 
 class TestTheoremPathCount:
     """One constructive split rotates into the input frame once, for W_eff
-    and both kappas together, and runs no Hermiticity pass on a full-size
+    and kappa1 together, diagonalizes the stack of kappa1's block operators
+    with one eigensolver call, and runs no Hermiticity pass on a full-size
     matrix: its parts are built exactly Hermitian and are not re-checked."""
 
     def test_one_rotation_and_no_full_size_hermiticity_pass(self, monkeypatch):
         w = luders_input_dephase(random_process(0), Z2, Z2).matrix
-        rotations, checked = [], []
-        real_frame, real_defect = effective._in_frame, tensor.hermiticity_defect
+        rotations, checked, solved = [], [], []
+        real_frame, real_defect, real_eig = effective._in_frame, tensor.hermiticity_defect, separability.hermitian_eig
 
         def counting_frame(matrix, bases):
             rotations.append(matrix)
@@ -504,12 +554,19 @@ class TestTheoremPathCount:
             checked.append(np.shape(matrix))
             return real_defect(matrix)
 
+        def counting_eig(matrix):
+            solved.append(np.shape(matrix))
+            return real_eig(matrix)
+
         for module in (effective, separability):
             monkeypatch.setattr(module, "_in_frame", counting_frame)
         monkeypatch.setattr(tensor, "hermiticity_defect", counting_defect)
+        monkeypatch.setattr(separability, "hermitian_eig", counting_eig)
         dec = constructive_decomposition(w, Z2, Z2)
         assert dec.check.ok and dec.w_ab is not None and dec.w_ba is not None
-        assert len(rotations) == 1
+        assert [np.shape(m) for m in rotations] == [(2,) + w.matrix.shape]
+        lay = w.layout
+        assert solved == [(lay.d_a1, lay.d_b1, lay.d_a2, lay.d_a2)]
         assert checked and not [shape for shape in checked if shape[-2:] == w.matrix.shape]
 
 
@@ -949,6 +1006,10 @@ class TestCausalWitness:
     def test_misstated_value_rejected(self, witnessed):
         w, witness = witnessed
         assert not verify_witness(w, dataclasses.replace(witness, value=2.0 * witness.value))
+
+    def test_nan_value_rejected(self, witnessed):
+        w, witness = witnessed
+        assert not verify_witness(w, dataclasses.replace(witness, value=float("nan")))
 
     def test_shape_mismatch_rejected(self, witnessed):
         w, witness = witnessed
