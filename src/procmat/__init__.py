@@ -35,9 +35,9 @@ _EXPORTS = {
     "separability": (
         "CausalDecomposition", "CausalWitness", "DecompositionError", "DecompositionReport",
         "EigenStructure", "EigenstructureError", "FeasibilityReport", "KappaSplit",
-        "NotInputDiagonalError", "commutator_norm", "constructive_decomposition", "dykstra_separability",
-        "eigenstructure", "kappa_split", "verify_decomposition", "verify_witness", "w0_defining_split",
-        "w0_defining_terms", "w0_process",
+        "NotInputDiagonalError", "check_separability", "commutator_norm", "constructive_decomposition",
+        "dykstra_separability", "eigenstructure", "kappa_split", "verify_decomposition", "verify_witness",
+        "w0_defining_split", "w0_defining_terms", "w0_process",
     ),
     "games": (
         "CausalGame", "GameResult", "Strategy", "enumerate_strategies", "evaluate_game", "ocb_game",

@@ -249,47 +249,32 @@ def _cmd_separate(args) -> RunReport:
 
 
 def _cmd_check_sep(args) -> RunReport:
-    from .separability import (
-        INCONCLUSIVE,
-        SEPARABLE,
-        DecompositionError,
-        NotInputDiagonalError,
-        constructive_decomposition,
-        dykstra_separability,
-    )
+    from .separability import INCONCLUSIVE, SEPARABLE, DecompositionError, check_separability
 
     if args.max_iter < 1:
         raise CliError(f"--max-iter must be at least 1, got {args.max_iter}")
     w, _, run = _read_input(args)
     basis_a1, basis_b1 = _load_basis_pair(args, w.layout)
-    decomposition = None
     run.results["path"] = "constructive"
     try:
-        try:
-            decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=args.tol)
-            run.results["status"] = SEPARABLE
-        except NotInputDiagonalError as err:
-            run.results.update(path="dykstra", skip_reason=str(err))
-            report = dykstra_separability(w, tol=args.tol, max_iter=args.max_iter)
-            run.results["status"] = report.status
-            run.results["residual"] = report.residual
-            run.results["iterations"] = report.iterations
+        report = check_separability(w, basis_a1, basis_b1, tol=args.tol, max_iter=args.max_iter)
+    except DecompositionError as err:  # a failed constructive split, not retried
+        run.results.update(status=INCONCLUSIVE, error=str(err))
+    except ValueError as err:  # not a valid process matrix: as for ``separate``, no verdict
+        run.results["error"] = str(err)
+    else:
+        run.results["path"] = report.path
+        if report.skip_reason is not None:
+            run.results["skip_reason"] = report.skip_reason
+        run.results["status"] = report.status
+        if report.iterations > 0:
+            run.results.update(residual=report.residual, iterations=report.iterations)
             if report.plateau_residual is not None:
                 run.results["plateau_residual"] = report.plateau_residual
             if report.witness is not None:
                 run.results.update(witness_value=report.witness.value, witness_margin=report.witness.margin)
-            decomposition = report.decomposition
-    except DecompositionError as err:
-        # A failed split is inconclusive on either path.  On an input-diagonal
-        # matrix the solver could only pass at a looser tolerance, so
-        # a failed constructive split is not retried.
-        run.results.update(status=INCONCLUSIVE, error=str(err))
-    except ValueError as err:
-        # Not a valid process matrix: as for ``separate``, a failed check with
-        # no verdict and no search.
-        run.results["error"] = str(err)
-    if decomposition is not None:
-        _record_split(args, run, decomposition)
+        if report.decomposition is not None:
+            _record_split(args, run, report.decomposition)
     run.status = "ok" if run.results.get("status") == SEPARABLE else "check-failed"
     return _emit_report(args, run, file_output=False)
 

@@ -18,7 +18,8 @@ with every input-block projector, and makes their joint eigenvectors
 products, so kappa2 + S stays positive; ``eigenstructure`` audits these
 facts numerically.  For general matrices ``dykstra_separability`` searches
 for a split or a causal witness with one primal-dual iteration, which also
-serves as an independent cross-check of the constructive path.
+cross-checks the constructive path.  ``check_separability`` decides with the
+split where W is input-diagonal in the given bases, with the search elsewhere.
 """
 
 from __future__ import annotations
@@ -353,13 +354,15 @@ class CausalWitness:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of ``dykstra_separability`` after ``iterations`` iterations.
+    """A separability verdict and the ``path`` that reached it.
 
     A separable report carries a ``decomposition``, a not-separable one a
-    verified ``witness``, an inconclusive one neither.  ``residual`` is the
-    least split-candidate violation of the run, that of the verified split
-    when separable; ``plateau_residual`` the least over the last tenth of the
-    iterations of a run that found no split.
+    verified ``witness``, an inconclusive one neither.  On path "dykstra"
+    (the search) ``residual`` is the least split-candidate violation over the
+    ``iterations``, that of the verified split when separable, and
+    ``plateau_residual`` the least over the last tenth of a run that found no
+    split; ``skip_reason`` says why the constructive split did not apply.  On
+    path "constructive" no search ran: ``iterations`` and ``residual`` are 0.
     """
 
     status: str
@@ -368,6 +371,8 @@ class FeasibilityReport:
     decomposition: CausalDecomposition | None
     plateau_residual: float | None = None
     witness: CausalWitness | None = None
+    path: str = "dykstra"
+    skip_reason: str | None = None
 
 
 def _violation(parts: np.ndarray) -> float:
@@ -529,6 +534,20 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     status = INCONCLUSIVE if witness is None else NOT_SEPARABLE
     return FeasibilityReport(status, min(history), iterations, None,
                              plateau_residual=min(history[-window:]), witness=witness)
+
+
+def check_separability(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8,
+                       max_iter: int = 50_000) -> FeasibilityReport:
+    """Decide causal separability of W, its inputs measured in the given bases:
+    by the constructive split where W is input-diagonal in them, else by
+    ``dykstra_separability``.  A split that fails verification raises
+    :class:`DecompositionError` and is not retried, as the search could pass
+    it only at a looser tolerance; an invalid W raises ``ValueError``."""
+    try:
+        decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=tol)
+    except NotInputDiagonalError as err:
+        return replace(dykstra_separability(w, tol=tol, max_iter=max_iter), skip_reason=str(err))
+    return FeasibilityReport(SEPARABLE, 0.0, 0, decomposition, path="constructive")
 
 
 def _extract_decomposition(w: ProcessMatrix, x: np.ndarray, edge: float) -> CausalDecomposition:

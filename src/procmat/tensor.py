@@ -207,10 +207,6 @@ class HSDecomposition:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
 
 @lru_cache(maxsize=None)
 def _hs_plan(dims: tuple[int, ...]):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from procmat import (
-    DecompositionError,
     MeasurementBasis,
     ProcessDocumentError,
     ProcessMatrix,
@@ -205,22 +204,6 @@ class TestCli:
         assert results["status"] == "separable"
         assert results["verified"] is True
 
-    def test_failed_dykstra_split_is_reported(self, tmp_path, capsys, monkeypatch):
-        def failing(*args, **kwargs):
-            raise DecompositionError("feasible point failed decomposition checks")
-
-        monkeypatch.setattr(separability, "dykstra_separability", failing)
-        doc = tmp_path / "w0.json"
-        run_cli(["fixture", "w0", "--output", str(doc)], capsys)
-        code, out, _ = run_cli(["check-sep", "--input", str(doc), "--json"], capsys)
-        assert code == 2
-        report = json.loads(out)
-        assert report["status"] == "check-failed"
-        assert report["results"] == {"path": "dykstra", "skip_reason": report["results"]["skip_reason"],
-                                     "status": "inconclusive",
-                                     "error": "feasible point failed decomposition checks"}
-        assert "not input-diagonal" in report["results"]["skip_reason"]
-
     @pytest.mark.parametrize("command", ["separate", "check-sep"])
     def test_failed_constructive_check_is_reported(self, tmp_path, capsys, command):
         # At tol 1e-15 the split of this input-diagonal matrix is built but
@@ -347,6 +330,12 @@ class TestCli:
         assert code == 0
         report = json.loads(out)
         assert report["results"]["value"] == pytest.approx((2 + np.sqrt(2)) / 4, abs=1e-9)
+        # The strategy family is defined on qubits only.
+        doc = tmp_path / "qutrit.json"
+        doc.write_text(encode_process(random_process(0, SystemLayout(3, 2, 3, 2))))
+        code, out, err = run_cli(["game", "--input", str(doc)], capsys)
+        assert code == 1
+        assert out == "" and "game requires the qubit layout" in err
 
     def test_born_table_normalizes(self, tmp_path, capsys):
         doc = tmp_path / "identity.json"
@@ -403,16 +392,24 @@ class TestCli:
         flag, _ = is_input_diagonal(decoded, MeasurementBasis(rot), MeasurementBasis(rot))
         assert flag
 
-    @pytest.mark.parametrize("payload", ["5", '{"a1": {}, "b1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'],
-                             ids=["number", "object-entry"])
-    def test_malformed_basis_file_exits_one(self, tmp_path, capsys, payload):
+    @pytest.mark.parametrize("payload, message", [
+        ("5", "must hold a JSON object"),
+        ('{"a1": {}, "b1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}', "basis a1"),
+        ('{"a1": [[[1, 0], [0, 0]]', "invalid JSON at offset"),
+        ('{"a1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}', "is missing key 'b1'"),
+        (json.dumps({"a1": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)],
+                     "b1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}), "basis a1 has dimension 3, layout expects 2"),
+        (None, "cannot read basis file"),
+    ], ids=["number", "object-entry", "invalid-json", "missing-b1", "qutrit-on-qubits", "no-such-file"])
+    def test_malformed_basis_file_exits_one(self, tmp_path, capsys, payload, message):
         basis_file = tmp_path / "basis.json"
-        basis_file.write_text(payload)
+        if payload is not None:  # otherwise the path does not exist
+            basis_file.write_text(payload)
         doc = tmp_path / "ocb.json"
         run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
         code, _, err = run_cli(["dephase", "--input", str(doc), "--basis", str(basis_file)], capsys)
         assert code == 1
-        assert "basis" in err
+        assert message in err
 
     def test_separate_writes_decomposition_document(self, tmp_path, capsys):
         ocb = tmp_path / "ocb.json"

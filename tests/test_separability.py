@@ -10,13 +10,16 @@ from hypothesis import given, settings, strategies as st
 from procmat import effective, separability, tensor
 from procmat import (
     CausalDecomposition,
+    DecompositionReport,
     EigenstructureError,
     HSDecomposition,
     MeasurementBasis,
     NotInputDiagonalError,
     ProcessMatrix,
     SystemLayout,
+    ValidityReport,
     channel_process,
+    check_separability,
     classical_effective,
     commutator_norm,
     constructive_decomposition,
@@ -47,6 +50,7 @@ from procmat.separability import (
     SEPARABLE,
     _admm_iterates,
     _dual_witness,
+    _failed_checks,
     _product_vectors,
     _span_project,
 )
@@ -187,6 +191,17 @@ class TestEigenstructure:
         w = dephased_ocb()
         with pytest.raises(NotInputDiagonalError):
             eigenstructure(kappa_split(w), Z2, Z2, w, tol=float("nan"))
+
+    def test_block_not_of_product_form(self):
+        # A term nontrivial on B2 inside input block (1, 0) of kappa1 breaks
+        # its A_(n,m) (x) 1 form there and nowhere else.
+        w = dephased_ocb()
+        split = kappa_split(w)
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        term = 0.1 * tensor_product([p1, EYE2, p0, SIGMA_Z])
+        broken = dataclasses.replace(split, kappa1=split.kappa1 + term)
+        with pytest.raises(EigenstructureError, match=r"^block \(1, 0\) is not of product form: residuals "):
+            eigenstructure(broken, Z2, Z2, w)
 
 
 class TestConstructiveDecomposition:
@@ -478,6 +493,30 @@ class TestVerifyDecomposition:
         assert check.report_ab is None and check.report_ba is None
 
 
+def _validity(**changes):
+    """A passing qubit ``ValidityReport`` with ``changes`` applied."""
+    return dataclasses.replace(ValidityReport(True, 0.0, True, 4.0, True, (), True), **changes)
+
+
+class TestFailedChecks:
+    """Each check a split fails is named with its value and its bound."""
+
+    @pytest.mark.parametrize("check, p, message", [
+        (DecompositionReport(1e-3, True, _validity(), _validity(), False), 0.5,
+         "reconstruction residual 1.000e-03 above 1e-08"),
+        (DecompositionReport(0.0, False, _validity(), _validity(), False), 1.4,
+         "weight p = 1.4 outside [0, 1] or on a missing part, within 1e-08"),
+        (DecompositionReport(0.0, True, _validity(), _validity(is_psd=False, min_eigenvalue=-2e-3), False), 0.5,
+         "w_ba psd: min eigenvalue -2.000e-03 below -1.6e-08"),
+        (DecompositionReport(0.0, True, _validity(mask_ok=False, offending_terms=((("B2",), 0.01),
+                                                                                  (("A2", "B2"), 0.05))),
+                             None, False), 1.0,
+         "w_ab mask: forbidden term A2,B2 of magnitude 5.000e-02, at least 1e-08"),
+    ], ids=["reconstruction", "weight", "psd", "mask"])
+    def test_names_the_failed_check(self, check, p, message):
+        assert _failed_checks(check, p, SystemLayout.qubit(), 1e-8) == message
+
+
 class TestStoredCheck:
     """Each decider returns the ``verify_decomposition`` report that accepted its split."""
 
@@ -502,6 +541,38 @@ class TestStoredCheck:
 
     def test_hand_built_split_has_no_check(self):
         assert w0_defining_split(0.3).check is None
+
+
+class TestCheckSeparability:
+    """The one decider: the constructive split where W is input-diagonal in
+    the given bases, the search elsewhere, and no verdict on an invalid W."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(dims=st.sampled_from([(2, 2, 2, 2), (3, 2, 3, 2)]), seed=st.integers(0, 2**32 - 1))
+    def test_takes_the_path_of_the_input(self, dims, seed):
+        layout = SystemLayout(*dims)
+        ba, bb = MeasurementBasis.random(dims[0], [seed, 1]), MeasurementBasis.random(dims[2], [seed, 2])
+        w = random_process(seed, layout)
+        dephased = luders_input_dephase(w, ba, bb).matrix
+
+        report, ref = check_separability(dephased, ba, bb), constructive_decomposition(dephased, ba, bb)
+        assert (report.path, report.status, report.iterations, report.skip_reason) == (
+            "constructive", SEPARABLE, 0, None)
+        assert report.decomposition.p == ref.p and report.decomposition.check == ref.check
+        for got, want in ((report.decomposition.w_ab, ref.w_ab), (report.decomposition.w_ba, ref.w_ba)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.matrix.tobytes() == want.matrix.tobytes()
+
+        report, ref = check_separability(w, ba, bb, max_iter=300), dykstra_separability(w, max_iter=300)
+        assert report.path == ref.path == "dykstra"
+        assert (report.status, report.iterations, report.residual) == (ref.status, ref.iterations, ref.residual)
+        assert report.skip_reason.startswith("matrix is not input-diagonal in the given bases")
+
+        term = tensor_product([np.eye(dims[0]), SIGMA_Z, np.eye(dims[2]), SIGMA_Z])
+        for m in (w, dephased):
+            with pytest.raises(ValueError, match="^kappa_split needs a valid process matrix"):
+                check_separability(ProcessMatrix(layout, m.matrix + 0.05 * term), ba, bb)
 
 
 class TestLibraryBuiltMatrices:
