@@ -66,7 +66,7 @@ def decode_process(text: str) -> tuple[ProcessMatrix, dict[str, Any]]:
         process = ProcessMatrix(layout, matrix)
     except ValueError as err:
         raise ProcessDocumentError(str(err)) from err
-    metadata = payload.get("metadata") or {}
+    metadata = {} if payload.get("metadata") is None else payload["metadata"]
     if not isinstance(metadata, dict):
         raise ProcessDocumentError("metadata must be an object")
     return process, metadata

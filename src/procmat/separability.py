@@ -24,7 +24,6 @@ split where W is input-diagonal in the given bases, with the search elsewhere.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -406,79 +405,16 @@ def _witness_from(target: np.ndarray, s, q1, q2, dims: tuple[int, ...]) -> Causa
     return CausalWitness(s + delta * np.eye(side), q1, q2, value, float(margin))
 
 
-def _admm_iterates(target: np.ndarray, dims: tuple[int, ...], tol: float):
-    """Scaled ADMM (Boyd et al., Found. Trends ML 3(1), 2011) on the
-    white-noise robustness problem (Araujo et al., NJP 17, 102001 (2015)):
-    minimise r with X1 + X2 = W + r 1, X1 positive in the A < B span and X2
-    in the B < A span.  From Y = (W / 2, W / 2), U = 0, each iteration takes
-    the closed-form affine step X nearest Y - U under the objective r / rho,
-    Y = PSD(X + U) and U += X - Y, and yields (violation, x, duals): the split
-    candidate (X1 - r/2 1, X2 - r/2 1) or, where its violation (the larger
-    negative-part norm of the two parts) is ``tol`` or more and theirs is
-    smaller, Y with its shared terms rebalanced to sum to W's; its A < B
-    part x; and a callable returning the positive duals P = -rho U for
-    ``_dual_witness``.  The first candidate does not depend on Y, so when it
-    meets ``tol`` the cone and dual steps wait for that call, or for the next
-    iteration: a caller that stops at a verified split never pays for them.
-    """
-    side = len(target)
-    eye = np.eye(side)
-
-    def shared(m):
-        return _span_project(_span_project(m, dims, "b_before_a"), dims, "a_before_b")
-
-    w_ab = _span_project(target, dims, "a_before_b")
-    w_c = _span_project(w_ab, dims, "b_before_a")
-    w_a, w_b = w_ab - w_c, target - w_ab
-    y = np.stack((target, target)) / 2.0
-    u = np.zeros_like(y)
-    zc = np.stack((w_c, w_c)) / 2.0
-    rho = 1.0
-    for k in itertools.count(1):
-        # Outside the shared span X holds W's own terms (w_a, w_b); its shared
-        # parts and r minimise r / rho + |X - (Y - U)|^2 / 2, with zc = L_c(Y - U).
-        r = -(np.trace(w_c - zc[0] - zc[1]).real + 2.0 / rho) / side
-        c = (zc[0] - zc[1] + w_c + r * eye) / 2.0
-        x = np.stack((w_a + c, w_b + w_c + r * eye - c))
-        y_prev, stepped = y, []
-
-        def duals():
-            nonlocal y, u
-            if not stepped:
-                y = _psd_project(x + u)
-                u += x - y
-                stepped.append(-rho * u)
-            return stepped[0]
-
-        split = x - (r / 2.0) * eye
-        violation = _violation(split)
-        if violation >= tol:
-            duals()
-            yc = shared(y)
-            rebalanced = np.stack((w_a + yc[0], w_b + yc[1])) + (w_c - yc[0] - yc[1]) / 2.0
-            other = _violation(rebalanced)
-            if other < violation:
-                split, violation = rebalanced, other
-        yield violation, split[0], duals
-        duals()
-
-        if k % 10 == 0:  # residual balancing (Boyd et al. sec. 3.4.1); rho U is kept
-            primal, dual = np.linalg.norm(x - y), rho * np.linalg.norm(y - y_prev)
-            scale = 2.0 if primal > 10.0 * dual else 0.5 if dual > 10.0 * primal else 1.0
-            rho *= scale
-            u /= scale
-        zc = shared(y - u)
-
-
 def _dual_witness(target: np.ndarray, p: np.ndarray, dims: tuple[int, ...]) -> CausalWitness | None:
     """The witness S = L_AB(P1) + L_BA(P2) - L_c(P2) of positive P_i,
-    repaired by ``_witness_from``; None when Tr(S W) >= 0, which no repair
-    can make negative."""
+    repaired by ``_witness_from``, when it verifies; None otherwise, and
+    without the repair when Tr(S W) >= 0, which no repair can make negative."""
     ba = _span_project(p[1], dims, "b_before_a")
     s = _span_project(p[0] - ba, dims, "a_before_b") + ba
     if np.vdot(target, s).real >= 0.0:
         return None
-    return _witness_from(target, s, s - p[0], s - p[1], dims)
+    witness = _witness_from(target, s, s - p[0], s - p[1], dims)
+    return witness if witness.value < -witness.margin else None
 
 
 def verify_witness(w: ProcessMatrix, witness: CausalWitness) -> bool:
@@ -499,36 +435,73 @@ def verify_witness(w: ProcessMatrix, witness: CausalWitness) -> bool:
             and abs(check.value - witness.value) <= check.margin)
 
 
-def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50_000) -> FeasibilityReport:
-    """Decide causal separability of W with the iteration of ``_admm_iterates``.
-
-    A split candidate whose violation is below ``tol`` ends the run separable
-    once ``verify_decomposition`` passes it at max(100 tol, 1e-6); a witness
-    from ``_dual_witness`` ends it not-separable once it verifies.  At the
-    cap (``max_iter`` >= 1 iterations; memory grows with the iterations run)
-    with neither certificate the run is inconclusive.
-    """
+def _check_max_iter(max_iter) -> None:
+    """Reject a search cap that is not an integer of at least 1."""
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-    report = validate_process(w)
-    if not report.overall:
-        raise ValueError("dykstra_separability needs a valid process matrix")
 
-    dims = w.layout.dims
+
+def _search(w: ProcessMatrix, tol: float, max_iter: int) -> FeasibilityReport:
+    """Scaled ADMM (Boyd et al., Found. Trends ML 3(1), 2011) on the
+    white-noise robustness problem (Araujo et al., NJP 17, 102001 (2015)) of
+    a valid W: minimise r with X1 + X2 = W + r 1, X1 positive in the A < B
+    span and X2 in the B < A span.  From Y = (W / 2, W / 2), U = 0, each
+    iteration takes the closed-form affine step X nearest Y - U under the
+    objective r / rho, Y = PSD(X + U) and U += X - Y.  Its split candidate is
+    (X1 - r/2 1, X2 - r/2 1) or, where that violation (the larger
+    negative-part norm of the two parts) is ``tol`` or more and theirs is
+    smaller, Y with its shared terms rebalanced to sum to W's; its witness
+    candidate comes from the positive duals P = -rho U by ``_dual_witness``.
+    The first split candidate does not depend on Y, so when it meets ``tol``
+    the cone step waits until its split fails the check.
+    """
+    target, dims = w.matrix, w.layout.dims
+    side = len(target)
+    eye = np.eye(side)
     check_tol = max(100.0 * tol, 1e-6)
+    w_ab = _span_project(target, dims, "a_before_b")
+    w_c = _span_project(w_ab, dims, "b_before_a")
+    w_a, w_b = w_ab - w_c, target - w_ab
+    y = np.stack((target, target)) / 2.0
+    u = np.zeros_like(y)
+    zc = np.stack((w_c, w_c)) / 2.0
+    rho = 1.0
     history = []
-    witness = None
-    for iterations, (violation, x, duals) in zip(range(1, max_iter + 1), _admm_iterates(w.matrix, dims, tol)):
+    for iterations in range(1, max_iter + 1):
+        # Outside the shared span X holds W's own terms (w_a, w_b); its shared
+        # parts and r minimise r / rho + |X - (Y - U)|^2 / 2, with zc = L_c(Y - U).
+        r = -(np.trace(w_c - zc[0] - zc[1]).real + 2.0 / rho) / side
+        c = (zc[0] - zc[1] + w_c + r * eye) / 2.0
+        x = np.stack((w_a + c, w_b + w_c + r * eye - c))
+        y_prev = y
+        split = x - (r / 2.0) * eye
+        violation = _violation(split)
+        if violation >= tol:
+            y = _psd_project(x + u)
+            u += x - y
+            yc = _span_project(_span_project(y, dims, "b_before_a"), dims, "a_before_b")
+            rebalanced = np.stack((w_a + yc[0], w_b + yc[1])) + (w_c - yc[0] - yc[1]) / 2.0
+            other = _violation(rebalanced)
+            if other < violation:
+                split, violation = rebalanced, other
         history.append(violation)
         if violation < tol:
-            decomposition = _extract_decomposition(w, x, tol)
+            decomposition = _extract_decomposition(w, split[0], tol)
             check = verify_decomposition(w, decomposition, tol=check_tol, psd_tol=check_tol)
             if check.ok:
                 return FeasibilityReport(SEPARABLE, violation, iterations, replace(decomposition, check=check))
-        candidate = _dual_witness(w.matrix, duals(), dims)
-        if candidate is not None and candidate.value < -candidate.margin:
-            witness = candidate
+        if y is y_prev:  # the first candidate met tol, so the cone step is still due
+            y = _psd_project(x + u)
+            u += x - y
+        witness = _dual_witness(target, -rho * u, dims)
+        if witness is not None:
             break
+        if iterations % 10 == 0:  # residual balancing (Boyd et al. sec. 3.4.1); rho U is kept
+            primal, dual = np.linalg.norm(x - y), rho * np.linalg.norm(y - y_prev)
+            scale = 2.0 if primal > 10.0 * dual else 0.5 if dual > 10.0 * primal else 1.0
+            rho *= scale
+            u /= scale
+        zc = _span_project(_span_project(y - u, dims, "b_before_a"), dims, "a_before_b")
 
     window = max(1, iterations // 10)
     status = INCONCLUSIVE if witness is None else NOT_SEPARABLE
@@ -536,17 +509,36 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
                              plateau_residual=min(history[-window:]), witness=witness)
 
 
+def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50_000) -> FeasibilityReport:
+    """Decide causal separability of a valid W with the primal-dual search.
+
+    A split candidate whose violation is below ``tol`` ends the run separable
+    once ``verify_decomposition`` passes it at max(100 tol, 1e-6); a witness
+    candidate ends it not-separable once it verifies.  At the cap
+    (``max_iter`` >= 1 iterations; memory grows with the iterations run)
+    with neither certificate the run is inconclusive.  At ``tol`` = 0 no
+    split is accepted and the search looks for a witness only; its
+    iterates do not depend on ``tol``.
+    """
+    _check_max_iter(max_iter)
+    if not validate_process(w).overall:
+        raise ValueError("dykstra_separability needs a valid process matrix")
+    return _search(w, tol, max_iter)
+
+
 def check_separability(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8,
                        max_iter: int = 50_000) -> FeasibilityReport:
     """Decide causal separability of W, its inputs measured in the given bases:
     by the constructive split where W is input-diagonal in them, else by
-    ``dykstra_separability``.  A split that fails verification raises
-    :class:`DecompositionError` and is not retried, as the search could pass
-    it only at a looser tolerance; an invalid W raises ``ValueError``."""
+    the search of ``dykstra_separability``.  A split that fails verification
+    raises :class:`DecompositionError` and is not retried, as the search
+    could pass it only at a looser tolerance; an invalid W or ``max_iter``
+    raises ``ValueError``."""
+    _check_max_iter(max_iter)
     try:
         decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=tol)
-    except NotInputDiagonalError as err:
-        return replace(dykstra_separability(w, tol=tol, max_iter=max_iter), skip_reason=str(err))
+    except NotInputDiagonalError as err:  # raised after kappa_split validated W
+        return replace(_search(w, tol, max_iter), skip_reason=str(err))
     return FeasibilityReport(SEPARABLE, 0.0, 0, decomposition, path="constructive")
 
 

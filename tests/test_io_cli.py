@@ -41,6 +41,21 @@ class TestProcessDocument:
         _, metadata = decode_process(text)
         assert metadata == {"name": "identity", "seed": 3}
 
+    @pytest.mark.parametrize("metadata", [[], 0, "", False], ids=["list", "zero", "string", "false"])
+    def test_falsy_non_object_metadata_rejected(self, metadata):
+        payload = json.loads(encode_process(identity_process()))
+        payload["metadata"] = metadata
+        with pytest.raises(ProcessDocumentError, match="metadata must be an object"):
+            decode_process(json.dumps(payload))
+
+    @pytest.mark.parametrize("null", [False, True], ids=["missing", "null"])
+    def test_missing_or_null_metadata_is_empty(self, null):
+        payload = json.loads(encode_process(identity_process()))
+        assert "metadata" not in payload
+        if null:
+            payload["metadata"] = None
+        assert decode_process(json.dumps(payload))[1] == {}
+
     def test_truncated_document_names_offset(self):
         text = encode_process(identity_process())
         with pytest.raises(ProcessDocumentError, match="offset"):
@@ -520,16 +535,16 @@ class TestDocumentsAtTheTolerances:
 
 
 class TestValidationCount:
-    """Each split is validated once, in the library: by ``kappa_split`` and
-    once per part on the constructive path, plus the search's own validity
-    check when ``check-sep`` falls back to it.  Counted as the matrices that
-    reach the stacked validity kernel, which ``validate_process`` and
-    ``verify_decomposition`` share."""
+    """W is validated once, in the library, by ``kappa_split`` on both
+    paths: the search that ``check-sep`` falls back to does not validate it
+    again.  Each part of the split is validated once too.  Counted as the
+    matrices that reach the stacked validity kernel, which
+    ``validate_process`` and ``verify_decomposition`` share."""
 
     Z2 = MeasurementBasis.computational(2)
 
     @pytest.mark.parametrize("command, dephased, calls",
-                             [("separate", True, 3), ("check-sep", True, 3), ("check-sep", False, 4)],
+                             [("separate", True, 3), ("check-sep", True, 3), ("check-sep", False, 3)],
                              ids=["separate-dephased", "check-sep-dephased", "check-sep-undephased"])
     def test_validate_process_calls(self, tmp_path, capsys, monkeypatch, command, dephased, calls):
         w = random_process(0)

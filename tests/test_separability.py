@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -48,8 +47,6 @@ from procmat.separability import (
     INCONCLUSIVE,
     NOT_SEPARABLE,
     SEPARABLE,
-    _admm_iterates,
-    _dual_witness,
     _failed_checks,
     _product_vectors,
     _span_project,
@@ -574,6 +571,12 @@ class TestCheckSeparability:
             with pytest.raises(ValueError, match="^kappa_split needs a valid process matrix"):
                 check_separability(ProcessMatrix(layout, m.matrix + 0.05 * term), ba, bb)
 
+    @pytest.mark.parametrize("max_iter", [0, 2.5, True], ids=["zero", "fraction", "true"])
+    def test_cap_checked_on_the_constructive_path(self, max_iter):
+        # Dephased OCB takes the constructive path, which runs no search.
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            check_separability(dephased_ocb(), Z2, Z2, max_iter=max_iter)
+
 
 class TestLibraryBuiltMatrices:
     """Dephased matrices and split parts are built exactly Hermitian, so they
@@ -732,6 +735,24 @@ class TestDykstraSeparability:
         report = dykstra_separability(identity_process(), max_iter=np.int64(5))
         assert report.status == SEPARABLE
 
+    def test_zero_tol_accepts_no_split(self):
+        # White-noise OCB at q = 0.6 is separable, and its split verifies after
+        # 1 iteration at tol = 1e-8; at tol = 0 the search looks for a witness only.
+        report = dykstra_separability(TestNoisyFixtureThreshold._noisy(0.6), tol=0.0, max_iter=20)
+        assert (report.status, report.iterations, report.decomposition) == (INCONCLUSIVE, 20, None)
+
+    @pytest.mark.parametrize("point, iterations", [(None, 1), (0.45, 3), (0.5, 4)],
+                             ids=["ocb", "dephasing-0.45", "dephasing-0.5"])
+    def test_zero_tol_witness_matches(self, point, iterations):
+        # The iterates do not depend on tol, so a not-separable W gets the
+        # same witness after the same iterations at tol = 0 as at 1e-8.
+        w = ocb_process() if point is None else TestNoisyFixtureThreshold._dephasing(point)
+        reports = [dykstra_separability(w, tol=tol) for tol in (0.0, 1e-8)]
+        assert [(r.status, r.iterations) for r in reports] == [(NOT_SEPARABLE, iterations)] * 2
+        witness_only, search = ((r.witness.s.tobytes(), r.witness.q1.tobytes(), r.witness.q2.tobytes(),
+                                 r.witness.value, r.witness.margin) for r in reports)
+        assert witness_only == search
+
     def test_verified_split_skips_cone_step(self, monkeypatch):
         # The first split candidate does not depend on the cone step, so an
         # iteration whose split verifies never projects onto the cone.
@@ -833,14 +854,18 @@ class TestTraceReplace:
         assert np.max(np.abs(_span_project(w, dims, "b_before_a") - _trivial_part(w, dims, [1]))) <= 1e-12
 
     @pytest.mark.parametrize("dims", LAYOUTS, ids=lambda dims: "-".join(map(str, dims)))
-    def test_start_is_span_projection_of_half(self, dims):
+    def test_start_is_span_projection_of_half(self, dims, monkeypatch):
         # The solver's first split candidate keeps W's one-way terms on their
         # own sides and halves the shared ones: its A < B part is
         # (W + R_B2(W) - R_A2(W)) / 2.
-        w = random_process(12, SystemLayout(*dims)).matrix
-        _, first, _ = next(_admm_iterates(w, dims, 1e-8))
-        reference = (w + _trivial_part(w, dims, [3]) - _trivial_part(w, dims, [1])) / 2.0
-        assert np.max(np.abs(first - reference)) <= 1e-12
+        w = random_process(12, SystemLayout(*dims))
+        stacks = []
+        real = separability._violation
+        monkeypatch.setattr(separability, "_violation", lambda parts: stacks.append(parts) or real(parts))
+        dykstra_separability(w, tol=1e-8, max_iter=1)
+        m = w.matrix
+        reference = (m + _trivial_part(m, dims, [3]) - _trivial_part(m, dims, [1])) / 2.0
+        assert np.max(np.abs(stacks[0][0] - reference)) <= 1e-12
 
 
 class TestSpanTables:
@@ -1042,11 +1067,10 @@ def _verified_split_parts(dims):
     return parts
 
 
-def _search(w, steps):
-    """The first verified witness candidate within ``steps`` solver iterations, splits ignored, or None."""
-    iterates = itertools.islice(_admm_iterates(w.matrix, w.layout.dims, 1e-8), steps)
-    candidates = (_dual_witness(w.matrix, duals(), w.layout.dims) for _, _, duals in iterates)
-    return next((c for c in candidates if c is not None and c.value < -c.margin), None)
+def _witness_within(w, steps):
+    """The first verified witness candidate within ``steps`` solver iterations, splits ignored, or None:
+    at tol = 0 the search accepts no split, and its iterates do not depend on tol."""
+    return dykstra_separability(w, tol=0.0, max_iter=steps).witness
 
 
 class TestCausalWitness:
@@ -1140,7 +1164,7 @@ class TestCausalWitness:
         if dephased:
             w = luders_input_dephase(w, MeasurementBasis.random(dims[0], seed=1),
                                      MeasurementBasis.random(dims[2], seed=2)).matrix
-        assert _search(w, 200) is None
+        assert _witness_within(w, 200) is None
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(line=st.sampled_from(["white-noise", "dephasing"]), t=st.floats(0.0, 1.0))
@@ -1155,5 +1179,5 @@ class TestCausalWitness:
             assert verify_witness(w, report.witness)
         split_ok = report.status == SEPARABLE and verify_decomposition(
             w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
-        witness = _search(w, 100)
+        witness = _witness_within(w, 100)
         assert not (split_ok and witness is not None and verify_witness(w, witness))
