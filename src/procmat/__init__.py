@@ -19,8 +19,8 @@ _EXPORTS = {
     ),
     "process": (
         "A1", "A2", "B1", "B2", "FACTOR_NAMES", "ProcessMatrix", "SystemLayout", "TermMask",
-        "ValidityReport", "allowed_term_mask", "channel_process", "identity_process",
-        "project_to_valid_span", "random_process", "validate_process",
+        "ValidityReport", "allowed_term_mask", "channel_process", "identity_process", "ocb_process",
+        "project_to_valid_span", "random_process", "validate_process", "w0_defining_terms", "w0_process",
     ),
     "instruments": (
         "CPMap", "Instrument", "InstrumentReport", "NumericIntegrityError", "ProbabilityTable",
@@ -37,11 +37,11 @@ _EXPORTS = {
         "EigenStructure", "EigenstructureError", "FeasibilityReport", "KappaSplit",
         "NotInputDiagonalError", "check_separability", "commutator_norm", "constructive_decomposition",
         "dykstra_separability", "eigenstructure", "kappa_split", "verify_decomposition", "verify_witness",
-        "w0_defining_split", "w0_defining_terms", "w0_process",
+        "w0_defining_split",
     ),
     "games": (
         "CausalGame", "GameResult", "Strategy", "enumerate_strategies", "evaluate_game", "ocb_game",
-        "ocb_process", "ocb_strategy_family",
+        "ocb_strategy_family",
     ),
     "io": ("ProcessDocumentError", "RunReport", "decode_process", "digest_text", "encode_process"),
 }

@@ -11,8 +11,9 @@ and ``check-sep`` compute at a tolerance, so only they take ``--tol`` and
 echo it in their report.
 
 Every command reads or writes a document, so only ``io`` and ``process``
-are imported here; each command imports the rest of the library it runs
-when it runs, so ``validate`` never loads the separability code.
+are imported here, and ``process`` builds every fixture; each command imports
+the rest of the library it runs when it runs, so ``validate`` never loads the
+separability code and ``fixture ocb`` never loads the game.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from .process import (
     SystemLayout,
     channel_process,
     identity_process,
+    ocb_process,
     random_process,
     validate_process,
+    w0_process,
 )
 
 if TYPE_CHECKING:
@@ -305,19 +308,12 @@ def _cmd_gen_random(args) -> RunReport:
 
 def _cmd_fixture(args) -> RunReport:
     name = args.name  # argparse restricts the choices
-    if name == "ocb":
-        from .games import ocb_process
-
-        w = ocb_process()
-    elif name == "w0":
-        from .separability import w0_process
-
-        w = w0_process(args.p)
-    else:
-        w = identity_process() if name == "identity" else channel_process()
     metadata: dict[str, Any] = {"name": name}
     if name == "w0":
         metadata["p"] = args.p
+        w = w0_process(args.p)
+    else:
+        w = {"ocb": ocb_process, "identity": identity_process, "channel": channel_process}[name]()
     return _emit_document(args, RunReport(f"fixture {name}"), w, metadata)
 
 

@@ -44,8 +44,8 @@ class MeasurementBasis:
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"basis must be a square matrix of column vectors, got shape {v.shape}")
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
+            raise ValueError(f"basis must be a non-empty square matrix of column vectors, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("basis has non-finite entries")
         gram = v.conj().T @ v
@@ -229,8 +229,8 @@ def indistinguishability_residual(w: ProcessMatrix, effective: EffectiveProcess,
     """
     from .instruments import _cq_born_tables
 
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(samples)]
     ba, bb = effective.basis_a1, effective.basis_b1
     tables = _cq_born_tables((w, effective.matrix), (ba.vectors, *_cq_draws(rngs, ba.dim, w.layout.d_a2)),

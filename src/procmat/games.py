@@ -5,8 +5,8 @@ Bob tries to signal b to Alice (success when Alice's outcome x equals b);
 with b' = 1 Alice tries to signal a to Bob (success when Bob's outcome y
 equals a).  Any strategy over a process compatible with one fixed causal
 order, or a mixture of such, wins with probability at most 3/4, since at
-most one signaling direction can work at a time.  The fixture process
-built here exceeds that bound, and loses the ability to do so once its
+most one signaling direction can work at a time.  The OCB process of
+``process`` exceeds that bound, and loses the ability to do so once its
 inputs are dephased.
 """
 
@@ -21,28 +21,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .instruments import Instrument, cj_from_kraus, measure_reprepare, probability_table
-from .process import ProcessMatrix, SystemLayout
-from .tensor import _EYE2, _SIGMA_X, _SIGMA_Z, tensor_product
+from .process import ProcessMatrix
 
 _Z_STATES = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 _X_STATES = (
     np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
     np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
 )
-
-
-def ocb_process() -> ProcessMatrix:
-    """Qubit fixture violating the causal game bound.
-
-    One quarter of identity plus two mutually anticommuting correlation
-    terms weighted by 1/sqrt(2): a channel-like coupling of Alice's output
-    to Bob's input and a back-signaling term coupling Bob's output to
-    Alice's input.
-    """
-    term_channel = tensor_product([_EYE2, _SIGMA_Z, _SIGMA_Z, _EYE2])
-    term_back = tensor_product([_SIGMA_Z, _EYE2, _SIGMA_X, _SIGMA_Z])
-    m = (np.eye(16, dtype=complex) + (term_channel + term_back) / math.sqrt(2.0)) / 4.0
-    return ProcessMatrix(SystemLayout.qubit(), m)
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,8 @@ def _pair_matrix(raw: Any, name: str) -> np.ndarray:
         raise ProcessDocumentError(f"bad {name} payload: {err}") from err
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ProcessDocumentError(f"{name} must be an (n, n, 2) array of [re, im] pairs, got shape {arr.shape}")
+    if not {type(x) for row in raw for pair in row for x in pair} <= {int, float}:  # numpy converts "1" and true
+        raise ProcessDocumentError(f"{name} entries must be JSON numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -11,7 +11,7 @@ other party's input, which rules out causal loops.  One projector,
 ``_span_project``, built from trace-and-replace maps, serves every span:
 the one-way spans directly and the general span through
 ``project_to_valid_span``.  Validity checks expand matrices with the HS plan
-of ``tensor``.
+of ``tensor``.  Every named fixture, OCB and ``w0`` included, is built here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor import _eigvalsh, _hs_coefficients, _kron, check_factor_dims, require_hermitian
+from .tensor import (_EYE2, _SIGMA_X, _SIGMA_Z, _eigvalsh, _hs_coefficients, _kron, check_factor_dims,
+                     require_hermitian)
 
 A1, A2, B1, B2 = 0, 1, 2, 3
 FACTOR_NAMES = ("A1", "A2", "B1", "B2")
@@ -192,6 +193,13 @@ def _forbidden_index(dims: tuple[int, ...], variant: str) -> np.ndarray:
     return np.flatnonzero(~_allowed_coefficient_mask(dims, variant))
 
 
+def _check_tol(tol, psd_tol=None) -> None:
+    """Reject a NaN, infinite or negative tolerance; 0 is allowed."""
+    for name, value in (("tol", tol), ("psd_tol", psd_tol)):
+        if value is not None and not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
+
+
 def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants, psd_tol: float | None):
     """Validity reports of a ``(k, n, n)`` stack, member i checked against ``variants[i]``.
 
@@ -204,6 +212,7 @@ def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants
     reaches ``tol`` has its offending patterns collected, from those
     coefficients.
     """
+    _check_tol(tol, psd_tol)
     dims = layout.dims
     if psd_tol is None:
         psd_tol = _PSD_FLOOR * layout.d_total
@@ -311,6 +320,49 @@ def channel_process(layout: SystemLayout | None = None) -> ProcessMatrix:
     link = np.outer(vec, vec)
     m = _kron((np.eye(layout.d_a1, dtype=complex) / layout.d_a1, link, np.eye(layout.d_b2, dtype=complex)))
     return ProcessMatrix(layout, m)
+
+
+def ocb_process() -> ProcessMatrix:
+    """Qubit fixture violating the causal game bound (Oreshkov et al., Nat. Commun. 3, 1092 (2012)).
+
+    One quarter of identity plus two mutually anticommuting correlation
+    terms weighted by 1/sqrt(2): a channel-like coupling of Alice's output
+    to Bob's input and a back-signaling term coupling Bob's output to
+    Alice's input.
+    """
+    term_channel = _kron([_EYE2, _SIGMA_Z, _SIGMA_Z, _EYE2])
+    term_back = _kron([_SIGMA_Z, _EYE2, _SIGMA_X, _SIGMA_Z])
+    m = (np.eye(16, dtype=complex) + (term_channel + term_back) / math.sqrt(2.0)) / 4.0
+    return ProcessMatrix(SystemLayout.qubit(), m)
+
+
+def w0_process(p: float) -> ProcessMatrix:
+    """Qubit fixture: a causally separable mixture whose defining terms do not commute.
+
+    Mixes, with weight ``p``, a process trivial on Bob's output against one
+    trivial on Alice's output.  No nontrivial shared eigenbasis of the two
+    defining terms exists, so the blockwise constructive route does not
+    apply, yet the defining split itself witnesses separability.
+    """
+    w_ab, w_ba = _w0_parts(p)
+    return ProcessMatrix(SystemLayout.qubit(), p * w_ab + (1.0 - p) * w_ba)
+
+
+def _w0_parts(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The parts (1 + term) / d of :func:`w0_process`, A < B first, once ``p`` is checked to lie
+    in [0, 1]; real and symmetric, so exactly Hermitian as they are."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    eye = np.eye(16, dtype=complex)
+    term_ab, term_ba = w0_defining_terms()
+    return (eye + term_ab) / 4, (eye + term_ba) / 4
+
+
+def w0_defining_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The two nontrivial operators defining :func:`w0_process`, for inspection."""
+    term_ab = -_kron([_SIGMA_Z, _SIGMA_Z, _SIGMA_X, _EYE2])
+    term_ba = 0.5 * _kron([_SIGMA_Z, _EYE2, _EYE2, _SIGMA_X]) + 0.5 * _kron([_SIGMA_X, _EYE2, _SIGMA_X, _SIGMA_Z])
+    return term_ab, term_ba
 
 
 def random_process(seed: int, layout: SystemLayout | None = None, strength: float = 0.9) -> ProcessMatrix:

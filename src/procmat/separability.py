@@ -35,11 +35,13 @@ from .process import (
     ProcessMatrix,
     SystemLayout,
     ValidityReport,
+    _check_tol,
     _span_project,
     _validate_stack,
+    _w0_parts,
     validate_process,
 )
-from .tensor import _EYE2, _SIGMA_X, _SIGMA_Z, _eigvalsh, hermitian_eig, tensor_product
+from .tensor import _eigvalsh, hermitian_eig
 
 SEPARABLE = "separable"
 NOT_SEPARABLE = "not-separable-up-to-tolerance"
@@ -150,6 +152,7 @@ def _input_blocks(w_eff: ProcessMatrix, kappas, basis_a1, basis_b1, tol: float):
     with indices (A2 B2, A2' B2'); raises :class:`NotInputDiagonalError`
     when an off-diagonal input block of W_eff has a norm above ``tol`` or NaN.
     """
+    _check_tol(tol)
     layout = w_eff.layout
     ba1 = as_basis(basis_a1, layout.d_a1)
     bb1 = as_basis(basis_b1, layout.d_b1)
@@ -520,6 +523,7 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     split is accepted and the search looks for a witness only; its
     iterates do not depend on ``tol``.
     """
+    _check_tol(tol)
     _check_max_iter(max_iter)
     if not validate_process(w).overall:
         raise ValueError("dykstra_separability needs a valid process matrix")
@@ -534,6 +538,7 @@ def check_separability(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8,
     raises :class:`DecompositionError` and is not retried, as the search
     could pass it only at a looser tolerance; an invalid W or ``max_iter``
     raises ``ValueError``."""
+    _check_tol(tol)
     _check_max_iter(max_iter)
     try:
         decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=tol)
@@ -558,37 +563,7 @@ def _extract_decomposition(w: ProcessMatrix, x: np.ndarray, edge: float) -> Caus
     return CausalDecomposition(p, w_ab, w_ba)
 
 
-def w0_process(p: float) -> ProcessMatrix:
-    """Qubit fixture: a causally separable mixture whose defining terms do not commute.
-
-    Mixes, with weight ``p``, a process trivial on Bob's output against one
-    trivial on Alice's output.  No nontrivial shared eigenbasis of the two
-    defining terms exists, so the blockwise constructive route does not
-    apply, yet the defining split itself witnesses separability.
-    """
-    split = w0_defining_split(p)
-    m = p * split.w_ab.matrix + (1.0 - p) * split.w_ba.matrix
-    return ProcessMatrix(SystemLayout.qubit(), m)
-
-
 def w0_defining_split(p: float) -> CausalDecomposition:
-    """The defining two-part split of :func:`w0_process`."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    layout = SystemLayout.qubit()
-    eye = np.eye(16, dtype=complex)
-    term_ab, term_ba = w0_defining_terms()
-    return CausalDecomposition(
-        float(p),
-        ProcessMatrix(layout, (eye + term_ab) / layout.d),
-        ProcessMatrix(layout, (eye + term_ba) / layout.d),
-    )
-
-
-def w0_defining_terms() -> tuple[np.ndarray, np.ndarray]:
-    """The two nontrivial operators defining :func:`w0_process`, for inspection."""
-    term_ab = -tensor_product([_SIGMA_Z, _SIGMA_Z, _SIGMA_X, _EYE2])
-    term_ba = 0.5 * tensor_product([_SIGMA_Z, _EYE2, _EYE2, _SIGMA_X]) + 0.5 * tensor_product(
-        [_SIGMA_X, _EYE2, _SIGMA_X, _SIGMA_Z]
-    )
-    return term_ab, term_ba
+    """The defining two-part split of :func:`~procmat.process.w0_process`."""
+    w_ab, w_ba = (ProcessMatrix(SystemLayout.qubit(), part) for part in _w0_parts(p))
+    return CausalDecomposition(float(p), w_ab, w_ba)

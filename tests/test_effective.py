@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from procmat import (
     validate_process,
 )
 from procmat.effective import _dephase
-from procmat.games import ocb_process
+from procmat import ocb_process
 
 from conftest import EYE2, SIGMA_Z, bell_state, random_hermitian
 
@@ -81,6 +82,20 @@ class TestMeasurementBasis:
             MeasurementBasis(np.full((2, 2), entry))
         with pytest.raises(ValueError, match="non-finite"):
             MeasurementBasis(np.array([[entry, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("make, shape", [
+        (lambda: MeasurementBasis(np.zeros((0, 0))), (0, 0)),
+        (lambda: MeasurementBasis.random(0, seed=1), (0, 0)),
+        (lambda: MeasurementBasis([1, 0]), (2,)),
+    ], ids=["empty", "random-empty", "vector"])
+    def test_not_a_non_empty_square_matrix_rejected(self, make, shape):
+        message = f"basis must be a non-empty square matrix of column vectors, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_basis_of_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match="^basis has dimension 3, expected 2$"):
+            luders_input_dephase(ocb_process(), MeasurementBasis.computational(3), Z2)
 
 
 class TestLudersInputDephase:
@@ -213,6 +228,14 @@ class TestSelectiveUpdate:
         eff = luders_input_dephase(w, Z2, Z2)
         assert np.allclose(total, eff.matrix.matrix, atol=1e-13)
 
+    @pytest.mark.parametrize("n, m, message", [
+        (2, 0, "index n=2 out of range for dimension 2"),
+        (0, -1, "index m=-1 out of range for dimension 2"),
+    ], ids=["n", "m"])
+    def test_block_index_out_of_range(self, n, m, message):
+        with pytest.raises(IndexError, match=f"^{message}$"):
+            selective_update(ocb_process(), n, m, Z2, Z2)
+
     def test_zero_weight_block_rejected(self):
         layout = SystemLayout.qubit()
         from procmat import ProcessMatrix
@@ -266,6 +289,14 @@ class TestIndistinguishability:
         w = random_process(95)
         eff = luders_input_dephase(w, Z2, Z2)
         with pytest.raises(ValueError, match="samples"):
+            indistinguishability_residual(w, eff, samples=samples)
+
+    @pytest.mark.parametrize("samples", [True, 2.5, 3.0], ids=["true", "fraction", "float"])
+    def test_samples_not_an_integer_rejected(self, samples):
+        # True would run one sample, 2.5 fail inside numpy's SeedSequence.spawn.
+        w = random_process(95)
+        eff = luders_input_dephase(w, Z2, Z2)
+        with pytest.raises(ValueError, match=f"^samples must be an integer of at least 1, got {samples!r}$"):
             indistinguishability_residual(w, eff, samples=samples)
 
     @staticmethod
@@ -344,6 +375,10 @@ class TestStateDephasingAnalogy:
         ba = MeasurementBasis.random(2, 20)
         bb = MeasurementBasis.random(3, 21)
         assert np.linalg.norm(dephase_state(rho, ba, bb) - projector_sum(rho, [ba, bb])) < 1e-12
+
+    def test_state_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^state has shape \(3, 3\), expected \(4, 4\)$"):
+            dephase_state(np.eye(3) / 3.0, Z2, Z2)
 
     def test_large_dims_unsupported(self):
         with pytest.raises(ValueError, match="2x3"):

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from procmat import (
+    CPMap,
     Instrument,
     SystemLayout,
     born_probability,
@@ -358,3 +361,33 @@ class TestProbabilityTable:
         w = identity_process()
         with pytest.raises(ValueError, match="Bob map has dimensions"):
             probability_table(w, random_cptp_instrument(rng, 2, 2, 2), random_cptp_instrument(rng, 3, 2, 2))
+
+
+STATE = np.eye(2) / 2.0
+MALFORMED = {
+    "cpmap-shape": (lambda: CPMap(2, 2, np.eye(2)), "cj has shape (2, 2), expected (4, 4)"),
+    "no-outcomes": (lambda: Instrument(()), "instrument needs at least one outcome"),
+    "mixed-dimensions": (lambda: Instrument((measure_reprepare(E[0], E[0]), measure_reprepare(E[0], np.eye(3)[0]))),
+                         "outcome 1 has dimensions (2, 3), expected (2, 2)"),
+    "no-kraus": (lambda: cj_from_kraus([], 2, 2), "at least one Kraus operator is required"),
+    "classical-2d": (lambda: classical_instrument(np.full((2, 2), 0.5), E, E),
+                     "p must have shape (outcomes, outputs, inputs), got (2, 2)"),
+    "classical-bases": (lambda: classical_instrument(np.full((2, 2, 2), 0.25), np.eye(3), E),
+                        "basis shapes do not match the probability table"),
+    "classical-negative": (lambda: classical_instrument(np.array([[[1.25, 0.25]], [[-0.25, 0.75]]]), E, np.eye(1)),
+                           "probabilities must be nonnegative"),
+    "cq-1d": (lambda: cq_instrument(E, np.full(2, 0.5), [STATE] * 2), "p must have shape (outcomes, inputs), got (2,)"),
+    "cq-states": (lambda: cq_instrument(E, np.full((2, 2), 0.5), [STATE]), "expected 2 states, got 1"),
+    "cq-basis": (lambda: cq_instrument(np.eye(3), np.full((2, 2), 0.5), [STATE] * 2),
+                 "basis has shape (3, 3), expected (2, 2)"),
+    "stacked-negative": (lambda: _cq_born_tables((random_process(5),),
+                                                 (E, np.array([[[1.25, 0.5], [-0.25, 0.5]]]), np.stack([[STATE] * 2])),
+                                                 (E, np.full((1, 2, 2), 0.5), np.stack([[STATE] * 2]))),
+                         "probabilities must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("call, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_operation_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -21,7 +21,7 @@ from procmat import (
 )
 from procmat import cli, process, separability
 from procmat.cli import main
-from procmat.games import ocb_process
+from procmat import ocb_process
 
 
 class TestProcessDocument:
@@ -71,6 +71,31 @@ class TestProcessDocument:
         payload = json.loads(encode_process(identity_process()))
         payload["matrix"][0][1] = [0.5, 0.0]
         with pytest.raises(ProcessDocumentError, match="Hermitian"):
+            decode_process(json.dumps(payload))
+
+    @pytest.mark.parametrize("matrix", ['[[["1","0"]]]', "[[[true,false]]]", "[[[1.0,false]]]"],
+                             ids=["strings", "booleans", "number-and-boolean"])
+    def test_non_number_entries_rejected(self, matrix):
+        # numpy would read "1" as 1.0 and false as 0.0.
+        document = '{"layout":{"d_a1":1,"d_a2":1,"d_b1":1,"d_b2":1},"matrix":' + matrix + "}"
+        with pytest.raises(ProcessDocumentError, match="^matrix entries must be JSON numbers$"):
+            decode_process(document)
+
+    def test_one_string_entry_rejected(self):
+        payload = json.loads(encode_process(identity_process()))
+        payload["matrix"][0][0][0] = "0.25"
+        with pytest.raises(ProcessDocumentError, match="^matrix entries must be JSON numbers$"):
+            decode_process(json.dumps(payload))
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ProcessDocumentError, match="^document must be a JSON object$"):
+            decode_process("[]")
+
+    def test_pairs_of_three_rejected(self):
+        payload = json.loads(encode_process(identity_process()))
+        payload["matrix"] = [[pair + [0.0] for pair in row] for row in payload["matrix"]]
+        with pytest.raises(ProcessDocumentError,
+                           match=r"^matrix must be an \(n, n, 2\) array of \[re, im\] pairs, got shape \(16, 16, 3\)$"):
             decode_process(json.dumps(payload))
 
 
@@ -425,6 +450,21 @@ class TestCli:
         code, _, err = run_cli(["dephase", "--input", str(doc), "--basis", str(basis_file)], capsys)
         assert code == 1
         assert message in err
+
+    def test_string_basis_entry_exits_one(self, tmp_path, capsys):
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text(json.dumps({"a1": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["1", 0.0]]],
+                                          "b1": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}))
+        doc = tmp_path / "ocb.json"
+        run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
+        code, out, err = run_cli(["dephase", "--input", str(doc), "--basis", str(basis_file)], capsys)
+        assert (code, out, err) == (1, "", "error: basis a1 entries must be JSON numbers\n")
+
+    def test_missing_input_file_exits_one(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(["validate", "--input", str(missing)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read {missing}: ")
 
     def test_separate_writes_decomposition_document(self, tmp_path, capsys):
         ocb = tmp_path / "ocb.json"

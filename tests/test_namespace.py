@@ -9,7 +9,7 @@ import pytest
 
 import procmat
 from procmat import encode_process, random_process
-from procmat.games import ocb_process
+from procmat import ocb_process
 
 SRC = os.path.dirname(os.path.dirname(procmat.__file__))
 
@@ -73,3 +73,10 @@ class TestModuleGraph:
         proc = _run(["-m", "procmat.cli", command, "--json"], stdin=encode_process(w))
         assert proc.returncode == 0, proc.stderr
         assert _loaded(proc.stderr) == modules
+
+    @pytest.mark.parametrize("name", ["ocb", "w0", "identity", "channel"])
+    def test_fixture_loads_only_the_process_modules(self, name):
+        # ``process`` builds every fixture: neither the game nor the separability code loads.
+        proc = _run(["-m", "procmat.cli", "fixture", name, "--json"])
+        assert proc.returncode == 0, proc.stderr
+        assert _loaded(proc.stderr) == {"tensor", "process", "io"}

@@ -20,7 +20,7 @@ from procmat import (
     tensor_product,
     validate_process,
 )
-from procmat.games import ocb_process
+from procmat import ocb_process
 from procmat.process import (
     MASK_VARIANTS,
     _allowed_coefficient_mask,

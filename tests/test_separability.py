@@ -41,7 +41,7 @@ from procmat import (
     w0_defining_terms,
     w0_process,
 )
-from procmat.games import ocb_process
+from procmat import ocb_process
 from procmat.process import project_to_valid_span
 from procmat.separability import (
     INCONCLUSIVE,
@@ -184,9 +184,9 @@ class TestEigenstructure:
         assert str(raised.value) == (
             f"matrix is not input-diagonal in the given bases: off-block norm {off_norm:.3e} > {below:.1e}")
 
-    def test_nan_tolerance_raises_not_input_diagonal(self):
+    def test_nan_tolerance_rejected(self):
         w = dephased_ocb()
-        with pytest.raises(NotInputDiagonalError):
+        with pytest.raises(ValueError, match="^tol must be a finite number of at least 0, got nan$"):
             eigenstructure(kappa_split(w), Z2, Z2, w, tol=float("nan"))
 
     def test_block_not_of_product_form(self):
@@ -576,6 +576,40 @@ class TestCheckSeparability:
         # Dephased OCB takes the constructive path, which runs no search.
         with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
             check_separability(dephased_ocb(), Z2, Z2, max_iter=max_iter)
+
+
+TOLERANCE_CALLS = {
+    "validate_process": lambda tol: validate_process(ocb_process(), tol=tol),
+    "verify_decomposition": lambda tol: verify_decomposition(w0_process(0.3), w0_defining_split(0.3), tol=tol),
+    "constructive_decomposition": lambda tol: constructive_decomposition(dephased_ocb(), Z2, Z2, tol=tol),
+    "eigenstructure": lambda tol: eigenstructure(kappa_split(dephased_ocb()), Z2, Z2, dephased_ocb(), tol=tol),
+    "dykstra_separability": lambda tol: dykstra_separability(ocb_process(), tol=tol, max_iter=1000),
+    "check_separability": lambda tol: check_separability(ocb_process(), Z2, Z2, tol=tol, max_iter=1000),
+}
+
+
+class TestToleranceRange:
+    """A NaN, infinite or negative tolerance is a ValueError naming it, not
+    a verdict: an infinite one would accept any split, a NaN one blame the
+    input-diagonality."""
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    @pytest.mark.parametrize("call", TOLERANCE_CALLS.values(), ids=TOLERANCE_CALLS.keys())
+    def test_rejected(self, call, tol):
+        with pytest.raises(ValueError, match=f"^tol must be a finite number of at least 0, got {tol!r}$"):
+            call(tol)
+
+    @pytest.mark.parametrize("psd_tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_psd_tol_rejected(self, psd_tol):
+        message = f"^psd_tol must be a finite number of at least 0, got {psd_tol!r}$"
+        with pytest.raises(ValueError, match=message):
+            validate_process(ocb_process(), psd_tol=psd_tol)
+        with pytest.raises(ValueError, match=message):
+            verify_decomposition(w0_process(0.3), w0_defining_split(0.3), psd_tol=psd_tol)
+
+    def test_zero_is_the_witness_only_search(self):
+        assert dykstra_separability(ocb_process(), tol=0.0, max_iter=1000).status == NOT_SEPARABLE
+        assert validate_process(identity_process(), tol=0.0, psd_tol=0.0).is_psd
 
 
 class TestLibraryBuiltMatrices:

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -326,3 +327,22 @@ class TestFrobeniusInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             frobenius_inner(EYE2, np.eye(4))
+
+
+MALFORMED = {
+    "trace-not-square": (lambda: partial_trace(np.ones((2, 3)), (2,), [0]), ValueError,
+                         "matrix must be a square matrix, got shape (2, 3)"),
+    "trace-zero-factor": (lambda: partial_trace(np.ones((1, 1)), (0, 1), [1]), ValueError,
+                          "factor dimensions must be positive, got (0, 1)"),
+    "transpose-index": (lambda: partial_transpose(np.eye(4), (2, 2), {2}), IndexError,
+                        "subset index 2 out of range for 2 factors"),
+    "basis-zero": (lambda: hermitian_basis(0), ValueError, "dimension must be positive, got 0"),
+    "coefficient-shape": (lambda: HSDecomposition((2,), np.zeros(3)), ValueError,
+                          "coefficients have shape (3,), expected (4,) for factors (2,)"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
