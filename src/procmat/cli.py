@@ -169,12 +169,11 @@ def _cmd_validate(args) -> RunReport:
 
 def _canonical_instruments(layout: SystemLayout, seed: int | None):
     if seed is None:
-        from .instruments import Instrument, measure_reprepare
+        from .instruments import classical_instrument
 
-        # Measure each z state, reprepare the first z state.
+        # Measure each z state, reprepare the first z state: table[k, t, l] = [k = l][t = 0] in z bases.
         instr_a, instr_b = (
-            Instrument(tuple(measure_reprepare(v, np.eye(d_out, dtype=complex)[0])
-                             for v in np.eye(d_in, dtype=complex)))
+            classical_instrument(np.einsum("kl,t->ktl", np.eye(d_in), np.eye(d_out)[0]), np.eye(d_in), np.eye(d_out))
             for d_in, d_out in ((layout.d_a1, layout.d_a2), (layout.d_b1, layout.d_b2))
         )
         return instr_a, instr_b, "z-measure-reprepare"

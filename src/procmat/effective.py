@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .process import ProcessMatrix, validate_process
+from .process import ProcessMatrix, _check_tol, validate_process
 from .tensor import _eigvalsh, _kron, partial_transpose
 
 # The two functions that sample instruments import ``instruments`` themselves,
@@ -160,6 +160,7 @@ def is_input_diagonal(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-10):
     Returns ``(flag, max_off_block_norm)`` where the norm is the largest
     Frobenius norm among blocks <n, m| W |n', m'> with (n, m) != (n', m').
     """
+    _check_tol(tol)
     layout = w.layout
     bases = (as_basis(basis_a1, layout.d_a1), layout.d_a2, as_basis(basis_b1, layout.d_b1), layout.d_b2)
     _, t = _in_frame(w.matrix, bases)
@@ -255,6 +256,7 @@ def ppt_check(rho, dims: tuple[int, int] = (2, 2), tol: float = 1e-10):
     In those dimensions PPT decides separability, so the returned flag is a
     separability verdict.  Returns ``(flag, min_pt_eigenvalue)``.
     """
+    _check_tol(tol)
     da, db = int(dims[0]), int(dims[1])
     if sorted((da, db)) not in ([2, 2], [2, 3]):
         raise ValueError(f"PPT is only decisive for 2x2 and 2x3 systems, got {da}x{db}")

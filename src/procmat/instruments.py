@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .process import ProcessMatrix
+from .process import ProcessMatrix, _check_tol
 from .tensor import _eigvalsh, _kron, as_square_matrix, partial_trace
 
 COMPLETENESS_TOL = 1e-9
@@ -146,30 +146,26 @@ def measure_reprepare(phi1, phi2) -> CPMap:
 
 
 def classical_instrument(p, basis_in, basis_out) -> Instrument:
-    """Instrument diagonal in fixed input and output bases.
+    """Instrument diagonal in fixed input and output bases: the cq instrument
+    with outcomes (k, t), coarse-grained over t.
 
-    ``p[k, t, l]`` is the probability of outcome k and repreparation of
-    basis state t given input basis state l; each column over l must be a
-    probability distribution over (k, t).
+    ``p[k, t, l]`` is the probability of outcome k and output block |b_t><b_t|,
+    b_t column t of ``basis_out`` (so conj(b_t) is reprepared), given input
+    basis state l; each column over l must be a distribution over (k, t).
     """
     table = np.asarray(p, dtype=float)
     if table.ndim != 3:
         raise ValueError(f"p must have shape (outcomes, outputs, inputs), got {table.shape}")
     n_out, d_out, d_in = table.shape
-    bin_m = np.asarray(basis_in, dtype=complex)
-    bout_m = np.asarray(basis_out, dtype=complex)
+    bin_m, bout_m = (np.asarray(b, dtype=complex) for b in (basis_in, basis_out))
     if bin_m.shape != (d_in, d_in) or bout_m.shape != (d_out, d_out):
         raise ValueError("basis shapes do not match the probability table")
-    if np.any(table < -1e-12):
-        raise ValueError("probabilities must be nonnegative")
-    col_sums = table.sum(axis=(0, 1))
-    if not (np.abs(col_sums - 1.0) <= 1e-9).all():
-        raise ValueError(f"columns of p must sum to 1, got sums {col_sums}")
-
-    in_proj = np.einsum("il,jl->lij", bin_m, bin_m.conj())
-    out_proj = np.einsum("it,jt->tij", bout_m, bout_m.conj())
-    maps = np.einsum("ktl,lij,tmn->kimjn", table, in_proj, out_proj).reshape(n_out, d_in * d_out, d_in * d_out)
-    return Instrument(tuple(CPMap(d_in, d_out, cj) for cj in maps))
+    states = np.einsum("it,jt->tij", bout_m, bout_m.conj())
+    not_unit = np.flatnonzero(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0) > 1e-9)
+    if not_unit.size:
+        raise ValueError(f"basis_out column {not_unit[0]} must be a unit vector")
+    maps = _cq_maps(bin_m, table.reshape(-1, d_in), np.tile(states, (n_out, 1, 1)))
+    return Instrument(tuple(CPMap(d_in, d_out, cj) for cj in maps.reshape((n_out, d_out) + maps.shape[1:]).sum(1)))
 
 
 def cq_instrument(basis_in, p, states: Sequence[np.ndarray]) -> Instrument:
@@ -202,7 +198,7 @@ def _cq_maps(basis: np.ndarray, table: np.ndarray, states: np.ndarray) -> np.nda
     if np.any(table < -1e-12):
         raise ValueError("probabilities must be nonnegative")
     if not (np.abs(table.sum(axis=-2) - 1.0) <= 1e-9).all():
-        raise ValueError("p must be column stochastic: sums over outcomes must be 1")
+        raise ValueError("p must be column stochastic: each column must sum to 1 over outcomes")
     traces = np.trace(states, axis1=-2, axis2=-1)
     bad = np.argwhere((np.abs(traces.real - 1.0) > 1e-9) | (np.abs(traces.imag) > 1e-9))
     if bad.size:
@@ -214,6 +210,7 @@ def _cq_maps(basis: np.ndarray, table: np.ndarray, states: np.ndarray) -> np.nda
 
 def check_instrument(instrument: Instrument, tol: float = COMPLETENESS_TOL) -> InstrumentReport:
     """Report per-outcome positivity and the trace-preservation residual."""
+    _check_tol(tol)
     min_eigs = [float(e) for e in _eigvalsh(np.stack([m.cj for m in instrument.outcomes]))[:, 0]]
     total = sum(m.cj for m in instrument.outcomes)
     reduced = partial_trace(total, (instrument.input_dim, instrument.output_dim), keep={0})

@@ -76,7 +76,7 @@ def _pair_matrix(raw: Any, name: str) -> np.ndarray:
     """The complex square matrix held by a JSON array of [re, im] pairs."""
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an integer beyond float range
         raise ProcessDocumentError(f"bad {name} payload: {err}") from err
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ProcessDocumentError(f"{name} must be an (n, n, 2) array of [re, im] pairs, got shape {arr.shape}")

@@ -83,6 +83,18 @@ class KappaSplit:
     kappa2: np.ndarray
 
 
+def _require_valid(w: ProcessMatrix, caller: str) -> ValidityReport:
+    """W's validity report at ``validate_process``'s defaults (tol 1e-8, floor
+    1e-9·side), whatever tolerance the caller runs at; an invalid W raises
+    ``ValueError`` naming the offending terms, the min eigenvalue and the trace."""
+    report = validate_process(w)
+    if not report.overall:
+        terms = "; ".join(f"{','.join(pattern)} {magnitude:.3g}" for pattern, magnitude in report.offending_terms)
+        raise ValueError(f"{caller} needs a valid process matrix; offending terms {terms or 'none'}, "
+                         f"min eigenvalue {report.min_eigenvalue:.3e}, trace {report.trace_value:.6f}")
+    return report
+
+
 def kappa_split(w_eff: ProcessMatrix) -> KappaSplit:
     """Split d * W_eff - 1 into a B2-trivial and an A2-trivial part.
 
@@ -93,13 +105,7 @@ def kappa_split(w_eff: ProcessMatrix) -> KappaSplit:
     comes from the validity check, which solved for that eigenvalue already.
     """
     layout = w_eff.layout
-    report = validate_process(w_eff)
-    if not report.overall:
-        terms = "; ".join(f"{','.join(pattern)} {magnitude:.3g}" for pattern, magnitude in report.offending_terms)
-        raise ValueError(
-            f"kappa_split needs a valid process matrix; offending terms {terms or 'none'}, "
-            f"min eigenvalue {report.min_eigenvalue:.3e}, trace {report.trace_value:.6f}"
-        )
+    report = _require_valid(w_eff, "kappa_split")
     eye = np.eye(layout.d_total)
     g = layout.d * w_eff.matrix - eye
     lambda0 = layout.d * report.min_eigenvalue - 1.0
@@ -288,7 +294,8 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
     untouched and kappa1 - S >= 0, so with the identity weight (1 + lambda0)
     on the kappa1 side x = (kappa1 - S + (1 + lambda0) 1) / d is the A < B
     part of W and W - x the B < A part.  ``verify_decomposition`` certifies
-    the split, kappa2 + S >= 0 included, and is its only acceptance.
+    the split, kappa2 + S >= 0 included, and is its only acceptance.  W
+    itself is checked at ``validate_process``'s defaults, whatever ``tol``.
     """
     layout = w_eff.layout
     split = kappa_split(w_eff)
@@ -431,6 +438,9 @@ def verify_witness(w: ProcessMatrix, witness: CausalWitness) -> bool:
     parts = [np.asarray(m, dtype=complex) for m in (witness.s, witness.q1, witness.q2)]
     if any(m.shape != (side, side) for m in parts):
         raise ValueError(f"witness parts must be {side}x{side} for layout {dims}")
+    not_finite = [name for name, m in zip(("s", "q1", "q2"), parts) if not np.isfinite(m).all()]
+    if not_finite:
+        raise ValueError(f"witness part {not_finite[0]} has non-finite entries")
     check = _witness_from(w.matrix, *parts, dims)
     drift = max(np.linalg.norm(a - b) for a, b in zip((check.s, check.q1, check.q2), parts))
     # The stated value is compared on its own, so that a NaN fails.
@@ -521,12 +531,12 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     (``max_iter`` >= 1 iterations; memory grows with the iterations run)
     with neither certificate the run is inconclusive.  At ``tol`` = 0 no
     split is accepted and the search looks for a witness only; its
-    iterates do not depend on ``tol``.
+    iterates do not depend on ``tol``.  W itself is checked at
+    ``validate_process``'s defaults, whatever ``tol``.
     """
     _check_tol(tol)
     _check_max_iter(max_iter)
-    if not validate_process(w).overall:
-        raise ValueError("dykstra_separability needs a valid process matrix")
+    _require_valid(w, "dykstra_separability")
     return _search(w, tol, max_iter)
 
 
@@ -536,8 +546,9 @@ def check_separability(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8,
     by the constructive split where W is input-diagonal in them, else by
     the search of ``dykstra_separability``.  A split that fails verification
     raises :class:`DecompositionError` and is not retried, as the search
-    could pass it only at a looser tolerance; an invalid W or ``max_iter``
-    raises ``ValueError``."""
+    could pass it only at a looser tolerance; an invalid W (checked at
+    ``validate_process``'s defaults, whatever ``tol``) or ``max_iter`` raises
+    ``ValueError``."""
     _check_tol(tol)
     _check_max_iter(max_iter)
     try:

@@ -80,6 +80,9 @@ def tensor_product(factors: Iterable[np.ndarray]) -> np.ndarray:
     mats = [np.asarray(f, dtype=complex) for f in factors]
     if not mats:
         raise ValueError("tensor_product requires at least one factor")
+    for k, m in enumerate(mats):
+        if m.ndim != 2:
+            raise ValueError(f"factor {k} must be a 2-D matrix, got shape {m.shape}")
     return _kron(mats)
 
 

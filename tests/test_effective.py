@@ -13,6 +13,7 @@ from procmat import (
     MeasurementBasis,
     SystemLayout,
     classical_effective,
+    classical_instrument,
     dephase_state,
     identity_process,
     indistinguishability_residual,
@@ -178,6 +179,26 @@ class TestClassicalEffective:
         out = classical_effective(w, *bases)
         assert np.linalg.norm(out.matrix - projector_sum(w.matrix, bases)) < 1e-12
 
+    def test_same_output_frame_as_classical_instruments(self, rng):
+        # classical_instrument's output block |b_t><b_t| and classical_effective's
+        # output dephasing share the frame of b, so W and its classical effective
+        # matrix give the same table; the conjugate frame does not.
+        worst = worst_conj = 0.0
+        for i in range(20):
+            w = random_process(i)
+            ba, bb = MeasurementBasis.random(2, 100 + i).vectors, MeasurementBasis.random(2, 200 + i).vectors
+            eff = classical_effective(w, Z2, ba, Z2, bb)
+            eff_conj = classical_effective(w, Z2, ba.conj(), Z2, bb.conj())
+            for _ in range(5):
+                pa, pb = (raw / raw.sum(axis=(0, 1)) for raw in (rng.uniform(size=(2, 2, 2)),
+                                                                  rng.uniform(size=(3, 2, 2))))
+                instr_a, instr_b = classical_instrument(pa, EYE2, ba), classical_instrument(pb, EYE2, bb)
+                table, same, conj = (probability_table(m, instr_a, instr_b).entries for m in (w, eff, eff_conj))
+                worst = max(worst, np.abs(table - same).max())
+                worst_conj = max(worst_conj, np.abs(table - conj).max())
+        assert worst <= 1e-14
+        assert worst_conj > 1e-3
+
 
 class TestIsInputDiagonal:
     def test_dephased_output_is_diagonal(self):
@@ -197,6 +218,10 @@ class TestIsInputDiagonal:
             basis = MeasurementBasis.random(2, seed)
             flag, _ = is_input_diagonal(w, basis, basis)
             assert flag
+
+    def test_zero_tolerance_is_valid(self):
+        assert is_input_diagonal(luders_input_dephase(ocb_process(), Z2, Z2).matrix, Z2, Z2, tol=0.0)[0]
+        assert not is_input_diagonal(ocb_process(), Z2, Z2, tol=0.0)[0]
 
 
 class TestSelectiveUpdate:
@@ -379,6 +404,10 @@ class TestStateDephasingAnalogy:
     def test_state_of_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match=r"^state has shape \(3, 3\), expected \(4, 4\)$"):
             dephase_state(np.eye(3) / 3.0, Z2, Z2)
+
+    def test_ppt_zero_tolerance_is_valid(self):
+        assert ppt_check(np.eye(4) / 4.0, tol=0.0) == (True, 0.25)
+        assert not ppt_check(bell_state(), tol=0.0)[0]
 
     def test_large_dims_unsupported(self):
         with pytest.raises(ValueError, match="2x3"):

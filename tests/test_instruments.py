@@ -6,6 +6,7 @@ import pytest
 from procmat import (
     CPMap,
     Instrument,
+    MeasurementBasis,
     SystemLayout,
     born_probability,
     channel_process,
@@ -122,6 +123,30 @@ class TestClassicalInstrument:
         else:
             with pytest.raises(ValueError, match="sum to 1"):
                 classical_instrument(p, np.eye(2), np.eye(2))
+
+    def test_output_block_is_the_basis_projector(self):
+        # The output block of outcome (k, t) is |b_t><b_t| itself, so under the
+        # CJ convention the reprepared state is conj(b_t), not b_t.
+        b = MeasurementBasis.random(2, seed=3).vectors
+        relay = np.zeros((1, 2, 2))
+        relay[0, 0, 0] = relay[0, 1, 1] = 1.0
+        cj = classical_instrument(relay, E, b).outcomes[0].cj
+        conj_route = sum(measure_reprepare(E[:, t], b[:, t].conj()).cj for t in range(2))
+        plain_route = sum(measure_reprepare(E[:, t], b[:, t]).cj for t in range(2))
+        assert np.abs(cj - conj_route).max() <= 1e-15
+        assert np.abs(cj - plain_route).max() > 0.1
+
+    def test_matches_outcome_sum_over_basis_projectors(self, rng):
+        # sum_(t, l) p[k, t, l] |u_l><u_l| (x) |b_t><b_t| in Haar-random bases.
+        raw = rng.uniform(0.05, 1.0, size=(3, 2, 3))
+        p = raw / raw.sum(axis=(0, 1))
+        u, b = MeasurementBasis.random(3, seed=1).vectors, MeasurementBasis.random(2, seed=2).vectors
+        instr = classical_instrument(p, u, b)
+        for k, outcome in enumerate(instr.outcomes):
+            expected = sum(p[k, t, l] * np.kron(np.outer(u[:, l], u[:, l].conj()), np.outer(b[:, t], b[:, t].conj()))
+                           for t in range(2) for l in range(3))
+            assert np.abs(outcome.cj - expected).max() <= 1e-15
+        assert check_instrument(instr).overall
 
 
 class TestCqInstrument:
@@ -286,6 +311,10 @@ class TestCheckInstrument:
             instr = random_cptp_instrument(rng, 2, 2, 3)
             assert check_instrument(instr, tol=1e-10).overall
 
+    def test_zero_tolerance_is_valid(self):
+        report = check_instrument(Instrument((measure_reprepare(E[:, 0], E[:, 0]),)), tol=0.0)
+        assert report.cp_ok and not report.complete
+
 
 class TestBornProbability:
     def test_maximally_mixed_process(self):
@@ -376,6 +405,10 @@ MALFORMED = {
                         "basis shapes do not match the probability table"),
     "classical-negative": (lambda: classical_instrument(np.array([[[1.25, 0.25]], [[-0.25, 0.75]]]), E, np.eye(1)),
                            "probabilities must be nonnegative"),
+    "classical-non-stochastic": (lambda: classical_instrument(np.full((2, 2, 2), 0.5), E, E),
+                                 "p must be column stochastic: each column must sum to 1 over outcomes"),
+    "classical-basis-out-norm": (lambda: classical_instrument(np.full((1, 2, 2), 0.5), E, np.diag([1.0, 1.5])),
+                                 "basis_out column 1 must be a unit vector"),
     "cq-1d": (lambda: cq_instrument(E, np.full(2, 0.5), [STATE] * 2), "p must have shape (outcomes, inputs), got (2,)"),
     "cq-states": (lambda: cq_instrument(E, np.full((2, 2), 0.5), [STATE]), "expected 2 states, got 1"),
     "cq-basis": (lambda: cq_instrument(np.eye(3), np.full((2, 2), 0.5), [STATE] * 2),

@@ -87,6 +87,13 @@ class TestProcessDocument:
         with pytest.raises(ProcessDocumentError, match="^matrix entries must be JSON numbers$"):
             decode_process(json.dumps(payload))
 
+    def test_integer_beyond_float_range_rejected(self):
+        # json reads a 400-digit integer exactly; numpy cannot convert it to a float.
+        payload = json.loads(encode_process(identity_process()))
+        payload["matrix"][0][0][0] = 10 ** 400
+        with pytest.raises(ProcessDocumentError, match="^bad matrix payload: int too large to convert to float$"):
+            decode_process(json.dumps(payload))
+
     def test_non_object_document_rejected(self):
         with pytest.raises(ProcessDocumentError, match="^document must be a JSON object$"):
             decode_process("[]")
@@ -440,7 +447,9 @@ class TestCli:
         (json.dumps({"a1": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)],
                      "b1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}), "basis a1 has dimension 3, layout expects 2"),
         (None, "cannot read basis file"),
-    ], ids=["number", "object-entry", "invalid-json", "missing-b1", "qutrit-on-qubits", "no-such-file"])
+        (json.dumps({"a1": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]], "b1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+         "error: bad basis a1 payload: int too large to convert to float"),
+    ], ids=["number", "object-entry", "invalid-json", "missing-b1", "qutrit-on-qubits", "no-such-file", "huge-integer"])
     def test_malformed_basis_file_exits_one(self, tmp_path, capsys, payload, message):
         basis_file = tmp_path / "basis.json"
         if payload is not None:  # otherwise the path does not exist
@@ -459,6 +468,15 @@ class TestCli:
         run_cli(["fixture", "ocb", "--output", str(doc)], capsys)
         code, out, err = run_cli(["dephase", "--input", str(doc), "--basis", str(basis_file)], capsys)
         assert (code, out, err) == (1, "", "error: basis a1 entries must be JSON numbers\n")
+
+    def test_integer_beyond_float_range_exits_one(self, tmp_path, capsys):
+        payload = json.loads(encode_process(ocb_process()))
+        payload["matrix"][0][0][0] = 10 ** 400
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps(payload))
+        code, out, err = run_cli(["validate", "--input", str(doc)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {doc}: bad matrix payload: int too large to convert to float\n"
 
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -12,12 +12,14 @@ from procmat import (
     DecompositionReport,
     EigenstructureError,
     HSDecomposition,
+    Instrument,
     MeasurementBasis,
     NotInputDiagonalError,
     ProcessMatrix,
     SystemLayout,
     ValidityReport,
     channel_process,
+    check_instrument,
     check_separability,
     classical_effective,
     commutator_norm,
@@ -31,7 +33,9 @@ from procmat import (
     hs_decompose,
     hs_reconstruct,
     luders_input_dephase,
+    measure_reprepare,
     partial_trace,
+    ppt_check,
     random_process,
     tensor_product,
     validate_process,
@@ -52,7 +56,7 @@ from procmat.separability import (
     _span_project,
 )
 
-from conftest import EYE2, SIGMA_X, SIGMA_Z, mask_projection, random_hermitian
+from conftest import EYE2, SIGMA_X, SIGMA_Z, bell_state, mask_projection, random_hermitian
 
 Z2 = MeasurementBasis.computational(2)
 # OCB = (1 + (T_AB + T_BA) / sqrt(2)) / 4.
@@ -585,6 +589,10 @@ TOLERANCE_CALLS = {
     "eigenstructure": lambda tol: eigenstructure(kappa_split(dephased_ocb()), Z2, Z2, dephased_ocb(), tol=tol),
     "dykstra_separability": lambda tol: dykstra_separability(ocb_process(), tol=tol, max_iter=1000),
     "check_separability": lambda tol: check_separability(ocb_process(), Z2, Z2, tol=tol, max_iter=1000),
+    # At tol=inf these would call the Bell state PPT, an incomplete instrument complete and OCB input-diagonal.
+    "ppt_check": lambda tol: ppt_check(bell_state(), tol=tol),
+    "check_instrument": lambda tol: check_instrument(Instrument((measure_reprepare([1, 0], [1, 0]),)), tol=tol),
+    "is_input_diagonal": lambda tol: is_input_diagonal(ocb_process(), Z2, Z2, tol=tol),
 }
 
 
@@ -746,6 +754,18 @@ class TestDykstraSeparability:
         )
         with pytest.raises(ValueError):
             dykstra_separability(bad)
+
+    def test_invalid_input_message_matches_kappa_split(self):
+        # Both deciders describe an invalid W by its offending terms, min eigenvalue and trace.
+        w = ocb_process()
+        bad = ProcessMatrix(w.layout, w.matrix + 0.05 * tensor_product([EYE2, SIGMA_Z, EYE2, SIGMA_Z]))
+        messages = []
+        for call in (dykstra_separability, kappa_split):
+            with pytest.raises(ValueError) as err:
+                call(bad)
+            messages.append(str(err.value))
+        assert messages[0].startswith("dykstra_separability needs a valid process matrix; offending terms A2,B2 0.05, ")
+        assert messages[0].split("; ", 1)[1] == messages[1].split("; ", 1)[1]
 
     def test_huge_cap_allocates_per_sweep(self):
         # The residual history grows with the sweeps run, not with the cap.
@@ -1139,6 +1159,15 @@ class TestCausalWitness:
     def test_nan_value_rejected(self, witnessed):
         w, witness = witnessed
         assert not verify_witness(w, dataclasses.replace(witness, value=float("nan")))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("part", ["s", "q1", "q2"])
+    def test_non_finite_part_rejected(self, witnessed, part, value):
+        w, witness = witnessed
+        m = getattr(witness, part).copy()
+        m[0, 1] = value
+        with pytest.raises(ValueError, match=f"^witness part {part} has non-finite entries$"):
+            verify_witness(w, dataclasses.replace(witness, **{part: m}))
 
     def test_shape_mismatch_rejected(self, witnessed):
         w, witness = witnessed

@@ -57,6 +57,14 @@ class TestTensorProduct:
         with pytest.raises(ValueError):
             tensor_product([])
 
+    @pytest.mark.parametrize("factors, position, shape", [([np.ones(2), np.ones(2)], 0, (2,)),
+                                                          ([EYE2, np.ones((2, 2, 2))], 1, (2, 2, 2))],
+                             ids=["vectors", "3-d"])
+    def test_factor_not_2d_rejected(self, factors, position, shape):
+        # A vector factor used to end in numpy's "too many indices for array".
+        with pytest.raises(ValueError, match=re.escape(f"factor {position} must be a 2-D matrix, got shape {shape}")):
+            tensor_product(factors)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(kinds=st.lists(st.tuples(st.integers(1, 3), st.sampled_from(["identity", "real", "complex"])),
                           min_size=1, max_size=4),
