@@ -287,11 +287,12 @@ def _cmd_game(args) -> RunReport:
     w, _, run = _read_input(args)
     if w.layout.dims != (2, 2, 2, 2):
         raise CliError("game requires the qubit layout (2, 2, 2, 2)")
-    result = enumerate_strategies(w, ocb_game())
+    game = ocb_game()
+    result = enumerate_strategies(w, game)
     run.results = {
         "value": result.value,
         "strategy": result.strategy,
-        "classical_bound": 0.75,
+        "classical_bound": game.classical_bound,
         "per_condition": [
             {"inputs": list(cond), "success": val} for cond, val in result.per_condition
         ],

@@ -20,14 +20,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .instruments import Instrument, cj_from_kraus, measure_reprepare, probability_table
+from .instruments import Instrument, cq_instrument, probability_table
 from .process import ProcessMatrix
 
-_Z_STATES = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
-_X_STATES = (
-    np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-    np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
-)
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)  # the x basis as columns
+_P = tuple(np.diag(e) for e in np.eye(2))  # the z projectors |k><k|
 
 
 @dataclass(frozen=True)
@@ -93,31 +90,22 @@ def evaluate_game(w: ProcessMatrix, game: CausalGame, strategy: Strategy) -> Gam
     return GameResult(value, tuple(conditions), strategy.name)
 
 
-def _mixed_reprepare(direction: int) -> list[np.ndarray]:
-    """Kraus set: project onto one z state, output maximally mixed."""
-    bra = _Z_STATES[direction]
-    return [np.outer(_Z_STATES[k], bra.conj()) / math.sqrt(2.0) for k in range(2)]
-
-
 @lru_cache(maxsize=None)
 def _alice_relay(a: int, g1: int) -> Instrument:
     """Measure z (outcome x), reprepare the z state encoding a xor g1."""
-    target = _Z_STATES[a ^ g1]
-    return Instrument(tuple(measure_reprepare(_Z_STATES[x], target) for x in range(2)))
+    return cq_instrument(np.eye(2), np.eye(2), [_P[a ^ g1]] * 2)
 
 
 @lru_cache(maxsize=None)
 def _bob_read(g2: int) -> Instrument:
     """Measure z, report the outcome (relabeled by g2), reprepare mixed."""
-    return Instrument(tuple(cj_from_kraus(_mixed_reprepare(y ^ g2), 2, 2) for y in range(2)))
+    return cq_instrument(np.eye(2), np.eye(2)[[y ^ g2 for y in range(2)]], [np.eye(2) / 2] * 2)
 
 
 @lru_cache(maxsize=None)
 def _bob_send(b: int, g3: int, g4: int) -> Instrument:
     """Measure x (outcome e), reprepare the z state encoding b xor g3*e xor g4."""
-    return Instrument(
-        tuple(measure_reprepare(_X_STATES[e], _Z_STATES[b ^ (g3 * e) ^ g4]) for e in range(2))
-    )
+    return cq_instrument(_HADAMARD, np.eye(2), [_P[b ^ (g3 * e) ^ g4] for e in range(2)])
 
 
 def ocb_strategy_family() -> tuple[Strategy, ...]:

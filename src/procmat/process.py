@@ -29,21 +29,8 @@ from .tensor import (_EYE2, _SIGMA_X, _SIGMA_Z, _eigvalsh, _hs_coefficients, _kr
 A1, A2, B1, B2 = 0, 1, 2, 3
 FACTOR_NAMES = ("A1", "A2", "B1", "B2")
 
-_GENERAL_PATTERNS = frozenset(
-    frozenset(p)
-    for p in [
-        (),
-        (A1,),
-        (B1,),
-        (A1, B1),
-        (A2, B1),
-        (A1, A2, B1),
-        (A1, B2),
-        (A1, B1, B2),
-    ]
-)
-
 MASK_VARIANTS = ("general", "a_before_b", "b_before_a")
+_ORDERS = {"a_before_b": (A1, A2, B1, B2), "b_before_a": (B1, B2, A1, A2)}  # X < Y as (X1, X2, Y1, Y2)
 
 
 @dataclass(frozen=True)
@@ -57,19 +44,26 @@ class TermMask:
         return frozenset(pattern) in self.allowed
 
 
+def _allows(pattern: frozenset[int], order: tuple[int, ...]) -> bool:
+    """X < Y, ``order`` (X1, X2, Y1, Y2), allows patterns trivial on Y2 that hold X2 only with Y1."""
+    _, x2, y1, y2 = order
+    return y2 not in pattern and (x2 not in pattern or y1 in pattern)
+
+
+@lru_cache(maxsize=None)
 def allowed_term_mask(variant: str = "general") -> TermMask:
     """Mask of allowed term patterns: ``general``, ``a_before_b`` or ``b_before_a``.
 
-    ``a_before_b`` keeps only terms trivial on Bob's output (no signaling from
-    Bob to Alice); ``b_before_a`` is the mirror image.
+    ``a_before_b`` allows no signaling from Bob to Alice, ``b_before_a`` is
+    the mirror image and ``general`` allows either order.
     """
+    if variant not in MASK_VARIANTS:
+        raise ValueError(f"unknown mask variant {variant!r}; expected one of {MASK_VARIANTS}")
+    patterns = (frozenset(f for f in range(4) if bits >> f & 1) for bits in range(16))
+    general = frozenset(p for p in patterns if any(_allows(p, order) for order in _ORDERS.values()))
     if variant == "general":
-        return TermMask(variant, _GENERAL_PATTERNS)
-    if variant == "a_before_b":
-        return TermMask(variant, frozenset(p for p in _GENERAL_PATTERNS if B2 not in p))
-    if variant == "b_before_a":
-        return TermMask(variant, frozenset(p for p in _GENERAL_PATTERNS if A2 not in p))
-    raise ValueError(f"unknown mask variant {variant!r}; expected one of {MASK_VARIANTS}")
+        return TermMask(variant, general)
+    return TermMask(variant, frozenset(p for p in general if _allows(p, _ORDERS[variant])))
 
 
 @dataclass(frozen=True)
@@ -179,7 +173,7 @@ def _offending_patterns(coeffs: np.ndarray, dims: tuple[int, ...], variant: str,
     """Forbidden patterns carrying a coefficient above ``tol``, with max magnitude."""
     allowed = _allowed_coefficient_mask(dims, variant)
     worst: dict[tuple[str, ...], float] = {}
-    bad = np.argwhere(~allowed & (np.abs(coeffs) >= tol))
+    bad = np.argwhere(~allowed & (np.abs(coeffs) > tol))
     for idx in bad:
         pattern = tuple(FACTOR_NAMES[f] for f, t in enumerate(idx) if t != 0)
         magnitude = abs(float(coeffs[tuple(idx)]))
@@ -209,7 +203,7 @@ def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants
     the stack goes to ``eigvalsh`` as it is, with the same minimal eigenvalues as
     :func:`~procmat.tensor._eigvalsh`.  One eigensolve and one HS expansion
     serve the whole stack; only a member whose largest forbidden coefficient
-    reaches ``tol`` has its offending patterns collected, from those
+    exceeds ``tol`` has its offending patterns collected, from those
     coefficients.
     """
     _check_tol(tol, psd_tol)
@@ -222,7 +216,7 @@ def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants
     reports = []
     for mi, min_eig, c, variant in zip(m, min_eigs, _hs_coefficients(m, dims), variants):
         offending = ()
-        if np.abs(c[_forbidden_index(dims, variant)]).max(initial=0.0) >= tol:
+        if np.abs(c[_forbidden_index(dims, variant)]).max(initial=0.0) > tol:
             offending = _offending_patterns(c.reshape(shape), dims, variant, tol)
         trace_value = float(np.trace(mi).real)
         is_psd = min_eig >= -psd_tol
@@ -255,7 +249,7 @@ def _span_plan(dims: tuple[int, ...], variant: str):
     the projector vec(1) vec(1)^T / d_F, so 1 - R_Y1 (1 - R_X2) is one real
     matrix of (d_X2 d_Y1)^4 floats.  Axis 0 runs over the members of a stack.
     """
-    order = (0, 1, 2, 3) if variant == "a_before_b" else (2, 3, 0, 1)
+    order = _ORDERS[variant]
     pairs = (0,) + tuple(1 + axis for f in order for axis in (f, f + 4))
     x1, x2, y1, y2 = (dims[f] for f in order)
     e_x2, e_y1 = (np.outer(np.eye(d), np.eye(d)) / d for d in (x2, y1))

@@ -183,6 +183,8 @@ def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
     of block operators.
     """
     layout = split.layout
+    if layout != w_eff.layout:
+        raise ValueError(f"kappa split has layout {layout.dims}, W_eff has {w_eff.layout.dims}")
     kappas = np.stack((split.kappa1, split.kappa2))
     ba1, bb1, t, blocks = _input_blocks(w_eff, kappas, basis_a1, basis_b1, tol)
     d_a2, d_b2 = layout.d_a2, layout.d_b2
@@ -343,7 +345,7 @@ def _failed_checks(check: DecompositionReport, p: float, layout: SystemLayout, t
         if not report.mask_ok:
             pattern, magnitude = max(report.offending_terms, key=lambda term: term[1])
             failed.append(f"{name} mask: forbidden term {','.join(pattern)} of magnitude {magnitude:.3e}, "
-                          f"at least {tol:g}")
+                          f"above {tol:g}")
     return "; ".join(failed)
 
 

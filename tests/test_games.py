@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from procmat import (
     ocb_strategy_family,
     validate_process,
 )
+from procmat.games import _alice_relay, _bob_read, _bob_send
 
 E = np.eye(2, dtype=complex)
 Z2 = MeasurementBasis.computational(2)
@@ -28,6 +31,35 @@ def guess_strategy():
     """Input-independent strategy: measure z, reprepare the ground state."""
     instr = Instrument(tuple(measure_reprepare(E[:, x], E[:, 0]) for x in range(2)))
     return Strategy("guess", lambda a: instr, lambda b, bp: instr)
+
+
+def _kraus_strategy_instruments():
+    """Reference: the 14 strategy instruments from Kraus operators, with their builder and arguments."""
+    z, x = E, np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+
+    def read(direction):  # project onto one z state, output maximally mixed
+        return cj_from_kraus([np.outer(z[:, k], z[:, direction]) / np.sqrt(2.0) for k in range(2)], 2, 2)
+
+    cases = [(_alice_relay, (a, g1), [measure_reprepare(z[:, o], z[:, a ^ g1]) for o in range(2)])
+             for a, g1 in itertools.product((0, 1), repeat=2)]
+    cases += [(_bob_read, (g2,), [read(y ^ g2) for y in range(2)]) for g2 in (0, 1)]
+    cases += [(_bob_send, (b, g3, g4), [measure_reprepare(x[:, e], z[:, b ^ (g3 * e) ^ g4]) for e in range(2)])
+              for b, g3, g4 in itertools.product((0, 1), repeat=3)]
+    return cases
+
+
+KRAUS_CASES = _kraus_strategy_instruments()
+
+
+class TestStrategyInstruments:
+    """The strategy instruments come from the cq builder and equal their Kraus construction."""
+
+    @pytest.mark.parametrize("build, args, reference", KRAUS_CASES,
+                             ids=[build.__name__ + "".join(map(str, args)) for build, args, _ in KRAUS_CASES])
+    def test_matches_kraus_construction(self, build, args, reference):
+        built = np.stack([m.cj for m in build(*args).outcomes])
+        expected = np.stack([m.cj for m in reference])
+        assert np.abs(built - expected).max() <= 4 * np.finfo(float).eps
 
 
 class TestOcbProcess:
@@ -89,6 +121,17 @@ class TestEnumerateStrategies:
     def test_perfect_channel_reaches_classical_bound(self):
         best = enumerate_strategies(channel_process(), ocb_game())
         assert best.value == pytest.approx(0.75, abs=1e-9)
+
+    def test_perfect_channel_value_exact(self):
+        assert abs(enumerate_strategies(channel_process(), ocb_game()).value - 0.75) <= 1e-15
+
+    def test_ocb_tie_goes_to_family_order(self):
+        # g0010 and g1110 reach the same value exactly; g0010 comes first in the family.
+        w, game = ocb_process(), ocb_game()
+        best = enumerate_strategies(w, game)
+        family = {s.name: s for s in ocb_strategy_family()}
+        assert best.strategy == "g0010"
+        assert evaluate_game(w, game, family["g1110"]).value == best.value
 
     def test_dephasing_monotonicity_on_ocb(self):
         w = ocb_process()

@@ -56,7 +56,16 @@ class TestLayout:
         assert lay.d_total == 36
 
 
+# The allowed patterns written out: the reference for the causal-order rule.
+GENERAL_PATTERNS = {frozenset(p) for p in [(), (A1,), (B1,), (A1, B1), (A2, B1), (A1, A2, B1), (A1, B2), (A1, B1, B2)]}
+
+
 class TestTermMask:
+    def test_rule_matches_pattern_table(self):
+        assert allowed_term_mask("general").allowed == GENERAL_PATTERNS
+        assert allowed_term_mask("a_before_b").allowed == {p for p in GENERAL_PATTERNS if B2 not in p}
+        assert allowed_term_mask("b_before_a").allowed == {p for p in GENERAL_PATTERNS if A2 not in p}
+
     def test_general_allows_channel_pattern(self):
         assert allowed_term_mask("general").allows({A2, B1})
 
@@ -162,6 +171,19 @@ class TestValidateProcess:
         report = validate_process(ProcessMatrix(QUBIT, np.eye(16) / 2.0))
         assert not report.trace_ok
         assert report.is_psd
+
+    @pytest.mark.parametrize("make", [identity_process, ocb_process, channel_process])
+    def test_exact_fixture_valid_at_zero_tolerance(self, make):
+        # tol bounds the forbidden coefficients, so an exact zero is no forbidden term.
+        report = validate_process(make(), tol=0.0)
+        assert report.overall and report.offending_terms == ()
+
+    def test_rounding_level_forbidden_terms_fail_at_zero_tolerance(self):
+        w = random_process(0)
+        report = validate_process(w, tol=0.0)
+        assert not report.mask_ok
+        assert 0.0 < max(magnitude for _, magnitude in report.offending_terms) < 1e-15
+        assert validate_process(w).overall
 
 
 def _reference_report(w, tol, variant, psd_tol):

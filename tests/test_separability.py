@@ -149,6 +149,17 @@ class TestEigenstructure:
         assert np.max(np.abs(structure.m1)) < 1e-12
         assert np.max(np.abs(structure.m2)) < 1e-12
 
+    @pytest.mark.parametrize("split_dims, w_dims", [((2, 2, 2, 2), (3, 2, 3, 2)), ((3, 2, 3, 2), (2, 2, 2, 2)),
+                                                    ((2, 2, 2, 2), (4, 1, 4, 1))],
+                             ids=["qubit-split", "qutrit-split", "same-side"])
+    def test_layout_mismatch_rejected(self, split_dims, w_dims):
+        # Checked before any arithmetic: with another side the stack of W and
+        # the kappas would fail inside numpy.
+        split, w = (random_process(0, SystemLayout(*dims)) for dims in (split_dims, w_dims))
+        basis = MeasurementBasis.computational(w_dims[0])
+        with pytest.raises(ValueError, match=r"kappa split has layout \(.*\), W_eff has \("):
+            eigenstructure(kappa_split(split), basis, basis, luders_input_dephase(w, basis, basis).matrix)
+
     def test_random_dephased_invariants(self):
         for seed in range(4):
             ba = MeasurementBasis.random(2, 320 + seed)
@@ -218,6 +229,11 @@ class TestConstructiveDecomposition:
         dec = constructive_decomposition(w, Z2, Z2)
         assert dec.p == 1.0
         assert np.allclose(dec.w_ab.matrix, w.matrix)
+
+    def test_dephased_ocb_splits_at_zero_tolerance(self):
+        # Its forbidden coefficients are exact zeros, which tol 0 accepts.
+        dec = constructive_decomposition(dephased_ocb(), Z2, Z2, tol=0.0)
+        assert dec.check.ok and dec.check.report_ab.offending_terms == ()
 
     def test_alpha_allocation_invariance(self):
         # kappa1 carries the whole identity shift -lambda0.
@@ -461,6 +477,10 @@ class TestVerifyDecomposition:
             w = w0_process(p)
             assert verify_decomposition(w, w0_defining_split(p)).ok
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+    def test_exact_split_passes_at_zero_tolerance(self, p):
+        assert verify_decomposition(w0_process(p), w0_defining_split(p), tol=0.0).ok
+
     def test_tampered_weight_fails_with_expected_residual(self):
         w = w0_process(0.5)
         split = w0_defining_split(0.5)
@@ -512,7 +532,7 @@ class TestFailedChecks:
         (DecompositionReport(0.0, True, _validity(mask_ok=False, offending_terms=((("B2",), 0.01),
                                                                                   (("A2", "B2"), 0.05))),
                              None, False), 1.0,
-         "w_ab mask: forbidden term A2,B2 of magnitude 5.000e-02, at least 1e-08"),
+         "w_ab mask: forbidden term A2,B2 of magnitude 5.000e-02, above 1e-08"),
     ], ids=["reconstruction", "weight", "psd", "mask"])
     def test_names_the_failed_check(self, check, p, message):
         assert _failed_checks(check, p, SystemLayout.qubit(), 1e-8) == message
