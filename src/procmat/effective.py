@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .process import ProcessMatrix, _check_tol, validate_process
-from .tensor import _eigvalsh, _kron, partial_transpose
+from .tensor import _eigvalsh, _kron, partial_transpose, require_hermitian
 
 # The two functions that sample instruments import ``instruments`` themselves,
 # so that dephasing and the separability code do not load it.
@@ -187,10 +187,11 @@ def selective_update(w: ProcessMatrix, n: int, m: int, basis_a1, basis_b1):
     layout = w.layout
     ba1 = as_basis(basis_a1, layout.d_a1)
     bb1 = as_basis(basis_b1, layout.d_b1)
-    if not 0 <= n < layout.d_a1:
-        raise IndexError(f"index n={n} out of range for dimension {layout.d_a1}")
-    if not 0 <= m < layout.d_b1:
-        raise IndexError(f"index m={m} out of range for dimension {layout.d_b1}")
+    for name, k, d in (("n", n, layout.d_a1), ("m", m, layout.d_b1)):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise IndexError(f"index {name}={k} must be an integer")
+        if not 0 <= k < d:
+            raise IndexError(f"index {name}={k} out of range for dimension {d}")
     projector = _kron((ba1.projector(n), np.eye(layout.d_a2), bb1.projector(m), np.eye(layout.d_b2)))
     block = projector @ w.matrix @ projector
     weight = float(np.trace(block).real)
@@ -200,20 +201,20 @@ def selective_update(w: ProcessMatrix, n: int, m: int, basis_a1, basis_b1):
     return pm, validate_process(pm)
 
 
-def _cq_draws(rngs, d_in: int, output_dim: int, n_outcomes: int = 2):
-    """Stacked table and unit-trace Wishart states of one cq instrument per generator, drawn in that order."""
-    raw = np.stack([rng.uniform(0.1, 1.0, size=(n_outcomes, d_in)) for rng in rngs])
-    gauss = np.stack([rng.standard_normal((n_outcomes, 2, output_dim, output_dim)) for rng in rngs])
+def _cq_draws(rngs, d_in: int, output_dim: int):
+    """Stacked table and unit-trace Wishart states of one two-outcome cq instrument per generator, in that order."""
+    raw = np.stack([rng.uniform(0.1, 1.0, size=(2, d_in)) for rng in rngs])
+    gauss = np.stack([rng.standard_normal((2, 2, output_dim, output_dim)) for rng in rngs])
     g = gauss[:, :, 0] + 1j * gauss[:, :, 1]
     wish = g @ g.conj().swapaxes(-1, -2)
     return raw / raw.sum(axis=-2, keepdims=True), wish / np.trace(wish, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_cq_instrument(basis: MeasurementBasis, output_dim: int, rng, n_outcomes: int = 2) -> Instrument:
-    """Random fixed-basis instrument: stochastic outcome table, Wishart repreparations."""
+def random_cq_instrument(basis: MeasurementBasis, output_dim: int, rng) -> Instrument:
+    """Random two-outcome fixed-basis instrument: stochastic outcome table, Wishart repreparations."""
     from .instruments import cq_instrument
 
-    p, states = _cq_draws([rng], basis.dim, output_dim, n_outcomes)
+    p, states = _cq_draws([rng], basis.dim, output_dim)
     return cq_instrument(basis.vectors, p[0], states[0])
 
 
@@ -247,7 +248,7 @@ def dephase_state(rho, basis_a, basis_b) -> np.ndarray:
     da, db = ba.dim, bb.dim
     if r.shape != (da * db, da * db):
         raise ValueError(f"state has shape {r.shape}, expected {(da * db, da * db)}")
-    return _dephase(r, (ba, bb))
+    return _dephase(require_hermitian(r, name="state"), (ba, bb))
 
 
 def ppt_check(rho, dims: tuple[int, int] = (2, 2), tol: float = 1e-10):

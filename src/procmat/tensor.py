@@ -216,20 +216,18 @@ def _hs_plan(dims: tuple[int, ...]):
     """Pairing order and tables of the product-basis expansion, cached per ``dims``.
 
     The factors split into a first half A and a second half B, either of
-    which may be empty.  Factor F with basis elements b_t has the forward
-    table tab_F[t, (i, j)] = b_t[j, i] and the inverse table
-    inv_F[(i, j), t] = b_t[i, j]; T_A = kron(tab_F for F in A) / prod(dims),
-    R_A = kron(inv_F for F in A), and likewise over B, so that
-    C = T_A paired(M) T_B^T and paired(M) = R_A C R_B^T.  Returns
-    ``(pairs, T_A, T_B^T, R_A, R_B^T)``; axis 0 of ``pairs`` runs over the
-    members of a stack.
+    which may be empty.  With inv_F[(i, j), t] = b_t[i, j] for the basis
+    elements b_t of factor F, R_A = kron(inv_F for F in A), and likewise over
+    B, so that paired(M) = R_A C R_B^T.  Every b_t is exactly Hermitian, so
+    C = T_A paired(M) T_B^T with T_A = R_A^dag / prod(dims) and
+    T_B^T = conj(R_B).  Returns ``(pairs, T_A, T_B^T, R_A, R_B^T)``; axis 0
+    of ``pairs`` runs over the members of a stack.
     """
     n, half = len(dims), len(dims) // 2
     pairs = (0,) + tuple(1 + k for f in range(n) for k in (f, n + f))
-    fwd = [hermitian_basis(d).transpose(0, 2, 1).reshape(d * d, d * d) for d in dims]
     inv = [hermitian_basis(d).reshape(d * d, d * d).T for d in dims]
-    t_a, t_b, r_a, r_b = (_kron(tabs) for tabs in (fwd[:half], fwd[half:], inv[:half], inv[half:]))
-    return pairs, t_a / math.prod(dims), t_b.T, r_a, r_b.T
+    r_a, r_b = _kron(inv[:half]), _kron(inv[half:])
+    return pairs, r_a.conj().T / math.prod(dims), r_b.conj(), r_a, r_b.T
 
 
 def _hs_coefficients(m: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
@@ -255,11 +253,8 @@ def hs_decompose(matrix, dims: Sequence[int]) -> HSDecomposition:
 def hs_reconstruct(decomposition: HSDecomposition) -> np.ndarray:
     """Rebuild the Hermitian matrix from its product-basis coefficients, paired(M) = R_A C R_B^T."""
     dims = decomposition.dims
-    n = len(dims)
-    _, _, _, r_a, r_b = _hs_plan(dims)
+    pairs, _, _, r_a, r_b = _hs_plan(dims)
     paired = r_a @ decomposition.coefficients.reshape(r_a.shape[1], r_b.shape[0]) @ r_b
-    # Unpair (i_1, j_1, ..., i_n, j_n) back into rows then columns.
-    t = paired.reshape([d for d in dims for _ in range(2)])
-    t = t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    side = math.prod(dims)
-    return np.ascontiguousarray(t.reshape(side, side))
+    # Undo the plan's pairing: the inverse permutation of ``pairs``.
+    t = paired.reshape([((1,) + dims * 2)[axis] for axis in pairs]).transpose(np.argsort(pairs))
+    return np.ascontiguousarray(t.reshape(2 * (math.prod(dims),)))

@@ -261,6 +261,19 @@ class TestSelectiveUpdate:
         with pytest.raises(IndexError, match=f"^{message}$"):
             selective_update(ocb_process(), n, m, Z2, Z2)
 
+    @pytest.mark.parametrize("index", [0.5, 1.0, True], ids=["half", "float-one", "true"])
+    @pytest.mark.parametrize("name", ["n", "m"])
+    def test_block_index_not_an_integer_rejected(self, name, index):
+        # 0.5 would fail inside numpy's indexing and True would select a column mask.
+        n, m = (index, 0) if name == "n" else (0, index)
+        with pytest.raises(IndexError, match=f"^index {name}={index} must be an integer$"):
+            selective_update(ocb_process(), n, m, Z2, Z2)
+
+    def test_numpy_integer_block_index_accepted(self):
+        block, report = selective_update(ocb_process(), np.int64(1), np.int64(1), Z2, Z2)
+        expected, _ = selective_update(ocb_process(), 1, 1, Z2, Z2)
+        assert np.array_equal(block.matrix, expected.matrix) and report.trace_ok
+
     def test_zero_weight_block_rejected(self):
         layout = SystemLayout.qubit()
         from procmat import ProcessMatrix
@@ -404,6 +417,15 @@ class TestStateDephasingAnalogy:
     def test_state_of_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match=r"^state has shape \(3, 3\), expected \(4, 4\)$"):
             dephase_state(np.eye(3) / 3.0, Z2, Z2)
+
+    def test_non_hermitian_state_rejected(self):
+        # The update's final Hermitisation would otherwise hide the asymmetry.
+        with pytest.raises(ValueError, match=r"^state is not Hermitian: "):
+            dephase_state(np.arange(16).reshape(4, 4), Z2, Z2)
+
+    def test_non_finite_state_rejected(self):
+        with pytest.raises(ValueError, match="^state has non-finite entries$"):
+            dephase_state(np.full((4, 4), np.nan), Z2, Z2)
 
     def test_ppt_zero_tolerance_is_valid(self):
         assert ppt_check(np.eye(4) / 4.0, tol=0.0) == (True, 0.25)

@@ -395,9 +395,14 @@ class TestCli:
     def test_validate_hs_listing(self, tmp_path, capsys):
         doc = tmp_path / "w0.json"
         run_cli(["fixture", "w0", "--p", "0.5", "--output", str(doc)], capsys)
-        code, out, _ = run_cli(["validate", "--input", str(doc), "--hs"], capsys)
+        code, out, _ = run_cli(["validate", "--input", str(doc), "--hs", "--json"], capsys)
         assert code == 0
-        assert "hs_coefficients" in out
+        assert json.loads(out)["results"]["hs_coefficients"] == [
+            "(0, 0, 0, 0) [identity] 0.25",
+            "(1, 0, 1, 3) [A1,B1,B2] 0.0625",
+            "(3, 0, 0, 1) [A1,B2] 0.0625",
+            "(3, 3, 1, 0) [A1,A2,B1] -0.125",
+        ]
 
     @pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     def test_non_finite_basis_file_exits_one(self, tmp_path, capsys, entry):

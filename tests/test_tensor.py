@@ -312,6 +312,17 @@ class TestHSDecomposition:
             assert abs(coeffs[index] - expected) <= 1e-12
 
 
+    @pytest.mark.parametrize("dims", [(1,), (3,), (2, 3, 2), (2, 1, 1, 3), (3, 2, 3, 2)],
+                             ids=lambda dims: "-".join(map(str, dims)))
+    def test_reconstruction_matches_term_sum_oracle(self, dims):
+        # M = sum_T c_T (x)_f b_(t_f) term by term: a pairing error that the
+        # expansion and the reconstruction shared would pass the round trip.
+        coeffs = np.random.default_rng(15).standard_normal(tuple(d * d for d in dims))
+        expected = sum(coeffs[index] * tensor_product([hermitian_basis(d)[t] for d, t in zip(dims, index)])
+                       for index in np.ndindex(coeffs.shape))
+        assert np.max(np.abs(hs_reconstruct(HSDecomposition(dims, coeffs)) - expected)) <= 1e-12
+
+
 class TestFrobeniusInner:
     def test_identity_pairing(self):
         assert frobenius_inner(EYE2, EYE2) == pytest.approx(2.0)
