@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .process import ProcessMatrix, _check_tol, validate_process
-from .tensor import _eigvalsh, _kron, partial_transpose, require_hermitian
+from .tensor import _check_int, _eigvalsh, _kron, partial_transpose, require_hermitian
 
 # The two functions that sample instruments import ``instruments`` themselves,
 # so that dephasing and the separability code do not load it.
@@ -61,19 +61,20 @@ class MeasurementBasis:
         return self.vectors.shape[0]
 
     def vector(self, n: int) -> np.ndarray:
-        return self.vectors[:, n]
+        return self.vectors[:, _check_int(n, "index n", 0, self.dim, IndexError)]
 
     def projector(self, n: int) -> np.ndarray:
-        v = self.vectors[:, n]
+        v = self.vector(n)
         return np.outer(v, v.conj())
 
     @classmethod
     def computational(cls, dim: int) -> "MeasurementBasis":
-        return cls(np.eye(dim, dtype=complex))
+        return cls(np.eye(_check_int(dim, "dim", 0), dtype=complex))
 
     @classmethod
     def random(cls, dim: int, seed) -> "MeasurementBasis":
         """Haar-random basis, deterministic in the seed."""
+        dim = _check_int(dim, "dim", 0)
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         q, r = np.linalg.qr(g)
@@ -187,11 +188,8 @@ def selective_update(w: ProcessMatrix, n: int, m: int, basis_a1, basis_b1):
     layout = w.layout
     ba1 = as_basis(basis_a1, layout.d_a1)
     bb1 = as_basis(basis_b1, layout.d_b1)
-    for name, k, d in (("n", n, layout.d_a1), ("m", m, layout.d_b1)):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise IndexError(f"index {name}={k} must be an integer")
-        if not 0 <= k < d:
-            raise IndexError(f"index {name}={k} out of range for dimension {d}")
+    n = _check_int(n, "index n", 0, layout.d_a1, IndexError)
+    m = _check_int(m, "index m", 0, layout.d_b1, IndexError)
     projector = _kron((ba1.projector(n), np.eye(layout.d_a2), bb1.projector(m), np.eye(layout.d_b2)))
     block = projector @ w.matrix @ projector
     weight = float(np.trace(block).real)
@@ -231,8 +229,7 @@ def indistinguishability_residual(w: ProcessMatrix, effective: EffectiveProcess,
     """
     from .instruments import _cq_born_tables
 
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
+    samples = _check_int(samples, "samples", 1)
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(samples)]
     ba, bb = effective.basis_a1, effective.basis_b1
     tables = _cq_born_tables((w, effective.matrix), (ba.vectors, *_cq_draws(rngs, ba.dim, w.layout.d_a2)),
@@ -258,10 +255,10 @@ def ppt_check(rho, dims: tuple[int, int] = (2, 2), tol: float = 1e-10):
     separability verdict.  Returns ``(flag, min_pt_eigenvalue)``.
     """
     _check_tol(tol)
-    da, db = int(dims[0]), int(dims[1])
-    if sorted((da, db)) not in ([2, 2], [2, 3]):
-        raise ValueError(f"PPT is only decisive for 2x2 and 2x3 systems, got {da}x{db}")
+    dims = tuple(_check_int(d, "dimension", 1) for d in dims)
+    if sorted(dims) not in ([2, 2], [2, 3]):
+        raise ValueError(f"PPT is only decisive for 2x2 and 2x3 systems, got {'x'.join(map(str, dims))}")
     r = np.asarray(rho, dtype=complex)
-    pt = partial_transpose(r, (da, db), {1})
+    pt = partial_transpose(r, dims, {1})
     min_eig = float(_eigvalsh(pt)[0])
     return min_eig >= -tol, min_eig

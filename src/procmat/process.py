@@ -23,8 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor import (_EYE2, _SIGMA_X, _SIGMA_Z, _eigvalsh, _hs_coefficients, _kron, check_factor_dims,
-                     require_hermitian)
+from .tensor import (_EYE2, _SIGMA_X, _SIGMA_Z, _check_int, _eigvalsh, _hs_coefficients, _kron,
+                     check_factor_dims, require_hermitian)
 
 A1, A2, B1, B2 = 0, 1, 2, 3
 FACTOR_NAMES = ("A1", "A2", "B1", "B2")
@@ -77,8 +77,7 @@ class SystemLayout:
 
     def __post_init__(self):
         for name, d in zip(FACTOR_NAMES, self.dims):
-            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d <= 0:
-                raise ValueError(f"dimension {name} must be a positive integer, got {d!r}")
+            _check_int(d, f"dimension {name}", 1)
 
     @property
     def dims(self) -> tuple[int, int, int, int]:

@@ -41,7 +41,7 @@ from .process import (
     _w0_parts,
     validate_process,
 )
-from .tensor import _eigvalsh, hermitian_eig
+from .tensor import _check_int, _eigvalsh, hermitian_eig
 
 SEPARABLE = "separable"
 NOT_SEPARABLE = "not-separable-up-to-tolerance"
@@ -450,12 +450,6 @@ def verify_witness(w: ProcessMatrix, witness: CausalWitness) -> bool:
             and abs(check.value - witness.value) <= check.margin)
 
 
-def _check_max_iter(max_iter) -> None:
-    """Reject a search cap that is not an integer of at least 1."""
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-
-
 def _search(w: ProcessMatrix, tol: float, max_iter: int) -> FeasibilityReport:
     """Scaled ADMM (Boyd et al., Found. Trends ML 3(1), 2011) on the
     white-noise robustness problem (Araujo et al., NJP 17, 102001 (2015)) of
@@ -537,7 +531,7 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     ``validate_process``'s defaults, whatever ``tol``.
     """
     _check_tol(tol)
-    _check_max_iter(max_iter)
+    _check_int(max_iter, "max_iter", 1)
     _require_valid(w, "dykstra_separability")
     return _search(w, tol, max_iter)
 
@@ -552,7 +546,7 @@ def check_separability(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8,
     ``validate_process``'s defaults, whatever ``tol``) or ``max_iter`` raises
     ``ValueError``."""
     _check_tol(tol)
-    _check_max_iter(max_iter)
+    _check_int(max_iter, "max_iter", 1)
     try:
         decomposition = constructive_decomposition(w, basis_a1, basis_b1, tol=tol)
     except NotInputDiagonalError as err:  # raised after kappa_split validated W

@@ -36,10 +36,19 @@ def as_square_matrix(matrix, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _check_int(value, name: str, low: int, high: int | None = None, error: type = ValueError) -> int:
+    """``value`` as an int; raises ``error`` for a bool, a non-integer or a value outside [low, high)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low
+            or (high is not None and value >= high)):
+        bound = f"at least {low}" + ("" if high is None else f" and below {high}")
+        raise error(f"{name} must be an integer of {bound}, got {value!r}")
+    return int(value)
+
+
 def check_factor_dims(matrix: np.ndarray, dims: Sequence[int], name: str = "matrix") -> tuple[int, ...]:
     """Validate that ``matrix`` is square with side equal to the product of ``dims``."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d <= 0 for d in dims):
+    dims = tuple(_check_int(d, "factor dimension", 1) for d in dims)
+    if not dims:
         raise ValueError(f"factor dimensions must be positive, got {dims}")
     side = math.prod(dims)
     if matrix.shape != (side, side):
@@ -96,10 +105,7 @@ def partial_trace(matrix, dims: Sequence[int], keep: Iterable[int]) -> np.ndarra
     m = as_square_matrix(matrix)
     dims = check_factor_dims(m, dims)
     n = len(dims)
-    keep_set = set(int(i) for i in keep)
-    for i in keep_set:
-        if not 0 <= i < n:
-            raise IndexError(f"keep index {i} out of range for {n} factors")
+    keep_set = {_check_int(i, "keep index", 0, n, IndexError) for i in keep}
     kept = sorted(keep_set)
 
     t = m.reshape(dims + dims)
@@ -116,10 +122,7 @@ def partial_transpose(matrix, dims: Sequence[int], subset: Iterable[int]) -> np.
     m = as_square_matrix(matrix)
     dims = check_factor_dims(m, dims)
     n = len(dims)
-    sub = set(int(i) for i in subset)
-    for i in sub:
-        if not 0 <= i < n:
-            raise IndexError(f"subset index {i} out of range for {n} factors")
+    sub = {_check_int(i, "subset index", 0, n, IndexError) for i in subset}
     t = m.reshape(dims + dims)
     axes = [n + i if i in sub else i for i in range(n)] + [i if i in sub else n + i for i in range(n)]
     return t.transpose(axes).reshape(m.shape)
@@ -154,7 +157,7 @@ def _eigvalsh(matrix) -> np.ndarray:
     return np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 must not hit a numpy integer's entry
 def hermitian_basis(dim: int) -> np.ndarray:
     """Orthogonal Hermitian basis for one factor: identity then traceless elements.
 
@@ -164,8 +167,7 @@ def hermitian_basis(dim: int) -> np.ndarray:
     in the order symmetric/antisymmetric pair elements followed by the
     diagonal ladder.
     """
-    if dim <= 0:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    dim = _check_int(dim, "dimension", 1)
     scale = math.sqrt(dim / 2.0)
     elems = [np.eye(dim, dtype=complex)]
     for k in range(1, dim):
@@ -200,7 +202,7 @@ class HSDecomposition:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_check_int(d, "factor dimension", 1) for d in self.dims)
         shape = tuple(d * d for d in dims)
         coeffs = np.asarray(self.coefficients, dtype=float)
         if coeffs.shape != shape:

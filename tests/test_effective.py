@@ -254,8 +254,8 @@ class TestSelectiveUpdate:
         assert np.allclose(total, eff.matrix.matrix, atol=1e-13)
 
     @pytest.mark.parametrize("n, m, message", [
-        (2, 0, "index n=2 out of range for dimension 2"),
-        (0, -1, "index m=-1 out of range for dimension 2"),
+        (2, 0, "index n must be an integer of at least 0 and below 2, got 2"),
+        (0, -1, "index m must be an integer of at least 0 and below 2, got -1"),
     ], ids=["n", "m"])
     def test_block_index_out_of_range(self, n, m, message):
         with pytest.raises(IndexError, match=f"^{message}$"):
@@ -266,7 +266,8 @@ class TestSelectiveUpdate:
     def test_block_index_not_an_integer_rejected(self, name, index):
         # 0.5 would fail inside numpy's indexing and True would select a column mask.
         n, m = (index, 0) if name == "n" else (0, index)
-        with pytest.raises(IndexError, match=f"^index {name}={index} must be an integer$"):
+        message = f"index {name} must be an integer of at least 0 and below 2, got {index!r}"
+        with pytest.raises(IndexError, match=f"^{re.escape(message)}$"):
             selective_update(ocb_process(), n, m, Z2, Z2)
 
     def test_numpy_integer_block_index_accepted(self):

@@ -47,7 +47,7 @@ class TestLayout:
 
     @pytest.mark.parametrize("dim", [2.5, 2.0, True, "3", None], ids=["fraction", "float", "bool", "string", "none"])
     def test_integer_dims_required(self, dim):
-        with pytest.raises(ValueError, match="dimension A1 must be a positive integer"):
+        with pytest.raises(ValueError, match="dimension A1 must be an integer of at least 1"):
             SystemLayout(dim, 2, 2, 2)
 
     def test_numpy_integer_dims_accepted(self):

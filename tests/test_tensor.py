@@ -352,10 +352,10 @@ MALFORMED = {
     "trace-not-square": (lambda: partial_trace(np.ones((2, 3)), (2,), [0]), ValueError,
                          "matrix must be a square matrix, got shape (2, 3)"),
     "trace-zero-factor": (lambda: partial_trace(np.ones((1, 1)), (0, 1), [1]), ValueError,
-                          "factor dimensions must be positive, got (0, 1)"),
+                          "factor dimension must be an integer of at least 1, got 0"),
     "transpose-index": (lambda: partial_transpose(np.eye(4), (2, 2), {2}), IndexError,
-                        "subset index 2 out of range for 2 factors"),
-    "basis-zero": (lambda: hermitian_basis(0), ValueError, "dimension must be positive, got 0"),
+                        "subset index must be an integer of at least 0 and below 2, got 2"),
+    "basis-zero": (lambda: hermitian_basis(0), ValueError, "dimension must be an integer of at least 1, got 0"),
     "coefficient-shape": (lambda: HSDecomposition((2,), np.zeros(3)), ValueError,
                           "coefficients have shape (3,), expected (4,) for factors (2,)"),
 }
