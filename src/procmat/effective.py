@@ -208,11 +208,12 @@ def _cq_draws(rngs, d_in: int, output_dim: int):
     return raw / raw.sum(axis=-2, keepdims=True), wish / np.trace(wish, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_cq_instrument(basis: MeasurementBasis, output_dim: int, rng) -> Instrument:
-    """Random two-outcome fixed-basis instrument: stochastic outcome table, Wishart repreparations."""
+def random_cq_instrument(basis, output_dim: int, rng) -> Instrument:
+    """Random two-outcome instrument in ``basis``, columns or a MeasurementBasis: stochastic table, Wishart states."""
     from .instruments import cq_instrument
 
-    p, states = _cq_draws([rng], basis.dim, output_dim)
+    basis = basis if isinstance(basis, MeasurementBasis) else MeasurementBasis(basis)
+    p, states = _cq_draws([rng], basis.dim, _check_int(output_dim, "output_dim", 1))
     return cq_instrument(basis.vectors, p[0], states[0])
 
 

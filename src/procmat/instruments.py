@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .process import ProcessMatrix, _check_tol
-from .tensor import _eigvalsh, _kron, as_square_matrix, partial_trace
+from .tensor import _check_int, _eigvalsh, _kron, as_square_matrix, partial_trace
 
 COMPLETENESS_TOL = 1e-9
 CP_TOL = 1e-9
@@ -119,6 +119,7 @@ class ProbabilityTable:
 
 def cj_from_kraus(kraus: Sequence[np.ndarray], input_dim: int, output_dim: int) -> CPMap:
     """CJ matrix of the CP map with the given Kraus operators."""
+    input_dim, output_dim = _check_int(input_dim, "input_dim", 1), _check_int(output_dim, "output_dim", 1)
     ops = [np.asarray(k, dtype=complex) for k in kraus]
     if not ops:
         raise ValueError("at least one Kraus operator is required")

@@ -314,14 +314,30 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
             * np.eye(d_a2).reshape(1, d_a2, 1, 1, 1, d_a2, 1, 1)
             * np.eye(d_b2).reshape(1, 1, 1, d_b2, 1, 1, 1, d_b2)).reshape(split.kappa1.shape)
     x = (split.kappa1 - s_op + (1.0 + split.lambda0) * np.eye(layout.d_total)) / layout.d
-    decomposition = _extract_decomposition(w_eff, x, 1e-12)
+    decomposition = _certified(w_eff, x, 1e-12, tol)
+    if not decomposition.check.ok:
+        failed = _failed_checks(decomposition.check, decomposition.p, layout, tol)
+        raise DecompositionError(f"constructed decomposition failed verification: {failed}")
+    return decomposition
 
-    check = verify_decomposition(w_eff, decomposition, tol=tol)
-    if not check.ok:
-        raise DecompositionError(
-            f"constructed decomposition failed verification: {_failed_checks(check, decomposition.p, layout, tol)}"
-        )
-    return replace(decomposition, check=check)
+
+def _certified(w: ProcessMatrix, x: np.ndarray, edge: float, tol: float,
+               psd_tol: float | None = None) -> CausalDecomposition:
+    """The split (x / p, (W - x) / (1 - p)) with p = Tr x / Tr W, all of W on
+    one side for a weight within ``edge`` of 0 or 1, with its
+    ``verify_decomposition`` report at ``tol`` and ``psd_tol`` as ``check``."""
+    layout = w.layout
+    # x / p of a lopsided split amplifies rounding, the anti-Hermitian part too.
+    x = (x + x.conj().T) / 2.0
+    p = float(np.trace(x).real) / layout.target_trace
+    if p <= edge:
+        split = CausalDecomposition(0.0, None, w)
+    elif p >= 1.0 - edge:
+        split = CausalDecomposition(1.0, w, None)
+    else:
+        split = CausalDecomposition(p, ProcessMatrix._exact(layout, x / p),
+                                    ProcessMatrix._exact(layout, (w.matrix - x) / (1.0 - p)))
+    return replace(split, check=verify_decomposition(w, split, tol=tol, psd_tol=psd_tol))
 
 
 def _failed_checks(check: DecompositionReport, p: float, layout: SystemLayout, tol: float) -> str:
@@ -461,8 +477,8 @@ def _search(w: ProcessMatrix, tol: float, max_iter: int) -> FeasibilityReport:
     negative-part norm of the two parts) is ``tol`` or more and theirs is
     smaller, Y with its shared terms rebalanced to sum to W's; its witness
     candidate comes from the positive duals P = -rho U by ``_dual_witness``.
-    The first split candidate does not depend on Y, so when it meets ``tol``
-    the cone step waits until its split fails the check.
+    The first split candidate does not depend on Y, so it is checked before
+    the cone step and a split that verifies skips the eigendecomposition.
     """
     target, dims = w.matrix, w.layout.dims
     side = len(target)
@@ -482,26 +498,24 @@ def _search(w: ProcessMatrix, tol: float, max_iter: int) -> FeasibilityReport:
         r = -(np.trace(w_c - zc[0] - zc[1]).real + 2.0 / rho) / side
         c = (zc[0] - zc[1] + w_c + r * eye) / 2.0
         x = np.stack((w_a + c, w_b + w_c + r * eye - c))
-        y_prev = y
         split = x - (r / 2.0) * eye
         violation = _violation(split)
+        if violation < tol:  # checked before the cone step, which it does not need
+            decomposition = _certified(w, split[0], tol, check_tol, check_tol)
+            if decomposition.check.ok:
+                return FeasibilityReport(SEPARABLE, violation, iterations, decomposition)
+        y_prev, y = y, _psd_project(x + u)
+        u += x - y
         if violation >= tol:
-            y = _psd_project(x + u)
-            u += x - y
             yc = _span_project(_span_project(y, dims, "b_before_a"), dims, "a_before_b")
             rebalanced = np.stack((w_a + yc[0], w_b + yc[1])) + (w_c - yc[0] - yc[1]) / 2.0
             other = _violation(rebalanced)
-            if other < violation:
-                split, violation = rebalanced, other
+            violation = min(violation, other)
+            if other < tol:
+                decomposition = _certified(w, rebalanced[0], tol, check_tol, check_tol)
+                if decomposition.check.ok:
+                    return FeasibilityReport(SEPARABLE, violation, iterations, decomposition)
         history.append(violation)
-        if violation < tol:
-            decomposition = _extract_decomposition(w, split[0], tol)
-            check = verify_decomposition(w, decomposition, tol=check_tol, psd_tol=check_tol)
-            if check.ok:
-                return FeasibilityReport(SEPARABLE, violation, iterations, replace(decomposition, check=check))
-        if y is y_prev:  # the first candidate met tol, so the cone step is still due
-            y = _psd_project(x + u)
-            u += x - y
         witness = _dual_witness(target, -rho * u, dims)
         if witness is not None:
             break
@@ -552,22 +566,6 @@ def check_separability(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8,
     except NotInputDiagonalError as err:  # raised after kappa_split validated W
         return replace(_search(w, tol, max_iter), skip_reason=str(err))
     return FeasibilityReport(SEPARABLE, 0.0, 0, decomposition, path="constructive")
-
-
-def _extract_decomposition(w: ProcessMatrix, x: np.ndarray, edge: float) -> CausalDecomposition:
-    """The split (x / p, (W - x) / (1 - p)) with p = Tr x / Tr W; a weight
-    within ``edge`` of 0 or 1 puts all of W on one side."""
-    layout = w.layout
-    # x / p of a lopsided split amplifies rounding, the anti-Hermitian part too.
-    x = (x + x.conj().T) / 2.0
-    p = float(np.trace(x).real) / layout.target_trace
-    if p <= edge:
-        return CausalDecomposition(0.0, None, w)
-    if p >= 1.0 - edge:
-        return CausalDecomposition(1.0, w, None)
-    w_ab = ProcessMatrix._exact(layout, x / p)
-    w_ba = ProcessMatrix._exact(layout, (w.matrix - x) / (1.0 - p))
-    return CausalDecomposition(p, w_ab, w_ba)
 
 
 def w0_defining_split(p: float) -> CausalDecomposition:

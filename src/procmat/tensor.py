@@ -45,11 +45,17 @@ def _check_int(value, name: str, low: int, high: int | None = None, error: type 
     return int(value)
 
 
-def check_factor_dims(matrix: np.ndarray, dims: Sequence[int], name: str = "matrix") -> tuple[int, ...]:
-    """Validate that ``matrix`` is square with side equal to the product of ``dims``."""
+def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """``dims`` as a tuple of one or more factor dimensions, each an integer of at least 1."""
     dims = tuple(_check_int(d, "factor dimension", 1) for d in dims)
     if not dims:
-        raise ValueError(f"factor dimensions must be positive, got {dims}")
+        raise ValueError("at least one factor dimension is required")
+    return dims
+
+
+def check_factor_dims(matrix: np.ndarray, dims: Sequence[int], name: str = "matrix") -> tuple[int, ...]:
+    """Validate that ``matrix`` is square with side equal to the product of ``dims``."""
+    dims = _check_dims(dims)
     side = math.prod(dims)
     if matrix.shape != (side, side):
         raise ValueError(
@@ -202,7 +208,7 @@ class HSDecomposition:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(_check_int(d, "factor dimension", 1) for d in self.dims)
+        dims = _check_dims(self.dims)
         shape = tuple(d * d for d in dims)
         coeffs = np.asarray(self.coefficients, dtype=float)
         if coeffs.shape != shape:

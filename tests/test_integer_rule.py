@@ -16,6 +16,7 @@ from procmat import (
     MeasurementBasis,
     SystemLayout,
     check_separability,
+    cj_from_kraus,
     dykstra_separability,
     hermitian_basis,
     hs_decompose,
@@ -25,6 +26,7 @@ from procmat import (
     partial_trace,
     partial_transpose,
     ppt_check,
+    random_cq_instrument,
     selective_update,
 )
 
@@ -54,6 +56,10 @@ GUARDS = {
     "check-separability": (lambda v: check_separability(DEPHASED.matrix, Z2, Z2, max_iter=v), ValueError,
                            "max_iter", 1, None, 2),
     "samples": (lambda v: indistinguishability_residual(OCB, DEPHASED, samples=v), ValueError, "samples", 1, None, 2),
+    "kraus-input": (lambda v: cj_from_kraus([np.ones((1, 1))], v, 1), ValueError, "input_dim", 1, None, 1),
+    "kraus-output": (lambda v: cj_from_kraus([np.ones((1, 1))], 1, v), ValueError, "output_dim", 1, None, 1),
+    "cq-output": (lambda v: random_cq_instrument(Z2, v, np.random.default_rng(0)), ValueError, "output_dim", 1,
+                  None, 2),
 }
 
 
@@ -100,3 +106,9 @@ def test_cached_basis_does_not_answer_for_a_bool_or_float():
     for dim in (True, 2.0):
         with pytest.raises(ValueError, match="^dimension must be an integer of at least 1"):
             hermitian_basis(dim)
+
+
+def test_cq_instrument_takes_an_array_basis():
+    # The columns of an array are the basis vectors, as for ``dephase_state``.
+    by_array, by_basis = (random_cq_instrument(b, 2, np.random.default_rng(3)) for b in (np.eye(2), Z2))
+    assert [m.cj.tobytes() for m in by_array.outcomes] == [m.cj.tobytes() for m in by_basis.outcomes]

@@ -530,6 +530,30 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == b""
 
+    def test_closed_stdout_during_a_large_document(self, capsys, monkeypatch):
+        # A (3,3,3,3) document is larger than a pipe buffer, so its write
+        # meets the closed read end for certain; main sends stdout to the
+        # null device and reports invalid input.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            code = main(["gen-random", "--dims", "3", "3", "3", "3"])
+            stream.write("later output\n")  # reaches the null device: no second BrokenPipeError
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+    def test_complex_born_probability_is_invalid_input(self, tmp_path, capsys):
+        # A Hermitian matrix with entries of order 1e12 is no process, but born reads it;
+        # its Born sums round to imaginary parts far above IMAG_TOL (1e-10),
+        # which the command reports as invalid input, not as a table.
+        g = np.random.default_rng(0).standard_normal((2, 16, 16))
+        doc = tmp_path / "huge.json"
+        doc.write_text(encode_process(ProcessMatrix(SystemLayout(), 1e12 * (g[0] + 1j * g[1] + g[0].T - 1j * g[1].T))))
+        code, out, err = run_cli(["born", "--input", str(doc), "--seed", "1", "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Born probability has imaginary part ") and err.endswith(" beyond 1.0e-10\n")
+
 
 def _perturbed_document(w):
     """Document of W with +4e-11j at entries (0, 1) and (1, 0), a Hermiticity

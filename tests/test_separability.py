@@ -345,7 +345,7 @@ def audited_split(w, ba, bb):
             * np.eye(lay.d_a2).reshape(1, lay.d_a2, 1, 1, 1, lay.d_a2, 1, 1)
             * np.eye(lay.d_b2).reshape(1, 1, 1, lay.d_b2, 1, 1, 1, lay.d_b2)).reshape(split.kappa1.shape)
     x = (split.kappa1 - s_op + (1.0 + split.lambda0) * np.eye(lay.d_total)) / lay.d
-    return separability._extract_decomposition(w, x, 1e-12)
+    return separability._certified(w, x, 1e-12, 1e-8)
 
 
 class TestSplitFromBlockMinima:

@@ -358,6 +358,13 @@ MALFORMED = {
     "basis-zero": (lambda: hermitian_basis(0), ValueError, "dimension must be an integer of at least 1, got 0"),
     "coefficient-shape": (lambda: HSDecomposition((2,), np.zeros(3)), ValueError,
                           "coefficients have shape (3,), expected (4,) for factors (2,)"),
+    # No factors at all: one rule for the functions that take a matrix and for the expansion.
+    "trace-no-factors": (lambda: partial_trace(np.eye(1), (), []), ValueError,
+                         "at least one factor dimension is required"),
+    "decompose-no-factors": (lambda: hs_decompose(np.eye(1), ()), ValueError,
+                             "at least one factor dimension is required"),
+    "decomposition-no-factors": (lambda: HSDecomposition((), np.zeros(())), ValueError,
+                                 "at least one factor dimension is required"),
 }
 
 
