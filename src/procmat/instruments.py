@@ -46,6 +46,8 @@ class CPMap:
     cj: np.ndarray
 
     def __post_init__(self):
+        for name in ("input_dim", "output_dim"):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, 1))
         m = as_square_matrix(self.cj, "cj")
         side = self.input_dim * self.output_dim
         if m.shape != (side, side):

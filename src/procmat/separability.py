@@ -385,8 +385,8 @@ class FeasibilityReport:
 
     A separable report carries a ``decomposition``, a not-separable one a
     verified ``witness``, an inconclusive one neither.  On path "dykstra"
-    (the search) ``residual`` is the least split-candidate violation over the
-    ``iterations``, that of the verified split when separable, and
+    (the search) ``residual`` is the least violation of the one split
+    candidate per iteration, that of the verified split when separable, and
     ``plateau_residual`` the least over the last tenth of a run that found no
     split; ``skip_reason`` says why the constructive split did not apply.  On
     path "constructive" no search ran: ``iterations`` and ``residual`` are 0.
@@ -402,10 +402,10 @@ class FeasibilityReport:
     skip_reason: str | None = None
 
 
-def _violation(parts: np.ndarray) -> float:
-    """The largest negative-part norm over a stack of Hermitian matrices."""
+def _violation(parts: np.ndarray) -> np.ndarray:
+    """The negative-part norm of each member of a stack of Hermitian matrices."""
     neg = np.minimum(np.linalg.eigvalsh(parts), 0.0)
-    return float(np.sqrt((neg * neg).sum(axis=-1)).max())
+    return np.sqrt((neg * neg).sum(axis=-1))
 
 
 def _psd_project(m: np.ndarray) -> np.ndarray:
@@ -472,13 +472,13 @@ def _search(w: ProcessMatrix, tol: float, max_iter: int) -> FeasibilityReport:
     a valid W: minimise r with X1 + X2 = W + r 1, X1 positive in the A < B
     span and X2 in the B < A span.  From Y = (W / 2, W / 2), U = 0, each
     iteration takes the closed-form affine step X nearest Y - U under the
-    objective r / rho, Y = PSD(X + U) and U += X - Y.  Its split candidate is
-    (X1 - r/2 1, X2 - r/2 1) or, where that violation (the larger
-    negative-part norm of the two parts) is ``tol`` or more and theirs is
-    smaller, Y with its shared terms rebalanced to sum to W's; its witness
+    objective r / rho, Y = PSD(X + U) and U += X - Y.  Its one split
+    candidate is (X1 - r/2 1, X2 - r/2 1), at first the equal split of W's
+    shared terms; the identity split X_AB = w_a + alpha 1, alpha = max(0,
+    -min eig w_a), or its mirror image X_BA = w_b + beta 1, whichever leaves
+    the smaller negative-part norm, is checked once, after the first.  No
+    split needs Y, so each is checked before the cone step.  The witness
     candidate comes from the positive duals P = -rho U by ``_dual_witness``.
-    The first split candidate does not depend on Y, so it is checked before
-    the cone step and a split that verifies skips the eigendecomposition.
     """
     target, dims = w.matrix, w.layout.dims
     side = len(target)
@@ -499,22 +499,22 @@ def _search(w: ProcessMatrix, tol: float, max_iter: int) -> FeasibilityReport:
         c = (zc[0] - zc[1] + w_c + r * eye) / 2.0
         x = np.stack((w_a + c, w_b + w_c + r * eye - c))
         split = x - (r / 2.0) * eye
-        violation = _violation(split)
+        violation = float(_violation(split).max())
         if violation < tol:  # checked before the cone step, which it does not need
             decomposition = _certified(w, split[0], tol, check_tol, check_tol)
             if decomposition.check.ok:
                 return FeasibilityReport(SEPARABLE, violation, iterations, decomposition)
+        if iterations == 1:  # the identity split needs no iterate, so it is checked once
+            alpha, beta = np.maximum(-np.linalg.eigvalsh(np.stack((w_a, w_b)))[:, 0], 0.0)
+            rest = np.stack((w_b + w_c - alpha * eye, w_a + w_c - beta * eye))  # W - X_AB, W - X_BA
+            norms = _violation(rest)
+            other, x_ab = (norms[0], w_a + alpha * eye) if norms[0] <= norms[1] else (norms[1], rest[1])
+            if other < tol:
+                decomposition = _certified(w, x_ab, tol, check_tol, check_tol)
+                if decomposition.check.ok:
+                    return FeasibilityReport(SEPARABLE, float(other), iterations, decomposition)
         y_prev, y = y, _psd_project(x + u)
         u += x - y
-        if violation >= tol:
-            yc = _span_project(_span_project(y, dims, "b_before_a"), dims, "a_before_b")
-            rebalanced = np.stack((w_a + yc[0], w_b + yc[1])) + (w_c - yc[0] - yc[1]) / 2.0
-            other = _violation(rebalanced)
-            violation = min(violation, other)
-            if other < tol:
-                decomposition = _certified(w, rebalanced[0], tol, check_tol, check_tol)
-                if decomposition.check.ok:
-                    return FeasibilityReport(SEPARABLE, violation, iterations, decomposition)
         history.append(violation)
         witness = _dual_witness(target, -rho * u, dims)
         if witness is not None:
@@ -535,13 +535,13 @@ def _search(w: ProcessMatrix, tol: float, max_iter: int) -> FeasibilityReport:
 def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50_000) -> FeasibilityReport:
     """Decide causal separability of a valid W with the primal-dual search.
 
-    A split candidate whose violation is below ``tol`` ends the run separable
-    once ``verify_decomposition`` passes it at max(100 tol, 1e-6); a witness
-    candidate ends it not-separable once it verifies.  At the cap
-    (``max_iter`` >= 1 iterations; memory grows with the iterations run)
-    with neither certificate the run is inconclusive.  At ``tol`` = 0 no
-    split is accepted and the search looks for a witness only; its
-    iterates do not depend on ``tol``.  W itself is checked at
+    A split candidate, the identity split included, whose violation is below
+    ``tol`` ends the run separable once ``verify_decomposition`` passes it at
+    max(100 tol, 1e-6); a witness candidate ends it not-separable once it
+    verifies.  At the cap (``max_iter`` >= 1 iterations; memory grows with
+    the iterations run) with neither certificate the run is inconclusive.  At
+    ``tol`` = 0 no split is accepted and the search looks for a witness only;
+    its iterates do not depend on ``tol``.  W itself is checked at
     ``validate_process``'s defaults, whatever ``tol``.
     """
     _check_tol(tol)

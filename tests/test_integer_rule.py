@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from procmat import (
+    CPMap,
     HSDecomposition,
     MeasurementBasis,
     SystemLayout,
@@ -58,6 +59,8 @@ GUARDS = {
     "samples": (lambda v: indistinguishability_residual(OCB, DEPHASED, samples=v), ValueError, "samples", 1, None, 2),
     "kraus-input": (lambda v: cj_from_kraus([np.ones((1, 1))], v, 1), ValueError, "input_dim", 1, None, 1),
     "kraus-output": (lambda v: cj_from_kraus([np.ones((1, 1))], 1, v), ValueError, "output_dim", 1, None, 1),
+    "cpmap-input": (lambda v: CPMap(v, 1, np.ones((1, 1))), ValueError, "input_dim", 1, None, 1),
+    "cpmap-output": (lambda v: CPMap(1, v, np.ones((1, 1))), ValueError, "output_dim", 1, None, 1),
     "cq-output": (lambda v: random_cq_instrument(Z2, v, np.random.default_rng(0)), ValueError, "output_dim", 1,
                   None, 2),
 }

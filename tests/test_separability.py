@@ -810,10 +810,13 @@ class TestDykstraSeparability:
         assert report.status == SEPARABLE
 
     def test_zero_tol_accepts_no_split(self):
-        # White-noise OCB at q = 0.6 is separable, and its split verifies after
-        # 1 iteration at tol = 1e-8; at tol = 0 the search looks for a witness only.
-        report = dykstra_separability(TestNoisyFixtureThreshold._noisy(0.6), tol=0.0, max_iter=20)
-        assert (report.status, report.iterations, report.decomposition) == (INCONCLUSIVE, 20, None)
+        # White-noise OCB at q = 0.6 and w0 at p = 0.6 are separable: the equal
+        # split and the identity split, whose violation is exactly 0 on w0 at
+        # 0.6, verify in 1 iteration at tol = 1e-8.  At tol = 0 the search
+        # looks for a witness only.
+        for w in (TestNoisyFixtureThreshold._noisy(0.6), w0_process(0.6)):
+            report = dykstra_separability(w, tol=0.0, max_iter=20)
+            assert (report.status, report.iterations, report.decomposition) == (INCONCLUSIVE, 20, None)
 
     @pytest.mark.parametrize("point, iterations", [(None, 1), (0.45, 3), (0.5, 4)],
                              ids=["ocb", "dephasing-0.45", "dephasing-0.5"])
@@ -990,12 +993,15 @@ class TestNoisyFixtureThreshold:
         return ProcessMatrix(ocb.layout, t * ocb.matrix + (1.0 - t) * w0_process(p).matrix)
 
     def test_barely_separable_needs_many_sweeps(self):
-        # Feasible, but the equal split of the shared terms is not, so the
-        # solver genuinely has to iterate.
-        w = self._mixed(0.656, 0.3)
+        # OCB mixed with a random process, 1e-3 below its threshold near
+        # 0.6866: feasible, but neither the equal split of the shared terms
+        # nor the identity split is, so the solver genuinely has to iterate.
+        # The violation one iteration before the stop is 2.4e-4.
+        ocb = ocb_process()
+        w = ProcessMatrix(ocb.layout, 0.6856 * ocb.matrix + 0.3144 * random_process(1).matrix)
         report = dykstra_separability(w, tol=1e-8)
         assert report.status == SEPARABLE
-        assert report.iterations == 22
+        assert report.iterations == 60
         assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
 
     def test_above_threshold_is_rejected(self):
@@ -1012,11 +1018,10 @@ class TestNoisyFixtureThreshold:
         assert report.status == SEPARABLE
         assert report.iterations == iterations
 
-    @pytest.mark.parametrize("family, t, iterations", [("dephasing", 0.6, 2), ("w0", 0.1, 107), ("mixed", 0.656, 22)])
+    @pytest.mark.parametrize("family, t, iterations", [("dephasing", 0.6, 1), ("w0", 0.1, 1), ("mixed", 0.656, 1)])
     def test_iterating_sweep_counts_pinned(self, family, t, iterations):
-        # Inputs whose equal split is not feasible.  The violation one
-        # iteration before the stop is at least 1.4e-8, 40% above tol, so the
-        # count does not hinge on rounding.
+        # Inputs whose equal split is not feasible but whose identity split,
+        # checked in the first iteration, is.
         w = {"dephasing": self._dephasing, "w0": w0_process, "mixed": lambda t: self._mixed(t, 0.3)}[family](t)
         report = dykstra_separability(w, tol=1e-8, max_iter=1000)
         assert report.status == SEPARABLE
@@ -1087,7 +1092,7 @@ class TestNoisyFixtureThreshold:
         assert report.decomposition is None
         assert report.iterations == 4
         assert verify_witness(w, report.witness)
-        assert report.plateau_residual == pytest.approx(3.76966094067e-2, rel=1e-6)
+        assert report.plateau_residual == pytest.approx(7.39466094067e-2, rel=1e-6)
 
     def test_near_above_capped_run_is_witnessed(self):
         w = self._noisy(1.0 / np.sqrt(2.0) + 1e-7)
@@ -1119,6 +1124,39 @@ class TestNoisyFixtureThreshold:
         report = dykstra_separability(w, tol=1e-8, max_iter=1000)
         assert report.status == NOT_SEPARABLE
         assert verify_witness(w, report.witness)
+
+
+class TestIdentitySplit:
+    """The closed-form identity split X_AB = w_a + alpha 1, alpha = max(0,
+    -min eig w_a), or its mirror image, which the search checks once in its
+    first iteration: on w0 it is the defining split, and on the plane
+    (1 + a T_AB + b T_BA) / 4 with |a| + |b| <= 1 the plane law's split."""
+
+    @pytest.mark.parametrize("p", [round(0.05 * k, 2) for k in range(21)])
+    def test_w0_gets_its_defining_split(self, p):
+        report = dykstra_separability(w0_process(p), max_iter=1)
+        assert (report.status, report.iterations) == (SEPARABLE, 1)
+        split, defining = report.decomposition, w0_defining_split(p)
+        assert split.check.ok
+        assert split.p == pytest.approx(p, abs=1e-12)
+        for part, reference, weight in ((split.w_ab, defining.w_ab, p), (split.w_ba, defining.w_ba, 1.0 - p)):
+            if part is None:
+                assert weight == 0.0
+            else:
+                assert np.max(np.abs(part.matrix - reference.matrix)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(-1.0 + 1e-3, 1.0 - 1e-3), share=st.floats(-1.0, 1.0))
+    def test_plane_separates_in_one_iteration(self, a, share):
+        b = share * (1.0 - 1e-3 - abs(a))
+        report = dykstra_separability(plane_point(a, b), max_iter=1)
+        assert (report.status, report.iterations) == (SEPARABLE, 1)
+        assert report.decomposition.check.ok
+        # Up to 1.4e-8 past 1/2 the equal split, p = 1/2, is accepted first; a
+        # weight within tol of 0 or 1 puts all of W on one side.
+        if max(abs(a), abs(b)) > 0.5 + 1e-6:
+            p = report.decomposition.p
+            assert p == pytest.approx(abs(a), abs=1e-8) or p == pytest.approx(1.0 - abs(b), abs=1e-8)
 
 
 def _lifted_ocb(dims):
