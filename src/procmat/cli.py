@@ -75,7 +75,7 @@ def _read_input(args) -> tuple[ProcessMatrix, dict, RunReport]:
 
 
 def _load_basis_pair(args, layout: SystemLayout) -> tuple[MeasurementBasis, MeasurementBasis]:
-    from .effective import MeasurementBasis
+    from .effective import MeasurementBasis, as_basis
 
     spec = args.basis or "z"
     if spec == "z":
@@ -98,12 +98,9 @@ def _load_basis_pair(args, layout: SystemLayout) -> tuple[MeasurementBasis, Meas
             raise CliError(f"basis file {spec} is missing key {key!r}")
         mat = _pair_matrix(payload[key], f"basis {key}")
         try:
-            basis = MeasurementBasis(mat)
+            out.append(as_basis(mat, dim))
         except ValueError as err:
             raise CliError(f"basis {key}: {err}") from err
-        if basis.dim != dim:
-            raise CliError(f"basis {key} has dimension {basis.dim}, layout expects {dim}")
-        out.append(basis)
     return out[0], out[1]
 
 

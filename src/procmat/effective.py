@@ -138,8 +138,7 @@ def luders_input_dephase(w: ProcessMatrix, basis_a1, basis_b1) -> EffectiveProce
     stays valid because the update acts factor-locally on the inputs.
     """
     layout = w.layout
-    ba1 = as_basis(basis_a1, layout.d_a1)
-    bb1 = as_basis(basis_b1, layout.d_b1)
+    ba1, bb1 = _input_bases(layout, basis_a1, basis_b1)
     dephased = _dephase(w.matrix, (ba1, layout.d_a2, bb1, layout.d_b2))
     return EffectiveProcess(w, ba1, bb1, ProcessMatrix._exact(layout, dephased))
 
@@ -161,12 +160,24 @@ def is_input_diagonal(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-10):
     Returns ``(flag, max_off_block_norm)`` where the norm is the largest
     Frobenius norm among blocks <n, m| W |n', m'> with (n, m) != (n', m').
     """
+    return _input_frame(w, basis_a1, basis_b1, tol)[3:]
+
+
+def _input_bases(layout, basis_a1, basis_b1) -> tuple[MeasurementBasis, MeasurementBasis]:
+    """Both input bases, coerced and checked against the layout's input dimensions."""
+    return as_basis(basis_a1, layout.d_a1), as_basis(basis_b1, layout.d_b1)
+
+
+def _input_frame(w: ProcessMatrix, basis_a1, basis_b1, tol: float, *companions: np.ndarray):
+    """The two input bases, W and ``companions`` rotated into their product frame as
+    one stack t (W is t[0]), whether W is input-diagonal within ``tol`` (a NaN
+    norm is not) and W's largest off-diagonal input-block norm."""
     _check_tol(tol)
     layout = w.layout
-    bases = (as_basis(basis_a1, layout.d_a1), layout.d_a2, as_basis(basis_b1, layout.d_b1), layout.d_b2)
-    _, t = _in_frame(w.matrix, bases)
-    max_off = float(np.sqrt(_off_block_norms2(t).max()))
-    return max_off <= tol, max_off
+    ba1, bb1 = _input_bases(layout, basis_a1, basis_b1)
+    _, t = _in_frame(np.stack((w.matrix, *companions)), (ba1, layout.d_a2, bb1, layout.d_b2))
+    max_off = float(np.sqrt(_off_block_norms2(t[0]).max()))
+    return ba1, bb1, t, max_off <= tol, max_off
 
 
 def _off_block_norms2(t: np.ndarray) -> np.ndarray:
@@ -186,8 +197,7 @@ def selective_update(w: ProcessMatrix, n: int, m: int, basis_a1, basis_b1):
     renormalized block and its validity report.
     """
     layout = w.layout
-    ba1 = as_basis(basis_a1, layout.d_a1)
-    bb1 = as_basis(basis_b1, layout.d_b1)
+    ba1, bb1 = _input_bases(layout, basis_a1, basis_b1)
     n = _check_int(n, "index n", 0, layout.d_a1, IndexError)
     m = _check_int(m, "index m", 0, layout.d_b1, IndexError)
     projector = _kron((ba1.projector(n), np.eye(layout.d_a2), bb1.projector(m), np.eye(layout.d_b2)))
@@ -259,7 +269,6 @@ def ppt_check(rho, dims: tuple[int, int] = (2, 2), tol: float = 1e-10):
     dims = tuple(_check_int(d, "dimension", 1) for d in dims)
     if sorted(dims) not in ([2, 2], [2, 3]):
         raise ValueError(f"PPT is only decisive for 2x2 and 2x3 systems, got {'x'.join(map(str, dims))}")
-    r = np.asarray(rho, dtype=complex)
-    pt = partial_transpose(r, dims, {1})
-    min_eig = float(_eigvalsh(pt)[0])
+    # The partial transpose has the state's entries, so its check is the state's.
+    min_eig = float(_eigvalsh(partial_transpose(rho, dims, {1}), name="state")[0])
     return min_eig >= -tol, min_eig

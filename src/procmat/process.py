@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 from typing import Iterable
 
 import numpy as np
@@ -187,9 +188,10 @@ def _forbidden_index(dims: tuple[int, ...], variant: str) -> np.ndarray:
 
 
 def _check_tol(tol, psd_tol=None) -> None:
-    """Reject a NaN, infinite or negative tolerance; 0 is allowed."""
+    """Reject a bool, a non-number, or a NaN, infinite or negative tolerance; 0 is allowed."""
     for name, value in (("tol", tol), ("psd_tol", psd_tol)):
-        if value is not None and not 0.0 <= value < math.inf:
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (Real, np.ndarray))
+                                  or not 0.0 <= value < math.inf):
             raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
 
 
@@ -203,9 +205,8 @@ def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants
     :func:`~procmat.tensor._eigvalsh`.  One eigensolve and one HS expansion
     serve the whole stack; only a member whose largest forbidden coefficient
     exceeds ``tol`` has its offending patterns collected, from those
-    coefficients.
+    coefficients.  Its callers check ``tol`` and ``psd_tol``.
     """
-    _check_tol(tol, psd_tol)
     dims = layout.dims
     if psd_tol is None:
         psd_tol = _PSD_FLOOR * layout.d_total
@@ -237,6 +238,7 @@ def validate_process(
     Hilbert-Schmidt coefficients.  The positivity floor defaults to
     ``1e-9 * side`` to leave headroom for eigensolver accuracy.
     """
+    _check_tol(tol, psd_tol)
     return _validate_stack(w.layout, w.matrix[None], tol, (variant,), psd_tol)[0]
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .effective import MeasurementBasis, _in_frame, _off_block_norms2, as_basis
+from .effective import MeasurementBasis, _input_frame, _off_block_norms2
 from .process import (
     _PSD_FLOOR,
     ProcessMatrix,
@@ -154,20 +154,17 @@ def _product_vectors(basis_a1: MeasurementBasis, a_bases: np.ndarray,
 
 def _input_blocks(w_eff: ProcessMatrix, kappas, basis_a1, basis_b1, tol: float):
     """The bases, the kappas rotated with W_eff into the input frame, t[k],
-    and their diagonal input blocks blocks[k, n, m] = <n, m| kappa_k |n, m>
-    with indices (A2 B2, A2' B2'); raises :class:`NotInputDiagonalError`
-    when an off-diagonal input block of W_eff has a norm above ``tol`` or NaN.
+    their diagonal input blocks blocks[k, n, m] = <n, m| kappa_k |n, m> with
+    indices (A2 B2, A2' B2'), and kappa1's (kappas[0]) block operators
+    A_(n,m); raises :class:`NotInputDiagonalError` when W_eff is not
+    input-diagonal within ``tol``.
     """
-    _check_tol(tol)
-    layout = w_eff.layout
-    ba1 = as_basis(basis_a1, layout.d_a1)
-    bb1 = as_basis(basis_b1, layout.d_b1)
-    _, frame = _in_frame(np.stack((w_eff.matrix, *kappas)), (ba1, layout.d_a2, bb1, layout.d_b2))
-    off_norm = float(np.sqrt(_off_block_norms2(frame[0]).max()))
-    if not off_norm <= tol:  # a NaN norm fails too
+    ba1, bb1, frame, diagonal, off_norm = _input_frame(w_eff, basis_a1, basis_b1, tol, *kappas)
+    if not diagonal:
         raise NotInputDiagonalError(f"matrix is not input-diagonal in the given bases: "
                                     f"off-block norm {off_norm:.3e} > {tol:.1e}")
-    return ba1, bb1, frame[1:], np.einsum("karbsatbu->kabrstu", frame[1:])
+    blocks = np.einsum("karbsatbu->kabrstu", frame[1:])
+    return ba1, bb1, frame[1:], blocks, np.einsum("abrsts->abrt", blocks[0]) / w_eff.layout.d_b2
 
 
 def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
@@ -186,9 +183,8 @@ def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
     if layout != w_eff.layout:
         raise ValueError(f"kappa split has layout {layout.dims}, W_eff has {w_eff.layout.dims}")
     kappas = np.stack((split.kappa1, split.kappa2))
-    ba1, bb1, t, blocks = _input_blocks(w_eff, kappas, basis_a1, basis_b1, tol)
+    ba1, bb1, t, blocks, block_a = _input_blocks(w_eff, kappas, basis_a1, basis_b1, tol)
     d_a2, d_b2 = layout.d_a2, layout.d_b2
-    block_a = np.einsum("abrsts->abrt", blocks[0]) / d_b2
     block_b = np.einsum("abrsru->absu", blocks[1]) / d_a2
     defects = np.stack((blocks[0] - block_a[:, :, :, None, :, None] * np.eye(d_b2)[:, None, :],
                         blocks[1] - np.eye(d_a2)[:, None, :, None] * block_b[:, :, None, :, None, :]))
@@ -269,6 +265,7 @@ def verify_decomposition(w: ProcessMatrix, decomposition: CausalDecomposition,
                          tol: float = 1e-8, psd_tol: float | None = None) -> DecompositionReport:
     """Check reconstruction, weight range and one-way validity of both parts,
     the parts in one stacked validity check."""
+    _check_tol(tol, psd_tol)
     layout, p = w.layout, decomposition.p
     sides = ((decomposition.w_ab, p, "a_before_b"), (decomposition.w_ba, 1.0 - p, "b_before_a"))
     present = [side for side in sides if side[0] is not None]
@@ -302,8 +299,8 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
     layout = w_eff.layout
     split = kappa_split(w_eff)
     d_a2, d_b2 = layout.d_a2, layout.d_b2
-    ba1, bb1, _, blocks = _input_blocks(w_eff, (split.kappa1,), basis_a1, basis_b1, tol)
-    evals, _ = hermitian_eig(np.einsum("abrsts->abrt", blocks[0]) / d_b2)
+    ba1, bb1, _, _, block_a = _input_blocks(w_eff, (split.kappa1,), basis_a1, basis_b1, tol)
+    evals, _ = hermitian_eig(block_a)
     shift = evals.min(axis=-1)  # s(n, m)
 
     # S = sum_(n,m) s(n, m) P_n (x) 1 (x) P_m (x) 1: its (A1, B1) factor from

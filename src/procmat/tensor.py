@@ -70,7 +70,7 @@ def hermiticity_defect(matrix) -> float:
     return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
 
 
-def require_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     """Coerce to complex and check finiteness and Hermiticity; a ``(..., n, n)`` stack is checked member by member."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -78,8 +78,8 @@ def require_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "matrix"
     if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {defect:.3e} > {tol:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {defect:.3e} > {HERMITICITY_TOL:.1e}")
     return m
 
 
@@ -157,9 +157,9 @@ def hermitian_eig(matrix):
     return np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
 
 
-def _eigvalsh(matrix) -> np.ndarray:
+def _eigvalsh(matrix, name: str = "matrix") -> np.ndarray:
     """Ascending eigenvalues only, behind the same check and Hermitisation as :func:`hermitian_eig`."""
-    a = require_hermitian(matrix, name="matrix")
+    a = require_hermitian(matrix, name=name)
     return np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2.0)
 
 

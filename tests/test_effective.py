@@ -420,13 +420,17 @@ class TestStateDephasingAnalogy:
             dephase_state(np.eye(3) / 3.0, Z2, Z2)
 
     def test_non_hermitian_state_rejected(self):
-        # The update's final Hermitisation would otherwise hide the asymmetry.
-        with pytest.raises(ValueError, match=r"^state is not Hermitian: "):
-            dephase_state(np.arange(16).reshape(4, 4), Z2, Z2)
+        # dephase_state and ppt_check check their state alike.  The update's
+        # final Hermitisation, and the eigensolver of the partial transpose,
+        # would otherwise hide the asymmetry.
+        for call in (lambda rho: dephase_state(rho, Z2, Z2), ppt_check):
+            with pytest.raises(ValueError, match=r"^state is not Hermitian: "):
+                call(np.arange(16).reshape(4, 4))
 
     def test_non_finite_state_rejected(self):
-        with pytest.raises(ValueError, match="^state has non-finite entries$"):
-            dephase_state(np.full((4, 4), np.nan), Z2, Z2)
+        for call in (lambda rho: dephase_state(rho, Z2, Z2), ppt_check):
+            with pytest.raises(ValueError, match="^state has non-finite entries$"):
+                call(np.full((4, 4), np.nan))
 
     def test_ppt_zero_tolerance_is_valid(self):
         assert ppt_check(np.eye(4) / 4.0, tol=0.0) == (True, 0.25)

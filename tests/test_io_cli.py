@@ -450,7 +450,7 @@ class TestCli:
         ('{"a1": [[[1, 0], [0, 0]]', "invalid JSON at offset"),
         ('{"a1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}', "is missing key 'b1'"),
         (json.dumps({"a1": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)],
-                     "b1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}), "basis a1 has dimension 3, layout expects 2"),
+                     "b1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}), "basis a1: basis has dimension 3, expected 2"),
         (None, "cannot read basis file"),
         (json.dumps({"a1": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]], "b1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
          "error: bad basis a1 payload: int too large to convert to float"),

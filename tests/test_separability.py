@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from procmat import effective, separability, tensor
 from procmat import (
     CausalDecomposition,
+    DecompositionError,
     DecompositionReport,
     EigenstructureError,
     HSDecomposition,
@@ -181,23 +182,55 @@ class TestEigenstructure:
         with pytest.raises(NotInputDiagonalError):
             eigenstructure(split, Z2, Z2, w)
 
+    @staticmethod
+    def coherent_ocb(site):
+        """Dephased OCB plus a 1e-9 sigma_x coherence on input A1 (site 0) or B1 (site 2)."""
+        w = dephased_ocb()
+        return ProcessMatrix(w.layout, w.matrix + 1e-9 * tensor_product([SIGMA_X if f == site else EYE2
+                                                                          for f in range(4)]))
+
     def test_input_diagonal_boundary(self):
         # An A1 coherence of 1e-9 on dephased OCB: with tol equal to the
         # off-block norm that is_input_diagonal measures, the input-diagonal
         # check passes and the commutator check catches the coherence; with
-        # tol one float below it, the input-diagonal check raises.
-        w = dephased_ocb()
-        w = ProcessMatrix(w.layout, w.matrix + 1e-9 * tensor_product([SIGMA_X, EYE2, EYE2, EYE2]))
-        split = kappa_split(w)
-        diagonal, off_norm = is_input_diagonal(w, Z2, Z2, tol=1e-9)
-        assert not diagonal
-        with pytest.raises(EigenstructureError, match="commutation residuals too large"):
-            eigenstructure(split, Z2, Z2, w, tol=off_norm)
-        below = np.nextafter(off_norm, 0.0)
-        with pytest.raises(NotInputDiagonalError) as raised:
-            eigenstructure(split, Z2, Z2, w, tol=below)
-        assert str(raised.value) == (
-            f"matrix is not input-diagonal in the given bases: off-block norm {off_norm:.3e} > {below:.1e}")
+        # tol one float below it, the input-diagonal check raises.  Every
+        # caller of the one input-diagonality rule agrees on it, for the A1
+        # coherence and for the same one on B1.
+        for site in (0, 2):
+            w = self.coherent_ocb(site)
+            split = kappa_split(w)
+            diagonal, off_norm = is_input_diagonal(w, Z2, Z2, tol=1e-9)
+            assert not diagonal
+            below = np.nextafter(off_norm, 0.0)
+            assert is_input_diagonal(w, Z2, Z2, tol=off_norm) == (True, off_norm)
+            assert is_input_diagonal(w, Z2, Z2, tol=below) == (False, off_norm)
+            with pytest.raises(EigenstructureError, match="commutation residuals too large"):
+                eigenstructure(split, Z2, Z2, w, tol=off_norm)
+            message = (f"matrix is not input-diagonal in the given bases: "
+                       f"off-block norm {off_norm:.3e} > {below:.1e}")
+            for call in (lambda: eigenstructure(split, Z2, Z2, w, tol=below),
+                         lambda: constructive_decomposition(w, Z2, Z2, tol=below)):
+                with pytest.raises(NotInputDiagonalError) as raised:
+                    call()
+                assert str(raised.value) == message
+            under = check_separability(w, Z2, Z2, tol=below, max_iter=1)
+            assert (under.path, under.skip_reason) == ("dykstra", message)
+
+    @pytest.mark.parametrize("site", [
+        pytest.param(0, id="a1", marks=pytest.mark.xfail(
+            strict=True, raises=DecompositionError,
+            reason="a nearly one-way split puts p within a few 1e-11 of 1, outside the 1e-12 edge, "
+                   "and (W - x) / (1 - p) fails the w_ba mask (CHANGES.md FOUND line)")),
+        pytest.param(2, id="b1"),
+    ])
+    def test_constructive_split_at_input_diagonal_boundary(self, site):
+        # At tol equal to the off-block norm W is input-diagonal, so the
+        # constructive split is built, verifies, and is check_separability's path.
+        w = self.coherent_ocb(site)
+        off_norm = is_input_diagonal(w, Z2, Z2)[1]
+        assert constructive_decomposition(w, Z2, Z2, tol=off_norm).check.ok
+        report = check_separability(w, Z2, Z2, tol=off_norm, max_iter=1)
+        assert (report.path, report.status, report.skip_reason) == ("constructive", SEPARABLE, None)
 
     def test_nan_tolerance_rejected(self):
         w = dephased_ocb()
@@ -617,23 +650,31 @@ TOLERANCE_CALLS = {
 
 
 class TestToleranceRange:
-    """A NaN, infinite or negative tolerance is a ValueError naming it, not
-    a verdict: an infinite one would accept any split, a NaN one blame the
-    input-diagonality."""
+    """A NaN, infinite or negative tolerance, a bool or a string, is a
+    ValueError naming it, not a verdict: an infinite one would accept any
+    split, a NaN one blame the input-diagonality, and True would pass as 1."""
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, True, "1e-8"],
+                             ids=["nan", "negative", "inf", "true", "string"])
     @pytest.mark.parametrize("call", TOLERANCE_CALLS.values(), ids=TOLERANCE_CALLS.keys())
     def test_rejected(self, call, tol):
         with pytest.raises(ValueError, match=f"^tol must be a finite number of at least 0, got {tol!r}$"):
             call(tol)
 
-    @pytest.mark.parametrize("psd_tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    @pytest.mark.parametrize("psd_tol", [math.nan, -1.0, math.inf, True, "1e-8"],
+                             ids=["nan", "negative", "inf", "true", "string"])
     def test_psd_tol_rejected(self, psd_tol):
         message = f"^psd_tol must be a finite number of at least 0, got {psd_tol!r}$"
         with pytest.raises(ValueError, match=message):
             validate_process(ocb_process(), psd_tol=psd_tol)
         with pytest.raises(ValueError, match=message):
             verify_decomposition(w0_process(0.3), w0_defining_split(0.3), psd_tol=psd_tol)
+
+    def test_numpy_scalars_accepted(self):
+        # A numpy float or a 0-d array is a number, as it was before bools were rejected.
+        for tol in (np.float64(1e-8), np.array(1e-8)):
+            assert validate_process(ocb_process(), tol=tol, psd_tol=tol).overall
+            assert is_input_diagonal(dephased_ocb(), Z2, Z2, tol=tol) == (True, 0.0)
 
     def test_zero_is_the_witness_only_search(self):
         assert dykstra_separability(ocb_process(), tol=0.0, max_iter=1000).status == NOT_SEPARABLE
@@ -694,8 +735,7 @@ class TestTheoremPathCount:
             solved.append(np.shape(matrix))
             return real_eig(matrix)
 
-        for module in (effective, separability):
-            monkeypatch.setattr(module, "_in_frame", counting_frame)
+        monkeypatch.setattr(effective, "_in_frame", counting_frame)
         monkeypatch.setattr(tensor, "hermiticity_defect", counting_defect)
         monkeypatch.setattr(separability, "hermitian_eig", counting_eig)
         dec = constructive_decomposition(w, Z2, Z2)
