@@ -177,7 +177,7 @@ def _input_frame(w: ProcessMatrix, basis_a1, basis_b1, tol: float, *companions: 
     ba1, bb1 = _input_bases(layout, basis_a1, basis_b1)
     _, t = _in_frame(np.stack((w.matrix, *companions)), (ba1, layout.d_a2, bb1, layout.d_b2))
     max_off = float(np.sqrt(_off_block_norms2(t[0]).max()))
-    return ba1, bb1, t, max_off <= tol, max_off
+    return ba1, bb1, t, bool(max_off <= tol), max_off
 
 
 def _off_block_norms2(t: np.ndarray) -> np.ndarray:

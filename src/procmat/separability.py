@@ -292,16 +292,15 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
     kappa2 as S = sum_(n,m) s(n, m) P_n (x) 1 (x) P_m (x) 1.  Their sum is
     untouched and kappa1 - S >= 0, so with the identity weight (1 + lambda0)
     on the kappa1 side x = (kappa1 - S + (1 + lambda0) 1) / d is the A < B
-    part of W and W - x the B < A part.  ``verify_decomposition`` certifies
-    the split, kappa2 + S >= 0 included, and is its only acceptance.  W
-    itself is checked at ``validate_process``'s defaults, whatever ``tol``.
+    part of W and y = L_BA(W - x) the B < A part.  ``verify_decomposition``
+    certifies the split, kappa2 + S >= 0 included, and is its only acceptance.
+    W itself is checked at ``validate_process``'s defaults, whatever ``tol``.
     """
     layout = w_eff.layout
     split = kappa_split(w_eff)
     d_a2, d_b2 = layout.d_a2, layout.d_b2
     ba1, bb1, _, _, block_a = _input_blocks(w_eff, (split.kappa1,), basis_a1, basis_b1, tol)
-    evals, _ = hermitian_eig(block_a)
-    shift = evals.min(axis=-1)  # s(n, m)
+    shift = hermitian_eig(block_a)[0].min(axis=-1)  # s(n, m)
 
     # S = sum_(n,m) s(n, m) P_n (x) 1 (x) P_m (x) 1: its (A1, B1) factor from
     # one contraction of the input bases, the identities on A2 and B2 broadcast in.
@@ -311,30 +310,31 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
             * np.eye(d_a2).reshape(1, d_a2, 1, 1, 1, d_a2, 1, 1)
             * np.eye(d_b2).reshape(1, 1, 1, d_b2, 1, 1, 1, d_b2)).reshape(split.kappa1.shape)
     x = (split.kappa1 - s_op + (1.0 + split.lambda0) * np.eye(layout.d_total)) / layout.d
-    decomposition = _certified(w_eff, x, 1e-12, tol)
+    parts = np.stack((x, _span_project(w_eff.matrix - x, layout.dims, "b_before_a")))
+    decomposition = _certified(w_eff, parts, tol, tol)
     if not decomposition.check.ok:
         failed = _failed_checks(decomposition.check, decomposition.p, layout, tol)
         raise DecompositionError(f"constructed decomposition failed verification: {failed}")
     return decomposition
 
 
-def _certified(w: ProcessMatrix, x: np.ndarray, edge: float, tol: float,
+def _certified(w: ProcessMatrix, parts: np.ndarray, tol: float, check_tol: float,
                psd_tol: float | None = None) -> CausalDecomposition:
-    """The split (x / p, (W - x) / (1 - p)) with p = Tr x / Tr W, all of W on
-    one side for a weight within ``edge`` of 0 or 1, with its
-    ``verify_decomposition`` report at ``tol`` and ``psd_tol`` as ``check``."""
-    layout = w.layout
-    # x / p of a lopsided split amplifies rounding, the anti-Hermitian part too.
-    x = (x + x.conj().T) / 2.0
-    p = float(np.trace(x).real) / layout.target_trace
-    if p <= edge:
+    """The split (p, x / p, y / q) of W's parts (x, y) in the A < B and B < A spans,
+    each weighed by its own trace, p = Tr x / Tr W and q = Tr y / Tr W, or all of W
+    on one side when p or q is at most ``tol``, with its ``verify_decomposition``
+    report at ``check_tol`` and ``psd_tol`` as ``check``."""
+    # x / p or y / q of a lopsided split amplifies rounding, the anti-Hermitian part too.
+    parts = (parts + parts.conj().swapaxes(-1, -2)) / 2.0
+    p, q = (np.trace(parts, axis1=1, axis2=2).real / w.layout.target_trace).tolist()
+    if p <= tol:
         split = CausalDecomposition(0.0, None, w)
-    elif p >= 1.0 - edge:
+    elif q <= tol:
         split = CausalDecomposition(1.0, w, None)
     else:
-        split = CausalDecomposition(p, ProcessMatrix._exact(layout, x / p),
-                                    ProcessMatrix._exact(layout, (w.matrix - x) / (1.0 - p)))
-    return replace(split, check=verify_decomposition(w, split, tol=tol, psd_tol=psd_tol))
+        split = CausalDecomposition(p, ProcessMatrix._exact(w.layout, parts[0] / p),
+                                    ProcessMatrix._exact(w.layout, parts[1] / q))
+    return replace(split, check=verify_decomposition(w, split, tol=check_tol, psd_tol=psd_tol))
 
 
 def _failed_checks(check: DecompositionReport, p: float, layout: SystemLayout, tol: float) -> str:
@@ -498,18 +498,18 @@ def _search(w: ProcessMatrix, tol: float, max_iter: int) -> FeasibilityReport:
         split = x - (r / 2.0) * eye
         violation = float(_violation(split).max())
         if violation < tol:  # checked before the cone step, which it does not need
-            decomposition = _certified(w, split[0], tol, check_tol, check_tol)
+            decomposition = _certified(w, split, tol, check_tol, check_tol)
             if decomposition.check.ok:
                 return FeasibilityReport(SEPARABLE, violation, iterations, decomposition)
         if iterations == 1:  # the identity split needs no iterate, so it is checked once
             alpha, beta = np.maximum(-np.linalg.eigvalsh(np.stack((w_a, w_b)))[:, 0], 0.0)
             rest = np.stack((w_b + w_c - alpha * eye, w_a + w_c - beta * eye))  # W - X_AB, W - X_BA
             norms = _violation(rest)
-            other, x_ab = (norms[0], w_a + alpha * eye) if norms[0] <= norms[1] else (norms[1], rest[1])
-            if other < tol:
-                decomposition = _certified(w, x_ab, tol, check_tol, check_tol)
+            if norms.min() < tol:
+                pair = (w_a + alpha * eye, rest[0]) if norms[0] <= norms[1] else (rest[1], w_b + beta * eye)
+                decomposition = _certified(w, np.stack(pair), tol, check_tol, check_tol)
                 if decomposition.check.ok:
-                    return FeasibilityReport(SEPARABLE, float(other), iterations, decomposition)
+                    return FeasibilityReport(SEPARABLE, float(norms.min()), iterations, decomposition)
         y_prev, y = y, _psd_project(x + u)
         u += x - y
         history.append(violation)
@@ -551,11 +551,11 @@ def check_separability(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8,
                        max_iter: int = 50_000) -> FeasibilityReport:
     """Decide causal separability of W, its inputs measured in the given bases:
     by the constructive split where W is input-diagonal in them, else by
-    the search of ``dykstra_separability``.  A split that fails verification
-    raises :class:`DecompositionError` and is not retried, as the search
-    could pass it only at a looser tolerance; an invalid W (checked at
-    ``validate_process``'s defaults, whatever ``tol``) or ``max_iter`` raises
-    ``ValueError``."""
+    the search of ``dykstra_separability``, each part of a split weighed by
+    its own trace.  A split that fails verification raises
+    :class:`DecompositionError` and is not retried, as the search could pass
+    it only at a looser tolerance; an invalid W (checked at ``validate_process``'s
+    defaults, whatever ``tol``) or ``max_iter`` raises ``ValueError``."""
     _check_tol(tol)
     _check_int(max_iter, "max_iter", 1)
     try:

@@ -253,18 +253,19 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["separate", "check-sep"])
     def test_failed_constructive_check_is_reported(self, tmp_path, capsys, command):
-        # At tol 1e-15 the split of this input-diagonal matrix is built but
-        # fails its own verification (a DecompositionError).
+        # At tol 1e-17 the split of this input-diagonal matrix is built but
+        # fails its own verification (a DecompositionError): its
+        # reconstruction residual is a rounding of about 2e-16.
         source = tmp_path / "random.json"
         dephased = tmp_path / "dephased.json"
         run_cli(["gen-random", "--seed", "3", "--output", str(source)], capsys)
         run_cli(["dephase", "--input", str(source), "--output", str(dephased)], capsys)
-        code, out, _ = run_cli([command, "--input", str(dephased), "--tol", "1e-15", "--json"], capsys)
+        code, out, _ = run_cli([command, "--input", str(dephased), "--tol", "1e-17", "--json"], capsys)
         assert code == 2
         report = json.loads(out)
         assert report["status"] == "check-failed"
         assert "failed verification" in report["results"]["error"]
-        assert "trace" in report["results"]["error"]
+        assert "reconstruction residual" in report["results"]["error"]
         assert "iterations" not in report["results"]  # no projection-search fallback
 
     @pytest.mark.parametrize("command", ["check-sep --max-iter abc", "validate --bogus", "fixture nope",

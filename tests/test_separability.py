@@ -183,10 +183,10 @@ class TestEigenstructure:
             eigenstructure(split, Z2, Z2, w)
 
     @staticmethod
-    def coherent_ocb(site):
-        """Dephased OCB plus a 1e-9 sigma_x coherence on input A1 (site 0) or B1 (site 2)."""
+    def coherent_ocb(site, eps=1e-9):
+        """Dephased OCB plus an ``eps`` sigma_x coherence on input A1 (site 0) or B1 (site 2)."""
         w = dephased_ocb()
-        return ProcessMatrix(w.layout, w.matrix + 1e-9 * tensor_product([SIGMA_X if f == site else EYE2
+        return ProcessMatrix(w.layout, w.matrix + eps * tensor_product([SIGMA_X if f == site else EYE2
                                                                           for f in range(4)]))
 
     def test_input_diagonal_boundary(self):
@@ -202,8 +202,10 @@ class TestEigenstructure:
             diagonal, off_norm = is_input_diagonal(w, Z2, Z2, tol=1e-9)
             assert not diagonal
             below = np.nextafter(off_norm, 0.0)
-            assert is_input_diagonal(w, Z2, Z2, tol=off_norm) == (True, off_norm)
+            # below is a numpy float: the flag is a Python bool all the same.
+            assert is_input_diagonal(w, Z2, Z2, tol=off_norm)[0] is True
             assert is_input_diagonal(w, Z2, Z2, tol=below) == (False, off_norm)
+            assert is_input_diagonal(w, Z2, Z2, tol=below)[0] is False
             with pytest.raises(EigenstructureError, match="commutation residuals too large"):
                 eigenstructure(split, Z2, Z2, w, tol=off_norm)
             message = (f"matrix is not input-diagonal in the given bases: "
@@ -216,20 +218,19 @@ class TestEigenstructure:
             under = check_separability(w, Z2, Z2, tol=below, max_iter=1)
             assert (under.path, under.skip_reason) == ("dykstra", message)
 
-    @pytest.mark.parametrize("site", [
-        pytest.param(0, id="a1", marks=pytest.mark.xfail(
-            strict=True, raises=DecompositionError,
-            reason="a nearly one-way split puts p within a few 1e-11 of 1, outside the 1e-12 edge, "
-                   "and (W - x) / (1 - p) fails the w_ba mask (CHANGES.md FOUND line)")),
-        pytest.param(2, id="b1"),
-    ])
-    def test_constructive_split_at_input_diagonal_boundary(self, site):
-        # At tol equal to the off-block norm W is input-diagonal, so the
-        # constructive split is built, verifies, and is check_separability's path.
-        w = self.coherent_ocb(site)
-        off_norm = is_input_diagonal(w, Z2, Z2)[1]
-        assert constructive_decomposition(w, Z2, Z2, tol=off_norm).check.ok
-        report = check_separability(w, Z2, Z2, tol=off_norm, max_iter=1)
+    @pytest.mark.parametrize("at_off_norm", [False, True], ids=["tol1e-8", "tol-off"])
+    @pytest.mark.parametrize("site", [0, 2], ids=["a1", "b1"])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
+    def test_constructive_split_at_input_diagonal_boundary(self, eps, site, at_off_norm):
+        # At tol 1e-8, or at tol equal to the off-block norm, W is
+        # input-diagonal, so the constructive split is built, verifies, and is
+        # check_separability's path.  On A1 the split is nearly one-way, with p
+        # within a few eps of 1: each part is weighed by its own trace, so
+        # neither is divided by the few digits of 1 - p.
+        w = self.coherent_ocb(site, eps)
+        tol = is_input_diagonal(w, Z2, Z2)[1] if at_off_norm else 1e-8
+        assert constructive_decomposition(w, Z2, Z2, tol=tol).check.ok
+        report = check_separability(w, Z2, Z2, tol=tol, max_iter=1)
         assert (report.path, report.status, report.skip_reason) == ("constructive", SEPARABLE, None)
 
     def test_nan_tolerance_rejected(self):
@@ -378,7 +379,7 @@ def audited_split(w, ba, bb):
             * np.eye(lay.d_a2).reshape(1, lay.d_a2, 1, 1, 1, lay.d_a2, 1, 1)
             * np.eye(lay.d_b2).reshape(1, 1, 1, lay.d_b2, 1, 1, 1, lay.d_b2)).reshape(split.kappa1.shape)
     x = (split.kappa1 - s_op + (1.0 + split.lambda0) * np.eye(lay.d_total)) / lay.d
-    return separability._certified(w, x, 1e-12, 1e-8)
+    return separability._certified(w, np.stack((x, _span_project(w.matrix - x, lay.dims, "b_before_a"))), 1e-8, 1e-8)
 
 
 class TestSplitFromBlockMinima:
@@ -921,7 +922,7 @@ class TestDykstraSeparability:
         assert verify_decomposition(w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
 
     def test_hermiticity_defect_within_tolerance_splits(self):
-        # (W - x) / (1 - p) at p = 0.999 would amplify a defect of 8e-11 past
+        # w_ba = y / q with q near 0.001 would amplify a defect of 8e-11 past
         # the Hermiticity check; ProcessMatrix keeps only the Hermitian part.
         w = hermiticity_perturbed(w0_process(0.999))
         report = dykstra_separability(w, tol=1e-8)
@@ -1342,3 +1343,97 @@ class TestCausalWitness:
             w, report.decomposition, tol=1e-6, psd_tol=1e-6).ok
         witness = _witness_within(w, 100)
         assert not (split_ok and witness is not None and verify_witness(w, witness))
+
+
+def _random_mixture(seed, t):
+    """t OCB + (1 - t) random_process(seed) on qubits."""
+    ocb = ocb_process()
+    return ProcessMatrix(ocb.layout, t * ocb.matrix + (1.0 - t) * random_process(seed).matrix)
+
+
+# Separability thresholds t*(s) of the qubit random mixtures, from bisection on certified verdicts.
+MIXTURE_THRESHOLDS = {1: 0.6866, 2: 0.6844}
+
+SEARCH_POINTS = {
+    "noise-0.6": lambda: TestNoisyFixtureThreshold._noisy(0.6),
+    "noise-0.75": lambda: TestNoisyFixtureThreshold._noisy(0.75),
+    "w0-0.3": lambda: w0_process(0.3),
+    **{f"mixture-{s}{sign}": functools.partial(_random_mixture, s, t + delta)
+       for s, t in MIXTURE_THRESHOLDS.items() for sign, delta in (("-", -1e-2), ("+", 1e-2))},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _search_point(name):
+    """The search point ``name`` and its report."""
+    w = SEARCH_POINTS[name]()
+    return w, dykstra_separability(w, tol=1e-8)
+
+
+class TestSymmetryOracles:
+    """Two exact symmetries of the problem.  A local unitary
+    U = U_A1 (x) U_A2 (x) U_B1 (x) U_B2 maps each one-way span and the
+    positive cone to itself, and the party swap, (A1, A2) exchanged with
+    (B1, B2), maps the A < B span onto the B < A span.  So W and its image
+    have the same verdict, and each certificate of W carries over: under U
+    every part is conjugated; under the swap a split (p, w_ab, w_ba) becomes
+    (1 - p, swap w_ba, swap w_ab) and a witness (S, Q1, Q2) becomes
+    (swap S, swap Q2, swap Q1).  Iteration counts are not compared, as the
+    search's witness candidate is not swap-symmetric."""
+
+    @staticmethod
+    def symmetry(dims, seed, swap):
+        """The image layout, the map m -> image of m (U, then the swap if
+        ``swap``) and the Haar factor unitaries of U, seeded by ``seed``."""
+        factors = [MeasurementBasis.random(d, (seed, k)).vectors for k, d in enumerate(dims)]
+        u = tensor_product(factors)
+
+        def apply(m):
+            m = u @ m @ u.conj().T
+            return m.reshape(dims + dims).transpose(2, 3, 0, 1, 6, 7, 4, 5).reshape(m.shape) if swap else m
+
+        return SystemLayout(*(dims[2:] + dims[:2] if swap else dims)), apply, factors
+
+    @staticmethod
+    def carried_split(split, layout, apply, swap):
+        w_ab, w_ba = (None if part is None else ProcessMatrix(layout, apply(part.matrix))
+                      for part in (split.w_ab, split.w_ba))
+        return CausalDecomposition(1.0 - split.p, w_ba, w_ab) if swap else CausalDecomposition(split.p, w_ab, w_ba)
+
+    @staticmethod
+    def carried_witness(witness, apply, swap):
+        s, q1, q2 = (apply(m) for m in (witness.s, witness.q1, witness.q2))
+        return dataclasses.replace(witness, s=s, q1=q2 if swap else q1, q2=q1 if swap else q2)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["local", "local-swap"])
+    @pytest.mark.parametrize("point", sorted(SEARCH_POINTS))
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_search_certificates_carry_over(self, point, swap, seed):
+        w, report = _search_point(point)
+        layout, apply, _ = self.symmetry(w.layout.dims, seed, swap)
+        image = ProcessMatrix(layout, apply(w.matrix))
+        image_report = dykstra_separability(image, tol=1e-8)
+        assert image_report.status == report.status != INCONCLUSIVE
+        if report.status == SEPARABLE:
+            carried = self.carried_split(report.decomposition, layout, apply, swap)
+            assert verify_decomposition(image, carried, tol=1e-6, psd_tol=1e-6).ok
+        else:
+            assert verify_witness(image, self.carried_witness(report.witness, apply, swap))
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["local", "local-swap"])
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 3, 2), (3, 3, 2, 2)],
+                             ids=lambda dims: "-".join(map(str, dims)))
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_constructive_certificates_carry_over(self, dims, swap, seed):
+        ba, bb = MeasurementBasis.random(dims[0], (seed, 11)), MeasurementBasis.random(dims[2], (seed, 12))
+        w = luders_input_dephase(random_process(seed, SystemLayout(*dims)), ba, bb).matrix
+        layout, apply, factors = self.symmetry(dims, seed, swap)
+        image = ProcessMatrix(layout, apply(w.matrix))
+        rotated = [MeasurementBasis(factors[k] @ basis.vectors) for k, basis in ((0, ba), (2, bb))]
+        report = check_separability(w, ba, bb)
+        image_report = check_separability(image, *(rotated[::-1] if swap else rotated))
+        assert (report.path, report.status) == (image_report.path, image_report.status) == ("constructive", SEPARABLE)
+        carried = self.carried_split(report.decomposition, layout, apply, swap)
+        assert verify_decomposition(image, carried, tol=1e-8).ok
