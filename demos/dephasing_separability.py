@@ -17,7 +17,6 @@ from procmat import (
     dykstra_separability,
     eigenstructure,
     indistinguishability_residual,
-    kappa_split,
     luders_input_dephase,
     random_process,
     verify_decomposition,
@@ -31,11 +30,10 @@ effective = luders_input_dephase(w, basis_a, basis_b)
 residual = indistinguishability_residual(w, effective, samples=200, seed=7)
 print("operational distinguishability under fixed-basis instruments:", residual)
 
-# The split d W = (1 + lambda0) 1 + kappa1 + kappa2 and the per-block
-# eigenstructure that audits the proof behind the construction.
-split = kappa_split(effective.matrix)
-structure = eigenstructure(split, basis_a, basis_b, effective.matrix)
-print("lambda0 =", split.lambda0)
+# The per-block eigenstructure that audits the proof behind the construction,
+# with the split d W = (1 + lambda0) 1 + kappa1 + kappa2 it audits.
+structure = eigenstructure(effective.matrix, basis_a, basis_b)
+print("lambda0 =", structure.split.lambda0)
 print("[kappa1, kappa2] norm:", structure.kappa_commutator)
 print("product-eigenvector residual:", structure.eigen_residual)
 

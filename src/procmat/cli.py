@@ -5,10 +5,10 @@ given, otherwise to stdout so documents can be piped between commands; the
 human-readable run report then goes to stderr.  Analysis commands print
 their report to stdout.  Each command returns its run report, and
 :func:`main` alone turns it into the exit code: 0 success, 1 invalid input,
-a usage error or a stdout closed by its reader, 2 a check failed
-(validation, separability, decomposition).  Only ``validate``, ``separate``
-and ``check-sep`` compute at a tolerance, so only they take ``--tol`` and
-echo it in their report.
+a usage error, an ``--output`` that cannot be written or a stdout closed by
+its reader, 2 a check failed (validation, separability, decomposition).
+Only ``validate``, ``separate`` and ``check-sep`` compute at a tolerance, so
+only they take ``--tol`` and echo it in their report.
 
 Every command reads or writes a document, so only ``io`` and ``process``
 are imported here, and ``process`` builds every fixture; each command imports
@@ -121,14 +121,14 @@ def _emit_document(args, report: RunReport, w: ProcessMatrix, metadata: dict) ->
 
 
 def _emit_report(args, report: RunReport, file_output: bool = True) -> RunReport:
-    """Report to stdout; for pure-analysis commands --output archives it.
+    """Report to stdout; for pure-analysis commands --output archives it first, so a failed write prints nothing.
 
     The split commands, whose --output carries the split, pass ``file_output=False``.
     """
-    print(report.to_json() if args.json else report.to_text())
     if args.output and file_output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
+    print(report.to_json() if args.json else report.to_text())
     return report
 
 
@@ -396,13 +396,13 @@ def main(argv: list[str] | None = None) -> int:
         run = args.func(args)
         sys.stdout.flush()
         return EXIT_OK if run.status == "ok" else EXIT_CHECK_FAILED
-    except (CliError, ProcessDocumentError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except BrokenPipeError:  # the reader closed stdout; Python docs, "Note on SIGPIPE"
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())  # the flush at exit cannot fail again
         os.close(devnull)
+        return EXIT_INVALID_INPUT
+    except (CliError, ProcessDocumentError, ValueError, OSError) as err:  # OSError: --output could not be written
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
 

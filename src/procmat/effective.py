@@ -154,11 +154,11 @@ def classical_effective(w: ProcessMatrix, basis_a1, basis_a2, basis_b1, basis_b2
     return ProcessMatrix._exact(layout, _dephase(w.matrix, bases))
 
 
-def is_input_diagonal(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-10):
-    """Whether all cross-input blocks of W vanish in the given bases.
+def is_input_diagonal(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8):
+    """Whether all cross-input blocks of W vanish within ``tol`` in the given bases.
 
-    Returns ``(flag, max_off_block_norm)`` where the norm is the largest
-    Frobenius norm among blocks <n, m| W |n', m'> with (n, m) != (n', m').
+    Returns ``(flag, max_off_block_norm)`` where the norm is the largest Frobenius
+    norm among blocks <n, m| W |n', m'> with (n, m) != (n', m'), the deciders' rule.
     """
     return _input_frame(w, basis_a1, basis_b1, tol)[3:]
 

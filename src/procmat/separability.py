@@ -41,7 +41,7 @@ from .process import (
     _w0_parts,
     validate_process,
 )
-from .tensor import _check_int, _eigvalsh, hermitian_eig
+from .tensor import _check_int, _eigvalsh, as_square_matrix, hermitian_eig
 
 SEPARABLE = "separable"
 NOT_SEPARABLE = "not-separable-up-to-tolerance"
@@ -62,8 +62,8 @@ class DecompositionError(RuntimeError):
 
 def commutator_norm(x, y) -> float:
     """Frobenius norm of XY - YX."""
-    xm = np.asarray(x, dtype=complex)
-    ym = np.asarray(y, dtype=complex)
+    xm = as_square_matrix(x, "x")
+    ym = as_square_matrix(y, "y")
     if xm.shape != ym.shape:
         raise ValueError(f"dimension mismatch: {xm.shape} vs {ym.shape}")
     return float(np.linalg.norm(xm @ ym - ym @ xm))
@@ -115,20 +115,19 @@ def kappa_split(w_eff: ProcessMatrix) -> KappaSplit:
 
 @dataclass(frozen=True)
 class EigenStructure:
-    """Blockwise eigendata of a kappa split over the input bases.
+    """Blockwise eigendata of W_eff's kappa split over the input bases.
 
-    For each input block (n, m), ``block_a[n, m]`` is the operator A_(n,m)
-    with kappa1 acting as A_(n,m) (x) 1 on that block, ``m1[n, a, m]`` its
-    ascending eigenvalues and ``a_bases[n, m]`` the eigenvector columns;
-    ``block_b``/``m2[n, m, b]``/``b_bases`` mirror this for kappa2.  The
+    ``split`` is ``kappa_split(W_eff)``.  For each input block (n, m), with
+    kappa1 acting as A_(n,m) (x) 1 on that block, ``m1[n, a, m]`` holds the
+    ascending eigenvalues of A_(n,m) and ``a_bases[n, m]`` its eigenvector
+    columns; ``m2[n, m, b]``/``b_bases`` mirror this for kappa2.  The
     residuals record how well the product form, the commutation relations
     and the joint product eigenvectors hold.
     """
 
     basis_a1: MeasurementBasis
     basis_b1: MeasurementBasis
-    block_a: np.ndarray
-    block_b: np.ndarray
+    split: KappaSplit
     m1: np.ndarray
     m2: np.ndarray
     a_bases: np.ndarray
@@ -167,21 +166,19 @@ def _input_blocks(w_eff: ProcessMatrix, kappas, basis_a1, basis_b1, tol: float):
     return ba1, bb1, frame[1:], blocks, np.einsum("abrsts->abrt", blocks[0]) / w_eff.layout.d_b2
 
 
-def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
-                   tol: float = 1e-8) -> EigenStructure:
-    """Extract and diagonalize the per-block operators of a kappa split.
+def eigenstructure(w_eff: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8) -> EigenStructure:
+    """Extract and diagonalize the per-block operators of ``kappa_split(w_eff)``.
 
-    The audit of the proof behind ``constructive_decomposition``.  Requires
-    ``w_eff`` to be input-diagonal in the given bases; raises
-    :class:`EigenstructureError` when a block fails the A (x) 1 / 1 (x) B
-    product form or a commutation residual exceeds ``tol``.  All blocks are
-    handled at once in the input frame: one rotation serves W_eff and both
-    kappas, and one eigensolver call per kappa diagonalizes the whole stack
-    of block operators.
+    The audit of the proof behind ``constructive_decomposition``, on its
+    arguments; the split comes back as ``split``.  Requires ``w_eff`` to be
+    input-diagonal in the given bases; raises :class:`EigenstructureError`
+    when a block fails the A (x) 1 / 1 (x) B product form or a commutation
+    residual exceeds ``tol``.  All blocks are handled at once in the input
+    frame: one rotation serves W_eff and both kappas, and one eigensolver
+    call per kappa diagonalizes the whole stack of block operators.
     """
-    layout = split.layout
-    if layout != w_eff.layout:
-        raise ValueError(f"kappa split has layout {layout.dims}, W_eff has {w_eff.layout.dims}")
+    layout = w_eff.layout
+    split = kappa_split(w_eff)
     kappas = np.stack((split.kappa1, split.kappa2))
     ba1, bb1, t, blocks, block_a = _input_blocks(w_eff, kappas, basis_a1, basis_b1, tol)
     d_a2, d_b2 = layout.d_a2, layout.d_b2
@@ -220,8 +217,7 @@ def eigenstructure(split: KappaSplit, basis_a1, basis_b1, w_eff: ProcessMatrix,
     return EigenStructure(
         basis_a1=ba1,
         basis_b1=bb1,
-        block_a=block_a,
-        block_b=block_b,
+        split=split,
         m1=m1,
         m2=m2,
         a_bases=a_bases,

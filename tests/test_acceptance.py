@@ -21,7 +21,6 @@ from procmat import (
     hs_decompose,
     hs_reconstruct,
     indistinguishability_residual,
-    kappa_split,
     luders_input_dephase,
     ocb_game,
     ocb_process,
@@ -63,8 +62,7 @@ def theorem_instances():
         basis_a = MeasurementBasis.random(layout.d_a1, 10_000 + 7 * seed + (layout.d_a1 == 3))
         basis_b = MeasurementBasis.random(layout.d_b1, 20_000 + 11 * seed + (layout.d_b1 == 3))
         w_eff = luders_input_dephase(w, basis_a, basis_b).matrix
-        split = kappa_split(w_eff)
-        structure = eigenstructure(split, basis_a, basis_b, w_eff)
+        structure = eigenstructure(w_eff, basis_a, basis_b)
         decomposition = constructive_decomposition(w_eff, basis_a, basis_b)
         instances.append(
             {
@@ -73,7 +71,6 @@ def theorem_instances():
                 "basis_a": basis_a,
                 "basis_b": basis_b,
                 "w_eff": w_eff,
-                "split": split,
                 "structure": structure,
                 "decomposition": decomposition,
             }

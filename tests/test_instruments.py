@@ -99,6 +99,7 @@ class TestClassicalInstrument:
         n_out, d_out, d_in = 2, 2, 2
         p = np.full((n_out, d_out, d_in), 1.0 / (n_out * d_out))
         instr = classical_instrument(p, np.eye(2), np.eye(2))
+        assert len(instr) == n_out
         for outcome in instr.outcomes:
             assert np.allclose(outcome.cj, np.eye(4) / 4.0)
         assert check_instrument(instr).overall

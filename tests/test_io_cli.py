@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -489,6 +490,32 @@ class TestCli:
         code, out, err = run_cli(["validate", "--input", str(missing)], capsys)
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot read {missing}: ")
+
+    @pytest.mark.parametrize("command", ["fixture ocb", "gen-random --seed 0", "dephase --input {ocb}",
+                                         "validate --input {ocb}", "separate --input {dephased}"],
+                             ids=["fixture", "gen-random", "dephase", "validate", "separate"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, command):
+        # The --output is written before anything is printed, so a failed
+        # write leaves stdout empty and ends in one error line.
+        ocb, dephased = tmp_path / "ocb.json", tmp_path / "dephased.json"
+        run_cli(["fixture", "ocb", "--output", str(ocb)], capsys)
+        run_cli(["dephase", "--input", str(ocb), "--output", str(dephased)], capsys)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(command.format(ocb=ocb, dephased=dephased).split() + ["--output", str(target)],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+        assert not target.parent.exists()
+
+    def test_module_entry_point(self, capsys, monkeypatch):
+        # ``python -m procmat.cli``: the module's own main guard hands main's code to sys.exit.
+        monkeypatch.delitem(sys.modules, "procmat.cli")  # else runpy warns that it is imported already
+        monkeypatch.setattr(sys, "argv", ["procmat", "fixture", "ocb"])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("procmat.cli", run_name="__main__")
+        assert exited.value.code == 0
+        decoded, _ = decode_process(capsys.readouterr().out)
+        assert np.array_equal(decoded.matrix, ocb_process().matrix)
 
     def test_separate_writes_decomposition_document(self, tmp_path, capsys):
         ocb = tmp_path / "ocb.json"

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,9 +134,7 @@ class TestKappaSplit:
 
 class TestEigenstructure:
     def test_dephased_ocb_block_eigenvalues(self):
-        w = dephased_ocb()
-        split = kappa_split(w)
-        structure = eigenstructure(split, Z2, Z2, w)
+        structure = eigenstructure(dephased_ocb(), Z2, Z2)
         for n in range(2):
             for m in range(2):
                 assert sorted(structure.m1[n, :, m]) == pytest.approx(
@@ -144,30 +143,16 @@ class TestEigenstructure:
         assert np.max(np.abs(structure.m2)) < 1e-10
 
     def test_identity_process_all_zero(self):
-        w = identity_process()
-        split = kappa_split(w)
-        structure = eigenstructure(split, Z2, Z2, w)
+        structure = eigenstructure(identity_process(), Z2, Z2)
         assert np.max(np.abs(structure.m1)) < 1e-12
         assert np.max(np.abs(structure.m2)) < 1e-12
-
-    @pytest.mark.parametrize("split_dims, w_dims", [((2, 2, 2, 2), (3, 2, 3, 2)), ((3, 2, 3, 2), (2, 2, 2, 2)),
-                                                    ((2, 2, 2, 2), (4, 1, 4, 1))],
-                             ids=["qubit-split", "qutrit-split", "same-side"])
-    def test_layout_mismatch_rejected(self, split_dims, w_dims):
-        # Checked before any arithmetic: with another side the stack of W and
-        # the kappas would fail inside numpy.
-        split, w = (random_process(0, SystemLayout(*dims)) for dims in (split_dims, w_dims))
-        basis = MeasurementBasis.computational(w_dims[0])
-        with pytest.raises(ValueError, match=r"kappa split has layout \(.*\), W_eff has \("):
-            eigenstructure(kappa_split(split), basis, basis, luders_input_dephase(w, basis, basis).matrix)
 
     def test_random_dephased_invariants(self):
         for seed in range(4):
             ba = MeasurementBasis.random(2, 320 + seed)
             bb = MeasurementBasis.random(2, 330 + seed)
             w = luders_input_dephase(random_process(340 + seed), ba, bb).matrix
-            split = kappa_split(w)
-            structure = eigenstructure(split, ba, bb, w)
+            structure = eigenstructure(w, ba, bb)
             assert structure.eigen_residual < 1e-8
             assert structure.kappa_commutator < 1e-8
             assert structure.projector_commutator < 1e-8
@@ -177,10 +162,8 @@ class TestEigenstructure:
                     assert structure.m1[n, :, m].min() + structure.m2[n, m, :].min() > -1e-8
 
     def test_requires_input_diagonal(self):
-        w = ocb_process()
-        split = kappa_split(w)
         with pytest.raises(NotInputDiagonalError):
-            eigenstructure(split, Z2, Z2, w)
+            eigenstructure(ocb_process(), Z2, Z2)
 
     @staticmethod
     def coherent_ocb(site, eps=1e-9):
@@ -198,7 +181,6 @@ class TestEigenstructure:
         # coherence and for the same one on B1.
         for site in (0, 2):
             w = self.coherent_ocb(site)
-            split = kappa_split(w)
             diagonal, off_norm = is_input_diagonal(w, Z2, Z2, tol=1e-9)
             assert not diagonal
             below = np.nextafter(off_norm, 0.0)
@@ -207,16 +189,24 @@ class TestEigenstructure:
             assert is_input_diagonal(w, Z2, Z2, tol=below) == (False, off_norm)
             assert is_input_diagonal(w, Z2, Z2, tol=below)[0] is False
             with pytest.raises(EigenstructureError, match="commutation residuals too large"):
-                eigenstructure(split, Z2, Z2, w, tol=off_norm)
+                eigenstructure(w, Z2, Z2, tol=off_norm)
             message = (f"matrix is not input-diagonal in the given bases: "
                        f"off-block norm {off_norm:.3e} > {below:.1e}")
-            for call in (lambda: eigenstructure(split, Z2, Z2, w, tol=below),
+            for call in (lambda: eigenstructure(w, Z2, Z2, tol=below),
                          lambda: constructive_decomposition(w, Z2, Z2, tol=below)):
                 with pytest.raises(NotInputDiagonalError) as raised:
                     call()
                 assert str(raised.value) == message
             under = check_separability(w, Z2, Z2, tol=below, max_iter=1)
             assert (under.path, under.skip_reason) == ("dykstra", message)
+
+    def test_default_rule_shared_with_the_decider(self):
+        # A 5e-10 A1 coherence is input-diagonal at the default tol of both
+        # is_input_diagonal and check_separability, which takes the constructive path.
+        w = self.coherent_ocb(0, 5e-10)
+        assert is_input_diagonal(w, Z2, Z2) == (True, 1e-9)
+        report = check_separability(w, Z2, Z2)
+        assert (report.path, report.status, report.decomposition.p) == ("constructive", SEPARABLE, 1.0)
 
     @pytest.mark.parametrize("at_off_norm", [False, True], ids=["tol1e-8", "tol-off"])
     @pytest.mark.parametrize("site", [0, 2], ids=["a1", "b1"])
@@ -236,18 +226,21 @@ class TestEigenstructure:
     def test_nan_tolerance_rejected(self):
         w = dephased_ocb()
         with pytest.raises(ValueError, match="^tol must be a finite number of at least 0, got nan$"):
-            eigenstructure(kappa_split(w), Z2, Z2, w, tol=float("nan"))
+            eigenstructure(w, Z2, Z2, tol=float("nan"))
 
-    def test_block_not_of_product_form(self):
+    def test_block_not_of_product_form(self, monkeypatch):
         # A term nontrivial on B2 inside input block (1, 0) of kappa1 breaks
         # its A_(n,m) (x) 1 form there and nowhere else.
-        w = dephased_ocb()
-        split = kappa_split(w)
         p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         term = 0.1 * tensor_product([p1, EYE2, p0, SIGMA_Z])
-        broken = dataclasses.replace(split, kappa1=split.kappa1 + term)
+
+        def broken_split(w):
+            split = kappa_split(w)
+            return dataclasses.replace(split, kappa1=split.kappa1 + term)
+
+        monkeypatch.setattr(separability, "kappa_split", broken_split)
         with pytest.raises(EigenstructureError, match=r"^block \(1, 0\) is not of product form: residuals "):
-            eigenstructure(broken, Z2, Z2, w)
+            eigenstructure(dephased_ocb(), Z2, Z2)
 
 
 class TestConstructiveDecomposition:
@@ -326,9 +319,8 @@ def reassembled_parts(w, ba, bb):
     block eigenvalues m1 - s and m2 + s summed as m_bar psi psi^dag over all
     of them at once (``loop_parts`` is the per-block form, too slow for the
     larger layouts here)."""
-    split = kappa_split(w)
-    structure = eigenstructure(split, ba, bb, w)
-    shift = structure.m1.min(axis=1)
+    structure = eigenstructure(w, ba, bb)
+    split, shift = structure.split, structure.m1.min(axis=1)
     side, d = w.side, w.layout.d
     psi = _product_vectors(structure.basis_a1, structure.a_bases, structure.basis_b1, structure.b_bases)
     psi_dag = psi.reshape(side, side).conj().T
@@ -370,9 +362,8 @@ def audited_split(w, ba, bb):
     ``eigenstructure(...).m1.min(axis=1)``, and S, x and the parts formed
     from it as ``constructive_decomposition`` forms them."""
     lay = w.layout
-    split = kappa_split(w)
-    structure = eigenstructure(split, ba, bb, w)
-    shift = structure.m1.min(axis=1)
+    structure = eigenstructure(w, ba, bb)
+    split, shift = structure.split, structure.m1.min(axis=1)
     u, v = structure.basis_a1.vectors, structure.basis_b1.vectors
     s_in = np.einsum("in,jn,nm,km,lm->ikjl", u, u.conj(), shift, v, v.conj())
     s_op = (s_in[:, None, :, None, :, None, :, None]
@@ -485,8 +476,12 @@ class TestBlockwiseAgainstLoopOracle:
         ba = MeasurementBasis.random(dims[0], 500 + seed)
         bb = MeasurementBasis.random(dims[2], 600 + seed)
         w = luders_input_dephase(random_process(700 + seed, lay), ba, bb).matrix
-        structure = eigenstructure(kappa_split(w), ba, bb, w)
-        m1, m2, _, _, residuals = loop_eigenstructure(kappa_split(w), ba, bb)
+        structure = eigenstructure(w, ba, bb)
+        split = kappa_split(w)
+        assert structure.split.lambda0 == split.lambda0
+        for got, want in ((structure.split.kappa1, split.kappa1), (structure.split.kappa2, split.kappa2)):
+            assert got.tobytes() == want.tobytes()
+        m1, m2, _, _, residuals = loop_eigenstructure(split, ba, bb)
         assert np.max(np.abs(structure.m1 - m1)) <= 1e-12
         assert np.max(np.abs(structure.m2 - m2)) <= 1e-12
         got = (structure.product_form_residual, structure.kappa_commutator,
@@ -571,6 +566,15 @@ class TestFailedChecks:
     def test_names_the_failed_check(self, check, p, message):
         assert _failed_checks(check, p, SystemLayout.qubit(), 1e-8) == message
 
+    def test_names_a_failed_trace(self):
+        # w0's defining split with w_ab scaled by 1 + 1e-6: its trace and the
+        # reconstruction both miss by more than 1e-8.
+        split = w0_defining_split(0.3)
+        split = dataclasses.replace(split, w_ab=ProcessMatrix(split.w_ab.layout, split.w_ab.matrix * (1 + 1e-6)))
+        check = verify_decomposition(w0_process(0.3), split, tol=1e-8)
+        assert _failed_checks(check, split.p, SystemLayout.qubit(), 1e-8) == (
+            "reconstruction residual 4.243e-07 above 1e-08; w_ab trace 4.000004 is 4.000e-06 from 4, above 1e-08")
+
 
 class TestStoredCheck:
     """Each decider returns the ``verify_decomposition`` report that accepted its split."""
@@ -640,7 +644,7 @@ TOLERANCE_CALLS = {
     "validate_process": lambda tol: validate_process(ocb_process(), tol=tol),
     "verify_decomposition": lambda tol: verify_decomposition(w0_process(0.3), w0_defining_split(0.3), tol=tol),
     "constructive_decomposition": lambda tol: constructive_decomposition(dephased_ocb(), Z2, Z2, tol=tol),
-    "eigenstructure": lambda tol: eigenstructure(kappa_split(dephased_ocb()), Z2, Z2, dephased_ocb(), tol=tol),
+    "eigenstructure": lambda tol: eigenstructure(dephased_ocb(), Z2, Z2, tol=tol),
     "dykstra_separability": lambda tol: dykstra_separability(ocb_process(), tol=tol, max_iter=1000),
     "check_separability": lambda tol: check_separability(ocb_process(), Z2, Z2, tol=tol, max_iter=1000),
     # At tol=inf these would call the Bell state PPT, an incomplete instrument complete and OCB input-diagonal.
@@ -781,6 +785,16 @@ class TestCommutatorNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             commutator_norm(SIGMA_Z, np.eye(4))
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 2, 2)), 1.0, np.ones((2, 3))],
+                             ids=["vector", "stack", "scalar", "rectangular"])
+    def test_non_square_rejected(self, bad):
+        # Two 3-vectors would give 0.0 and two (2, 2, 2) stacks a norm of the batched products.
+        shape = re.escape(str(np.shape(bad)))
+        with pytest.raises(ValueError, match=rf"^x must be a square matrix, got shape {shape}$"):
+            commutator_norm(bad, bad)
+        with pytest.raises(ValueError, match=rf"^y must be a square matrix, got shape {shape}$"):
+            commutator_norm(SIGMA_Z, bad)
 
 
 class TestDykstraSeparability:
