@@ -8,8 +8,6 @@ the split constructively and cross-checks it with an independent
 primal-dual search, which finds either a split or a causal witness.
 """
 
-import numpy as np
-
 from procmat import (
     MeasurementBasis,
     SystemLayout,

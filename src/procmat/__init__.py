@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "tensor": (
-        "HSDecomposition", "frobenius_inner", "hermitian_basis", "hermitian_eig", "hs_decompose",
+        "HSDecomposition", "hermitian_basis", "hermitian_eig", "hs_decompose",
         "hs_reconstruct", "partial_trace", "partial_transpose", "tensor_product",
     ),
     "process": (

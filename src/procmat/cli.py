@@ -1,12 +1,13 @@
 """Command-line interface wiring the library into reproducible runs.
 
-Commands that produce a process document write it to ``--output`` when
-given, otherwise to stdout so documents can be piped between commands; the
-human-readable run report then goes to stderr.  Analysis commands print
-their report to stdout.  Each command returns its run report, and
-:func:`main` alone turns it into the exit code: 0 success, 1 invalid input,
-a usage error, an ``--output`` that cannot be written or a stdout closed by
-its reader, 2 a check failed (validation, separability, decomposition).
+Each command returns its run report and its archive, the one text that
+``--output`` receives: a process document, a split, or the JSON report.
+:func:`main` alone writes, prints and sets the exit code.  It writes the
+archive before printing anything and prints the report to stdout; a process
+document without ``--output`` goes to stdout, to be piped on, and its report
+to stderr.  Exit codes: 0 success, 1 invalid input, a usage error, an
+``--output`` that cannot be written or a stdout closed by its reader, 2 a
+check failed (validation, separability, decomposition).
 Only ``validate``, ``separate`` and ``check-sep`` compute at a tolerance, so
 only they take ``--tol`` and echo it in their report.
 
@@ -104,32 +105,11 @@ def _load_basis_pair(args, layout: SystemLayout) -> tuple[MeasurementBasis, Meas
     return out[0], out[1]
 
 
-def _emit_document(args, report: RunReport, w: ProcessMatrix, metadata: dict) -> RunReport:
-    """Encode a document, record its digest, and write it to --output or
-    stdout; the report goes to the other stream."""
+def _document(run: RunReport, w: ProcessMatrix, metadata: dict) -> tuple[RunReport, str]:
+    """The report and the encoded process document, whose digest the report records."""
     text = encode_process(w, metadata)
-    report.results["output_digest"] = digest_text(text)
-    report_text = report.to_json() if args.json else report.to_text()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(report_text)
-    else:
-        print(text)
-        print(report_text, file=sys.stderr)
-    return report
-
-
-def _emit_report(args, report: RunReport, file_output: bool = True) -> RunReport:
-    """Report to stdout; for pure-analysis commands --output archives it first, so a failed write prints nothing.
-
-    The split commands, whose --output carries the split, pass ``file_output=False``.
-    """
-    if args.output and file_output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-    print(report.to_json() if args.json else report.to_text())
-    return report
+    run.results["output_digest"] = digest_text(text)
+    return run, text
 
 
 def _hs_summary(w: ProcessMatrix, tol: float) -> list[str]:
@@ -144,7 +124,7 @@ def _hs_summary(w: ProcessMatrix, tol: float) -> list[str]:
     return lines
 
 
-def _cmd_validate(args) -> RunReport:
+def _cmd_validate(args) -> tuple[RunReport, str]:
     w, _, run = _read_input(args)
     report = validate_process(w, tol=args.tol)
     run.results = {
@@ -161,18 +141,16 @@ def _cmd_validate(args) -> RunReport:
     run.status = "ok" if report.overall else "check-failed"
     if args.hs:
         run.results["hs_coefficients"] = _hs_summary(w, args.tol)
-    return _emit_report(args, run)
+    return run, run.to_json()
 
 
 def _canonical_instruments(layout: SystemLayout, seed: int | None):
     if seed is None:
-        from .instruments import classical_instrument
+        from .instruments import cq_instrument
 
-        # Measure each z state, reprepare the first z state: table[k, t, l] = [k = l][t = 0] in z bases.
-        instr_a, instr_b = (
-            classical_instrument(np.einsum("kl,t->ktl", np.eye(d_in), np.eye(d_out)[0]), np.eye(d_in), np.eye(d_out))
-            for d_in, d_out in ((layout.d_a1, layout.d_a2), (layout.d_b1, layout.d_b2))
-        )
+        # Measure each z state, reprepare the first z state |0><0|.
+        instr_a, instr_b = (cq_instrument(np.eye(d_in), np.eye(d_in), [np.diag(np.eye(d_out)[0])] * d_in)
+                            for d_in, d_out in ((layout.d_a1, layout.d_a2), (layout.d_b1, layout.d_b2)))
         return instr_a, instr_b, "z-measure-reprepare"
     from .effective import MeasurementBasis, random_cq_instrument
 
@@ -182,7 +160,7 @@ def _canonical_instruments(layout: SystemLayout, seed: int | None):
     return instr_a, instr_b, f"random-cq(seed={seed})"
 
 
-def _cmd_born(args) -> RunReport:
+def _cmd_born(args) -> tuple[RunReport, str]:
     from .instruments import NumericIntegrityError, probability_table
 
     w, _, run = _read_input(args)
@@ -196,30 +174,30 @@ def _cmd_born(args) -> RunReport:
         "table": [[float(v) for v in row] for row in table.entries],
         "total": table.total,
     }
-    return _emit_report(args, run)
+    return run, run.to_json()
 
 
-def _cmd_dephase(args) -> RunReport:
+def _cmd_dephase(args) -> tuple[RunReport, str]:
     from .effective import luders_input_dephase
 
     w, metadata, run = _read_input(args)
     basis_a1, basis_b1 = _load_basis_pair(args, w.layout)
     effective = luders_input_dephase(w, basis_a1, basis_b1)
     run.results["basis"] = args.basis
-    return _emit_document(args, run, effective.matrix, {**metadata, "provenance": "dephase"})
+    return _document(run, effective.matrix, {**metadata, "provenance": "dephase"})
 
 
-def _cmd_effective_classical(args) -> RunReport:
+def _cmd_effective_classical(args) -> tuple[RunReport, str]:
     from .effective import MeasurementBasis, classical_effective
 
     w, metadata, run = _read_input(args)
     result = classical_effective(w, *(MeasurementBasis.computational(d) for d in w.layout.dims))
-    return _emit_document(args, run, result, {**metadata, "provenance": "effective-classical"})
+    return _document(run, result, {**metadata, "provenance": "effective-classical"})
 
 
-def _record_split(args, run: RunReport, decomposition) -> None:
-    """Add a split's check and part digests to the report, and write the
-    split to --output; each part is encoded once."""
+def _record_split(args, run: RunReport, decomposition) -> str | None:
+    """Add a split's check and part digests to the report, each part encoded once, and return the
+    split document if --output asks for it: re-encoding the parts costs milliseconds a report skips."""
     run.results.update(p=decomposition.p, reconstruction_residual=decomposition.check.reconstruction_residual,
                        verified=decomposition.check.ok)
     parts = {name: encode_process(part) for name, part in
@@ -227,12 +205,11 @@ def _record_split(args, run: RunReport, decomposition) -> None:
     for name, text in parts.items():
         run.results[f"{name}_digest"] = digest_text(text)
     if args.output:
-        payload = {"p": decomposition.p, **{name: json.loads(text) for name, text in parts.items()}}
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload) + "\n")
+        return json.dumps({"p": decomposition.p, **{name: json.loads(text) for name, text in parts.items()}})
+    return None
 
 
-def _cmd_separate(args) -> RunReport:
+def _cmd_separate(args) -> tuple[RunReport, str | None]:
     from .separability import DecompositionError, constructive_decomposition
 
     w, _, run = _read_input(args)
@@ -242,12 +219,11 @@ def _cmd_separate(args) -> RunReport:
     except (DecompositionError, ValueError) as err:  # NotInputDiagonalError is a ValueError
         run.status = "check-failed"
         run.results["error"] = str(err)
-    else:
-        _record_split(args, run, decomposition)
-    return _emit_report(args, run, file_output=False)
+        return run, None
+    return run, _record_split(args, run, decomposition)
 
 
-def _cmd_check_sep(args) -> RunReport:
+def _cmd_check_sep(args) -> tuple[RunReport, str | None]:
     from .separability import INCONCLUSIVE, SEPARABLE, DecompositionError, check_separability
 
     if args.max_iter < 1:
@@ -255,6 +231,7 @@ def _cmd_check_sep(args) -> RunReport:
     w, _, run = _read_input(args)
     basis_a1, basis_b1 = _load_basis_pair(args, w.layout)
     run.results["path"] = "constructive"
+    split = None
     try:
         report = check_separability(w, basis_a1, basis_b1, tol=args.tol, max_iter=args.max_iter)
     except DecompositionError as err:  # a failed constructive split, not retried
@@ -273,12 +250,12 @@ def _cmd_check_sep(args) -> RunReport:
             if report.witness is not None:
                 run.results.update(witness_value=report.witness.value, witness_margin=report.witness.margin)
         if report.decomposition is not None:
-            _record_split(args, run, report.decomposition)
+            split = _record_split(args, run, report.decomposition)
     run.status = "ok" if run.results.get("status") == SEPARABLE else "check-failed"
-    return _emit_report(args, run, file_output=False)
+    return run, split
 
 
-def _cmd_game(args) -> RunReport:
+def _cmd_game(args) -> tuple[RunReport, str]:
     from .games import enumerate_strategies, ocb_game
 
     w, _, run = _read_input(args)
@@ -294,16 +271,16 @@ def _cmd_game(args) -> RunReport:
             {"inputs": list(cond), "success": val} for cond, val in result.per_condition
         ],
     }
-    return _emit_report(args, run)
+    return run, run.to_json()
 
 
-def _cmd_gen_random(args) -> RunReport:
+def _cmd_gen_random(args) -> tuple[RunReport, str]:
     w = random_process(args.seed, SystemLayout(*args.dims), strength=args.strength)
     run = RunReport("gen-random", results={"seed": args.seed, "strength": args.strength})
-    return _emit_document(args, run, w, {"name": "random", "seed": args.seed, "strength": args.strength})
+    return _document(run, w, {"name": "random", "seed": args.seed, "strength": args.strength})
 
 
-def _cmd_fixture(args) -> RunReport:
+def _cmd_fixture(args) -> tuple[RunReport, str]:
     name = args.name  # argparse restricts the choices
     metadata: dict[str, Any] = {"name": name}
     if name == "w0":
@@ -311,7 +288,7 @@ def _cmd_fixture(args) -> RunReport:
         w = w0_process(args.p)
     else:
         w = {"ocb": ocb_process, "identity": identity_process, "channel": channel_process}[name]()
-    return _emit_document(args, RunReport(f"fixture {name}"), w, metadata)
+    return _document(RunReport(f"fixture {name}"), w, metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; the only place a run becomes an exit code."""
+    """Run one command; the only place that writes --output, prints, and turns a run into an exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as err:  # argparse has printed the help, or the usage error to stderr
@@ -393,7 +370,16 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError(f"--tol must be a positive finite number, got {args.tol}")
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
-        run = args.func(args)
+        run, archive = args.func(args)
+        if args.output and archive is not None:  # before any print, so a failed write prints nothing
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(archive + "\n")
+        report = run.to_json() if args.json else run.to_text()
+        if "output_digest" in run.results and not args.output:  # a process document, piped on
+            print(archive)
+            print(report, file=sys.stderr)
+        else:
+            print(report)
         sys.stdout.flush()
         return EXIT_OK if run.status == "ok" else EXIT_CHECK_FAILED
     except BrokenPipeError:  # the reader closed stdout; Python docs, "Note on SIGPIPE"

@@ -134,15 +134,6 @@ def partial_transpose(matrix, dims: Sequence[int], subset: Iterable[int]) -> np.
     return t.transpose(axes).reshape(m.shape)
 
 
-def frobenius_inner(a, b) -> complex:
-    """Hilbert-Schmidt pairing Tr(A^dag B)."""
-    am = as_square_matrix(a, "a")
-    bm = as_square_matrix(b, "b")
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return complex(np.vdot(am, bm))
-
-
 def hermitian_eig(matrix):
     """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 

@@ -22,6 +22,7 @@ from procmat import (
 )
 from procmat import cli, process, separability
 from procmat.cli import main
+from procmat.io import digest_text
 from procmat import ocb_process
 
 
@@ -394,6 +395,24 @@ class TestCli:
         report = json.loads(out)
         assert report["results"]["total"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 3, 2), (2, 3, 1, 2), (1, 1, 1, 1)],
+                             ids=lambda dims: "x".join(map(str, dims)))
+    def test_default_born_instruments_measure_and_reprepare_z(self, dims):
+        # Outcome k on input |l> has probability [k = l] and reprepares |0><0|:
+        # table[k, t, l] = [k = l][t = 0] of classical_instrument in z bases.
+        from procmat import classical_instrument
+
+        layout = SystemLayout(*dims)
+        instr_a, instr_b, label = cli._canonical_instruments(layout, None)
+        assert label == "z-measure-reprepare"
+        for instr, d_in, d_out in ((instr_a, layout.d_a1, layout.d_a2), (instr_b, layout.d_b1, layout.d_b2)):
+            table = np.einsum("kl,t->ktl", np.eye(d_in), np.eye(d_out)[0])
+            expected = classical_instrument(table, np.eye(d_in), np.eye(d_out))
+            assert len(instr) == len(expected) == d_in
+            for got, want in zip(instr.outcomes, expected.outcomes):
+                assert (got.input_dim, got.output_dim) == (want.input_dim, want.output_dim)
+                np.testing.assert_array_equal(got.cj, want.cj)
+
     def test_validate_hs_listing(self, tmp_path, capsys):
         doc = tmp_path / "w0.json"
         run_cli(["fixture", "w0", "--p", "0.5", "--output", str(doc)], capsys)
@@ -506,6 +525,34 @@ class TestCli:
         assert code == 1 and out == ""
         assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("kind", ["document", "report", "split", "no-split"])
+    def test_output_contract(self, tmp_path, capsys, kind):
+        # --output receives one text plus a newline: the process document, the
+        # JSON report, or the split; a command that made no split writes nothing.
+        ocb, dephased, target = tmp_path / "ocb.json", tmp_path / "dephased.json", tmp_path / "out.json"
+        run_cli(["fixture", "ocb", "--output", str(ocb)], capsys)
+        run_cli(["dephase", "--input", str(ocb), "--output", str(dephased)], capsys)
+        command = {"document": ["fixture", "ocb"], "report": ["validate", "--input", str(ocb), "--json"],
+                   "split": ["separate", "--input", str(dephased), "--json"],
+                   "no-split": ["separate", "--input", str(ocb), "--json"]}[kind]
+        code, out, err = run_cli(command + ["--output", str(target)], capsys)
+        assert code == (2 if kind == "no-split" else 0) and err == ""
+        if kind == "no-split":
+            assert "not input-diagonal" in json.loads(out)["results"]["error"] and not target.exists()
+        elif kind == "document":
+            assert target.read_text() == encode_process(ocb_process(), {"name": "ocb"}) + "\n"
+            assert out.startswith("command: fixture ocb\nstatus: ok\n")
+            # Without --output the document goes to stdout, to be piped on, and the report to stderr.
+            assert run_cli(command, capsys) == (0, target.read_text(), out)
+        elif kind == "report":
+            assert target.read_text() == out
+        else:
+            # Dephased OCB is all A < B: p = 1 and one part, the one whose digest the report records.
+            results, split = json.loads(out)["results"], json.loads(target.read_text())
+            assert target.read_text() == json.dumps(split) + "\n" and split.keys() == {"p", "w_ab"}
+            assert split["p"] == results["p"] == 1.0
+            assert digest_text(json.dumps(split["w_ab"], separators=(",", ":"))) == results["w_ab_digest"]
 
     def test_module_entry_point(self, capsys, monkeypatch):
         # ``python -m procmat.cli``: the module's own main guard hands main's code to sys.exit.

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from procmat import effective, separability, tensor
 from procmat import (
     CausalDecomposition,
-    DecompositionError,
     DecompositionReport,
     EigenstructureError,
     HSDecomposition,

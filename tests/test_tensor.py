@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from procmat import (
-    frobenius_inner,
     hermitian_basis,
     hermitian_eig,
     hs_decompose,
@@ -321,31 +320,6 @@ class TestHSDecomposition:
         expected = sum(coeffs[index] * tensor_product([hermitian_basis(d)[t] for d, t in zip(dims, index)])
                        for index in np.ndindex(coeffs.shape))
         assert np.max(np.abs(hs_reconstruct(HSDecomposition(dims, coeffs)) - expected)) <= 1e-12
-
-
-class TestFrobeniusInner:
-    def test_identity_pairing(self):
-        assert frobenius_inner(EYE2, EYE2) == pytest.approx(2.0)
-
-    def test_pauli_orthogonality(self):
-        assert abs(frobenius_inner(SIGMA_X, SIGMA_Z)) < 1e-14
-
-    def test_self_pairing_nonnegative(self):
-        rng = np.random.default_rng(12)
-        h = random_hermitian(rng, 6)
-        value = frobenius_inner(h, h)
-        assert abs(value.imag) < 1e-12
-        assert value.real >= 0.0
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(13)
-        a = random_hermitian(rng, 4)
-        b = random_hermitian(rng, 4)
-        assert frobenius_inner(a, b) == pytest.approx(np.conj(frobenius_inner(b, a)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            frobenius_inner(EYE2, np.eye(4))
 
 
 MALFORMED = {
