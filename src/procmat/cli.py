@@ -2,12 +2,14 @@
 
 Each command returns its run report and its archive, the one text that
 ``--output`` receives: a process document, a split, or the JSON report.
-:func:`main` alone writes, prints and sets the exit code.  It writes the
-archive before printing anything and prints the report to stdout; a process
-document without ``--output`` goes to stdout, to be piped on, and its report
-to stderr.  Exit codes: 0 success, 1 invalid input, a usage error, an
-``--output`` that cannot be written or a stdout closed by its reader, 2 a
-check failed (validation, separability, decomposition).
+A split is compact JSON whose parts are, byte for byte, the documents whose
+``w_ab_digest`` and ``w_ba_digest`` the report records.  :func:`main` alone
+writes, prints and sets the exit code.  It writes the archive before printing
+anything and prints the report to stdout; a process document without
+``--output`` goes to stdout, to be piped on, and its report to stderr.  Exit
+codes: 0 success, 1 invalid input, a usage error, an ``--output`` that cannot
+be written or a stdout closed by its reader, 2 a check failed (validation,
+separability, decomposition).
 Only ``validate``, ``separate`` and ``check-sep`` compute at a tolerance, so
 only they take ``--tol`` and echo it in their report.
 
@@ -53,20 +55,23 @@ class CliError(Exception):
     """Invalid input or unusable flags; maps to exit code 1."""
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of the file at ``path``; ``what`` names the file in the error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise CliError(f"cannot read {what}{path}: {err}") from err
+
+
 def _read_input(args) -> tuple[ProcessMatrix, dict, RunReport]:
     """The input process, its metadata, and the command's report holding
     the input digest and the tolerance the command runs at."""
     path = args.input
     if path in (None, "-"):
-        text = sys.stdin.read()
-        name = "<stdin>"
+        text, name = sys.stdin.read(), "<stdin>"
     else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
-            raise CliError(f"cannot read {path}: {err}") from err
-        name = path
+        text, name = _read_text(path, ""), path
     try:
         process, metadata = decode_process(text)
     except ProcessDocumentError as err:
@@ -85,10 +90,7 @@ def _load_basis_pair(args, layout: SystemLayout) -> tuple[MeasurementBasis, Meas
             MeasurementBasis.computational(layout.d_b1),
         )
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as err:
-        raise CliError(f"cannot read basis file {spec}: {err}") from err
+        payload = json.loads(_read_text(spec, "basis file "))
     except json.JSONDecodeError as err:
         raise CliError(f"basis file {spec}: invalid JSON at offset {err.pos}") from err
     if not isinstance(payload, dict):
@@ -105,11 +107,11 @@ def _load_basis_pair(args, layout: SystemLayout) -> tuple[MeasurementBasis, Meas
     return out[0], out[1]
 
 
-def _document(run: RunReport, w: ProcessMatrix, metadata: dict) -> tuple[RunReport, str]:
-    """The report and the encoded process document, whose digest the report records."""
+def _encoded(run: RunReport, name: str, w: ProcessMatrix, metadata: dict | None = None) -> str:
+    """W's process document, encoded once, whose digest the report records as ``<name>_digest``."""
     text = encode_process(w, metadata)
-    run.results["output_digest"] = digest_text(text)
-    return run, text
+    run.results[f"{name}_digest"] = digest_text(text)
+    return text
 
 
 def _hs_summary(w: ProcessMatrix, tol: float) -> list[str]:
@@ -184,7 +186,7 @@ def _cmd_dephase(args) -> tuple[RunReport, str]:
     basis_a1, basis_b1 = _load_basis_pair(args, w.layout)
     effective = luders_input_dephase(w, basis_a1, basis_b1)
     run.results["basis"] = args.basis
-    return _document(run, effective.matrix, {**metadata, "provenance": "dephase"})
+    return run, _encoded(run, "output", effective.matrix, {**metadata, "provenance": "dephase"})
 
 
 def _cmd_effective_classical(args) -> tuple[RunReport, str]:
@@ -192,21 +194,17 @@ def _cmd_effective_classical(args) -> tuple[RunReport, str]:
 
     w, metadata, run = _read_input(args)
     result = classical_effective(w, *(MeasurementBasis.computational(d) for d in w.layout.dims))
-    return _document(run, result, {**metadata, "provenance": "effective-classical"})
+    return run, _encoded(run, "output", result, {**metadata, "provenance": "effective-classical"})
 
 
-def _record_split(args, run: RunReport, decomposition) -> str | None:
-    """Add a split's check and part digests to the report, each part encoded once, and return the
-    split document if --output asks for it: re-encoding the parts costs milliseconds a report skips."""
+def _record_split(run: RunReport, decomposition) -> str:
+    """Add a split's check and part digests to the report and return the split archive: p and each
+    present part's document, byte for byte the text whose digest the report records."""
     run.results.update(p=decomposition.p, reconstruction_residual=decomposition.check.reconstruction_residual,
                        verified=decomposition.check.ok)
-    parts = {name: encode_process(part) for name, part in
-             (("w_ab", decomposition.w_ab), ("w_ba", decomposition.w_ba)) if part is not None}
-    for name, text in parts.items():
-        run.results[f"{name}_digest"] = digest_text(text)
-    if args.output:
-        return json.dumps({"p": decomposition.p, **{name: json.loads(text) for name, text in parts.items()}})
-    return None
+    parts = "".join(f',"{name}":{_encoded(run, name, part)}' for name, part in
+                    (("w_ab", decomposition.w_ab), ("w_ba", decomposition.w_ba)) if part is not None)
+    return f'{{"p":{json.dumps(decomposition.p)}{parts}}}'
 
 
 def _cmd_separate(args) -> tuple[RunReport, str | None]:
@@ -220,7 +218,7 @@ def _cmd_separate(args) -> tuple[RunReport, str | None]:
         run.status = "check-failed"
         run.results["error"] = str(err)
         return run, None
-    return run, _record_split(args, run, decomposition)
+    return run, _record_split(run, decomposition)
 
 
 def _cmd_check_sep(args) -> tuple[RunReport, str | None]:
@@ -250,7 +248,7 @@ def _cmd_check_sep(args) -> tuple[RunReport, str | None]:
             if report.witness is not None:
                 run.results.update(witness_value=report.witness.value, witness_margin=report.witness.margin)
         if report.decomposition is not None:
-            split = _record_split(args, run, report.decomposition)
+            split = _record_split(run, report.decomposition)
     run.status = "ok" if run.results.get("status") == SEPARABLE else "check-failed"
     return run, split
 
@@ -277,7 +275,7 @@ def _cmd_game(args) -> tuple[RunReport, str]:
 def _cmd_gen_random(args) -> tuple[RunReport, str]:
     w = random_process(args.seed, SystemLayout(*args.dims), strength=args.strength)
     run = RunReport("gen-random", results={"seed": args.seed, "strength": args.strength})
-    return _document(run, w, {"name": "random", "seed": args.seed, "strength": args.strength})
+    return run, _encoded(run, "output", w, {"name": "random", "seed": args.seed, "strength": args.strength})
 
 
 def _cmd_fixture(args) -> tuple[RunReport, str]:
@@ -288,7 +286,8 @@ def _cmd_fixture(args) -> tuple[RunReport, str]:
         w = w0_process(args.p)
     else:
         w = {"ocb": ocb_process, "identity": identity_process, "channel": channel_process}[name]()
-    return _document(RunReport(f"fixture {name}"), w, metadata)
+    run = RunReport(f"fixture {name}")
+    return run, _encoded(run, "output", w, metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -526,15 +526,18 @@ class TestCli:
         assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
         assert not target.parent.exists()
 
-    @pytest.mark.parametrize("kind", ["document", "report", "split", "no-split"])
+    @pytest.mark.parametrize("kind", ["document", "report", "split", "two-part-split", "no-split"])
     def test_output_contract(self, tmp_path, capsys, kind):
         # --output receives one text plus a newline: the process document, the
         # JSON report, or the split; a command that made no split writes nothing.
         ocb, dephased, target = tmp_path / "ocb.json", tmp_path / "dephased.json", tmp_path / "out.json"
+        random = tmp_path / "random.json"
         run_cli(["fixture", "ocb", "--output", str(ocb)], capsys)
         run_cli(["dephase", "--input", str(ocb), "--output", str(dephased)], capsys)
+        run_cli(["gen-random", "--seed", "0", "--output", str(random)], capsys)
         command = {"document": ["fixture", "ocb"], "report": ["validate", "--input", str(ocb), "--json"],
                    "split": ["separate", "--input", str(dephased), "--json"],
+                   "two-part-split": ["check-sep", "--input", str(random), "--json"],
                    "no-split": ["separate", "--input", str(ocb), "--json"]}[kind]
         code, out, err = run_cli(command + ["--output", str(target)], capsys)
         assert code == (2 if kind == "no-split" else 0) and err == ""
@@ -547,12 +550,21 @@ class TestCli:
             assert run_cli(command, capsys) == (0, target.read_text(), out)
         elif kind == "report":
             assert target.read_text() == out
+        elif kind == "split":
+            # Dephased OCB is all A < B: p = 1 and one part, byte for byte the text whose digest the report records.
+            results = json.loads(out)["results"]
+            part = encode_process(decode_process(dephased.read_text())[0])
+            assert target.read_text() == '{"p":1.0,"w_ab":' + part + "}\n"
+            assert results["p"] == 1.0 and digest_text(part) == results["w_ab_digest"]
         else:
-            # Dephased OCB is all A < B: p = 1 and one part, the one whose digest the report records.
-            results, split = json.loads(out)["results"], json.loads(target.read_text())
-            assert target.read_text() == json.dumps(split) + "\n" and split.keys() == {"p", "w_ab"}
-            assert split["p"] == results["p"] == 1.0
-            assert digest_text(json.dumps(split["w_ab"], separators=(",", ":"))) == results["w_ab_digest"]
+            # The seeded random process separates on the search path with p = 0.5 and two parts;
+            # each part's compact document stands in the archive as it is.
+            results, text = json.loads(out)["results"], target.read_text()
+            split = json.loads(text)
+            assert split.keys() == {"p", "w_ab", "w_ba"} and split["p"] == results["p"] == 0.5
+            for name in ("w_ab", "w_ba"):
+                part = json.dumps(split[name], separators=(",", ":"))
+                assert part in text and digest_text(part) == results[f"{name}_digest"]
 
     def test_module_entry_point(self, capsys, monkeypatch):
         # ``python -m procmat.cli``: the module's own main guard hands main's code to sys.exit.

@@ -29,7 +29,7 @@ from procmat.process import (
 )
 from procmat.tensor import _eigvalsh, hs_decompose
 
-from conftest import EYE2, SIGMA_X, SIGMA_Z, mask_projection, random_cptp_instrument, random_hermitian
+from conftest import EYE2, SIGMA_Z, mask_projection, random_cptp_instrument, random_hermitian
 
 QUBIT = SystemLayout.qubit()
 
