@@ -105,12 +105,11 @@ def _in_frame(matrix: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
 
     ``bases`` has one entry per factor: a :class:`MeasurementBasis`, or the
     factor's dimension for a factor kept in its own frame.  A stack of
-    matrices keeps its leading axes.
+    matrices keeps its leading axes.  The one place a frame is built from basis vectors.
     """
-    measured = [isinstance(b, MeasurementBasis) for b in bases]
-    dims = tuple(b.dim if m else int(b) for b, m in zip(bases, measured))
-    frame = _kron([b.vectors if m else np.eye(b) for b, m in zip(bases, measured)])
-    return frame, (frame.conj().T @ matrix @ frame).reshape(matrix.shape[:-2] + dims + dims)
+    factors = [b.vectors if isinstance(b, MeasurementBasis) else np.eye(b) for b in bases]
+    frame = _kron(factors)
+    return frame, (frame.conj().T @ matrix @ frame).reshape(matrix.shape[:-2] + 2 * tuple(map(len, factors)))
 
 
 def _dephase(matrix: np.ndarray, bases) -> np.ndarray:
@@ -126,8 +125,7 @@ def _dephase(matrix: np.ndarray, bases) -> np.ndarray:
             shape = [1] * (2 * n)
             shape[f] = shape[n + f] = b.dim
             t = t * np.eye(b.dim, dtype=bool).reshape(shape)
-    side = frame.shape[0]
-    out = frame @ t.reshape(side, side) @ frame.conj().T
+    out = frame @ t.reshape(frame.shape) @ frame.conj().T
     return (out + out.conj().T) / 2.0
 
 
@@ -160,7 +158,7 @@ def is_input_diagonal(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8):
     Returns ``(flag, max_off_block_norm)`` where the norm is the largest Frobenius
     norm among blocks <n, m| W |n', m'> with (n, m) != (n', m'), the deciders' rule.
     """
-    return _input_frame(w, basis_a1, basis_b1, tol)[3:]
+    return _input_frame(w, basis_a1, basis_b1, tol)[4:]
 
 
 def _input_bases(layout, basis_a1, basis_b1) -> tuple[MeasurementBasis, MeasurementBasis]:
@@ -169,15 +167,15 @@ def _input_bases(layout, basis_a1, basis_b1) -> tuple[MeasurementBasis, Measurem
 
 
 def _input_frame(w: ProcessMatrix, basis_a1, basis_b1, tol: float, *companions: np.ndarray):
-    """The two input bases, W and ``companions`` rotated into their product frame as
-    one stack t (W is t[0]), whether W is input-diagonal within ``tol`` (a NaN
-    norm is not) and W's largest off-diagonal input-block norm."""
+    """The two input bases, their product frame F = U_A1 (x) 1 (x) U_B1 (x) 1, W and ``companions``
+    rotated into F as one stack t (W is t[0]), whether W is input-diagonal within ``tol``
+    (a NaN norm is not) and W's largest off-diagonal input-block norm."""
     _check_tol(tol)
     layout = w.layout
     ba1, bb1 = _input_bases(layout, basis_a1, basis_b1)
-    _, t = _in_frame(np.stack((w.matrix, *companions)), (ba1, layout.d_a2, bb1, layout.d_b2))
+    frame, t = _in_frame(np.stack((w.matrix, *companions)), (ba1, layout.d_a2, bb1, layout.d_b2))
     max_off = float(np.sqrt(_off_block_norms2(t[0]).max()))
-    return ba1, bb1, t, bool(max_off <= tol), max_off
+    return ba1, bb1, frame, t, bool(max_off <= tol), max_off
 
 
 def _off_block_norms2(t: np.ndarray) -> np.ndarray:
@@ -200,9 +198,12 @@ def selective_update(w: ProcessMatrix, n: int, m: int, basis_a1, basis_b1):
     ba1, bb1 = _input_bases(layout, basis_a1, basis_b1)
     n = _check_int(n, "index n", 0, layout.d_a1, IndexError)
     m = _check_int(m, "index m", 0, layout.d_b1, IndexError)
-    projector = _kron((ba1.projector(n), np.eye(layout.d_a2), bb1.projector(m), np.eye(layout.d_b2)))
-    block = projector @ w.matrix @ projector
-    weight = float(np.trace(block).real)
+    frame, t = _in_frame(w.matrix, (ba1, layout.d_a2, bb1, layout.d_b2))
+    # P_(n,m) W P_(n,m) = C (C^dag W C) C^dag for the frame's (n, m) columns C; t holds C^dag W C.
+    cols = frame.reshape((-1,) + t.shape[:4])[:, n, :, m].reshape(len(frame), -1)
+    inner = t[n, :, m, :, n, :, m].reshape(cols.shape[1], -1)
+    block = cols @ inner @ cols.conj().T
+    weight = float(np.trace(inner).real)
     if weight <= 1e-12:
         raise DegenerateInputError(f"block ({n}, {m}) has zero weight; cannot renormalize")
     pm = ProcessMatrix(layout, block * (layout.target_trace / weight))

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .process import ProcessMatrix, _check_tol
-from .tensor import _check_int, _eigvalsh, _kron, as_square_matrix, partial_trace
+from .tensor import _check_int, _check_real, _eigvalsh, _kron, as_square_matrix, partial_trace
 
 COMPLETENESS_TOL = 1e-9
 CP_TOL = 1e-9
@@ -156,7 +156,7 @@ def classical_instrument(p, basis_in, basis_out) -> Instrument:
     b_t column t of ``basis_out`` (so conj(b_t) is reprepared), given input
     basis state l; each column over l must be a distribution over (k, t).
     """
-    table = np.asarray(p, dtype=float)
+    table = _check_real(p, "p")
     if table.ndim != 3:
         raise ValueError(f"p must have shape (outcomes, outputs, inputs), got {table.shape}")
     n_out, d_out, d_in = table.shape
@@ -179,7 +179,7 @@ def cq_instrument(basis_in, p, states: Sequence[np.ndarray]) -> Instrument:
     given (callers fix the output transpose when matching the Kraus-level
     convention against complex states).
     """
-    table = np.asarray(p, dtype=float)
+    table = _check_real(p, "p")
     if table.ndim != 2:
         raise ValueError(f"p must have shape (outcomes, inputs), got {table.shape}")
     n_out, d_in = table.shape

@@ -138,32 +138,31 @@ class EigenStructure:
     eigen_residual: float
 
 
-def _product_vectors(basis_a1: MeasurementBasis, a_bases: np.ndarray,
-                     basis_b1: MeasurementBasis, b_bases: np.ndarray) -> np.ndarray:
-    """Joint eigenvectors psi[:, n, a, m, b] = u_n (x) a (x) v_m (x) b.
+def _product_vectors(frame: np.ndarray, a_bases: np.ndarray, b_bases: np.ndarray) -> np.ndarray:
+    """Joint eigenvectors psi[:, n, a, m, b] = u_n (x) a (x) v_m (x) b, from the
+    input frame's columns F[:, (n, r, m, s)] = u_n (x) e_r (x) v_m (x) e_s.
 
     ``a`` runs over the columns of a_bases[n, m] and ``b`` over those of
     b_bases[n, m]; psi[:, n, a, m, b] has eigenvalue m1[n, a, m] under
     kappa1 and m2[n, m, b] under kappa2.
     """
-    psi = np.einsum("in,nmra,jm,nmsb->irjsnamb", basis_a1.vectors, a_bases, basis_b1.vectors, b_bases)
-    side = math.prod(psi.shape[:4])
-    return psi.reshape((side,) + psi.shape[4:])
+    cols = frame.reshape(len(frame), len(a_bases), a_bases.shape[-1], b_bases.shape[1], b_bases.shape[-1])
+    return np.einsum("inrms,nmra,nmsb->inamb", cols, a_bases, b_bases)
 
 
 def _input_blocks(w_eff: ProcessMatrix, kappas, basis_a1, basis_b1, tol: float):
-    """The bases, the kappas rotated with W_eff into the input frame, t[k],
+    """The bases, the input frame F, the kappas rotated with W_eff into it, t[k],
     their diagonal input blocks blocks[k, n, m] = <n, m| kappa_k |n, m> with
     indices (A2 B2, A2' B2'), and kappa1's (kappas[0]) block operators
     A_(n,m); raises :class:`NotInputDiagonalError` when W_eff is not
     input-diagonal within ``tol``.
     """
-    ba1, bb1, frame, diagonal, off_norm = _input_frame(w_eff, basis_a1, basis_b1, tol, *kappas)
+    ba1, bb1, frame, t, diagonal, off_norm = _input_frame(w_eff, basis_a1, basis_b1, tol, *kappas)
     if not diagonal:
         raise NotInputDiagonalError(f"matrix is not input-diagonal in the given bases: "
                                     f"off-block norm {off_norm:.3e} > {tol:.1e}")
-    blocks = np.einsum("karbsatbu->kabrstu", frame[1:])
-    return ba1, bb1, frame[1:], blocks, np.einsum("abrsts->abrt", blocks[0]) / w_eff.layout.d_b2
+    blocks = np.einsum("karbsatbu->kabrstu", t[1:])
+    return ba1, bb1, frame, t[1:], blocks, np.einsum("abrsts->abrt", blocks[0]) / w_eff.layout.d_b2
 
 
 def eigenstructure(w_eff: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8) -> EigenStructure:
@@ -180,7 +179,7 @@ def eigenstructure(w_eff: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8) 
     layout = w_eff.layout
     split = kappa_split(w_eff)
     kappas = np.stack((split.kappa1, split.kappa2))
-    ba1, bb1, t, blocks, block_a = _input_blocks(w_eff, kappas, basis_a1, basis_b1, tol)
+    ba1, bb1, frame, t, blocks, block_a = _input_blocks(w_eff, kappas, basis_a1, basis_b1, tol)
     d_a2, d_b2 = layout.d_a2, layout.d_b2
     block_b = np.einsum("abrsru->absu", blocks[1]) / d_a2
     defects = np.stack((blocks[0] - block_a[:, :, :, None, :, None] * np.eye(d_b2)[:, None, :],
@@ -208,9 +207,8 @@ def eigenstructure(w_eff: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8) 
             f"max [k, P] = {comm_proj:.3e}"
         )
 
-    psi = _product_vectors(ba1, a_bases, bb1, b_bases)
-    side = layout.d_total
-    images = (kappas @ psi.reshape(side, side)).reshape((2,) + psi.shape)
+    psi = _product_vectors(frame, a_bases, b_bases)
+    images = (kappas @ psi.reshape(frame.shape)).reshape((2,) + psi.shape)
     defect = images - np.stack((psi * m1[..., None], psi * m2[:, None]))
     eigen_residual = float(np.linalg.norm(defect, axis=1).max())
 
@@ -294,17 +292,10 @@ def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
     """
     layout = w_eff.layout
     split = kappa_split(w_eff)
-    d_a2, d_b2 = layout.d_a2, layout.d_b2
-    ba1, bb1, _, _, block_a = _input_blocks(w_eff, (split.kappa1,), basis_a1, basis_b1, tol)
+    _, _, frame, _, _, block_a = _input_blocks(w_eff, (split.kappa1,), basis_a1, basis_b1, tol)
     shift = hermitian_eig(block_a)[0].min(axis=-1)  # s(n, m)
-
-    # S = sum_(n,m) s(n, m) P_n (x) 1 (x) P_m (x) 1: its (A1, B1) factor from
-    # one contraction of the input bases, the identities on A2 and B2 broadcast in.
-    u, v = ba1.vectors, bb1.vectors
-    s_in = np.einsum("in,jn,nm,km,lm->ikjl", u, u.conj(), shift, v, v.conj())
-    s_op = (s_in[:, None, :, None, :, None, :, None]
-            * np.eye(d_a2).reshape(1, d_a2, 1, 1, 1, d_a2, 1, 1)
-            * np.eye(d_b2).reshape(1, 1, 1, d_b2, 1, 1, 1, d_b2)).reshape(split.kappa1.shape)
+    # S = sum_(n,m) s(n, m) P_n (x) 1 (x) P_m (x) 1 = F diag(s) F^dag, s(n, m) on F's columns (n, r, m, s).
+    s_op = (frame * np.broadcast_to(shift[:, None, :, None], layout.dims).reshape(-1)) @ frame.conj().T
     x = (split.kappa1 - s_op + (1.0 + split.lambda0) * np.eye(layout.d_total)) / layout.d
     parts = np.stack((x, _span_project(w_eff.matrix - x, layout.dims, "b_before_a")))
     decomposition = _certified(w_eff, parts, tol, tol)

@@ -45,6 +45,14 @@ def _check_int(value, name: str, low: int, high: int | None = None, error: type 
     return int(value)
 
 
+def _check_real(values, name: str) -> np.ndarray:
+    """``values`` as a new float array; raises ``ValueError`` naming ``name`` for a nonzero imaginary part."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and values.imag.any():
+        raise ValueError(f"{name} must be real, got a nonzero imaginary part")
+    return np.array(values.real, dtype=float)
+
+
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     """``dims`` as a tuple of one or more factor dimensions, each an integer of at least 1."""
     dims = tuple(_check_int(d, "factor dimension", 1) for d in dims)
@@ -201,10 +209,9 @@ class HSDecomposition:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         shape = tuple(d * d for d in dims)
-        coeffs = np.asarray(self.coefficients, dtype=float)
+        coeffs = _check_real(self.coefficients, "coefficients")
         if coeffs.shape != shape:
             raise ValueError(f"coefficients have shape {coeffs.shape}, expected {shape} for factors {dims}")
-        coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "coefficients", coeffs)

@@ -253,6 +253,26 @@ class TestSelectiveUpdate:
         eff = luders_input_dephase(w, Z2, Z2)
         assert np.allclose(total, eff.matrix.matrix, atol=1e-13)
 
+    @pytest.mark.parametrize("dims", [(3, 2, 3, 2), (2, 3, 2, 2), (1, 2, 3, 2)],
+                             ids=lambda dims: "-".join(map(str, dims)))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocks_in_random_bases(self, dims, seed):
+        # Each block is the renormalised P W P of the basis projectors, and the
+        # blocks weighted by their traces resolve to the dephased matrix.
+        layout = SystemLayout(*dims)
+        ba, bb = MeasurementBasis.random(dims[0], (seed, 1)), MeasurementBasis.random(dims[2], (seed, 2))
+        w = random_process(300 + seed, layout)
+        total = np.zeros_like(w.matrix)
+        for n in range(dims[0]):
+            for m in range(dims[2]):
+                proj = tensor_product([ba.projector(n), np.eye(dims[1]), bb.projector(m), np.eye(dims[3])])
+                expected = proj @ w.matrix @ proj
+                weight = np.trace(expected).real / layout.target_trace
+                block, _ = selective_update(w, n, m, ba, bb)
+                assert np.max(np.abs(block.matrix - expected / weight)) <= 1e-13
+                total += weight * block.matrix
+        assert np.max(np.abs(total - luders_input_dephase(w, ba, bb).matrix.matrix)) <= 1e-13
+
     @pytest.mark.parametrize("n, m, message", [
         (2, 0, "index n must be an integer of at least 0 and below 2, got 2"),
         (0, -1, "index m must be an integer of at least 0 and below 2, got -1"),

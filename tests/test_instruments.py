@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,30 @@ class TestCqInstrument:
         else:
             with pytest.raises(ValueError, match="column stochastic"):
                 cq_instrument(np.eye(2), p, [np.eye(2) / 2.0] * 2)
+
+
+class TestComplexTables:
+    """A probability table with a nonzero imaginary part is rejected, not cast
+    to its real part; a complex table whose imaginary parts are all 0 is its
+    real part, with no warning."""
+
+    BUILDERS = {
+        "cq": lambda p: cq_instrument(np.eye(2), p, [np.eye(2) / 2.0] * 2),
+        "classical": lambda p: classical_instrument(p.reshape(2, 1, 2), np.eye(2), np.eye(1)),
+    }
+
+    @pytest.mark.parametrize("builder", BUILDERS, ids=list(BUILDERS))
+    def test_nonzero_imaginary_part_rejected(self, builder):
+        with pytest.raises(ValueError, match="^p must be real, got a nonzero imaginary part$"):
+            self.BUILDERS[builder]((1.0 + 0.3j) * np.eye(2))
+
+    @pytest.mark.parametrize("builder", BUILDERS, ids=list(BUILDERS))
+    def test_zero_imaginary_part_is_the_real_table(self, builder):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.BUILDERS[builder]((1.0 + 0.0j) * np.eye(2))
+        want = self.BUILDERS[builder](np.eye(2))
+        assert all(np.array_equal(g.cj, w.cj) for g, w in zip(got.outcomes, want.outcomes))
 
 
 class TestStackedCqTables:

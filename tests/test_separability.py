@@ -53,7 +53,6 @@ from procmat.separability import (
     NOT_SEPARABLE,
     SEPARABLE,
     _failed_checks,
-    _product_vectors,
     _span_project,
 )
 
@@ -321,7 +320,13 @@ def reassembled_parts(w, ba, bb):
     structure = eigenstructure(w, ba, bb)
     split, shift = structure.split, structure.m1.min(axis=1)
     side, d = w.side, w.layout.d
-    psi = _product_vectors(structure.basis_a1, structure.a_bases, structure.basis_b1, structure.b_bases)
+    d_a1, d_a2, d_b1, d_b2 = w.layout.dims
+    # psi[:, n, a, m, b] = u_n (x) a (x) v_m (x) b, one (n, m) at a time with np.kron.
+    psi = np.zeros((side, d_a1, d_a2, d_b1, d_b2), dtype=complex)
+    for n in range(d_a1):
+        for m in range(d_b1):
+            factors = (ba.vector(n)[:, None], structure.a_bases[n, m], bb.vector(m)[:, None], structure.b_bases[n, m])
+            psi[:, n, :, m, :] = functools.reduce(np.kron, factors).reshape(side, d_a2, d_b2)
     psi_dag = psi.reshape(side, side).conj().T
     kappa1_bar = (psi * (structure.m1 - shift[:, None, :])[..., None]).reshape(side, side) @ psi_dag
     kappa1_bar += (1.0 + split.lambda0) * np.eye(side)
@@ -359,15 +364,13 @@ class TestSplitMatchesEigenvectorSum:
 def audited_split(w, ba, bb):
     """Reference split with s(n, m) read off the audit,
     ``eigenstructure(...).m1.min(axis=1)``, and S, x and the parts formed
-    from it as ``constructive_decomposition`` forms them."""
+    from it as ``constructive_decomposition`` forms them: S = F diag(s) F^dag
+    in the input frame F = U_A1 (x) 1 (x) U_B1 (x) 1."""
     lay = w.layout
     structure = eigenstructure(w, ba, bb)
     split, shift = structure.split, structure.m1.min(axis=1)
-    u, v = structure.basis_a1.vectors, structure.basis_b1.vectors
-    s_in = np.einsum("in,jn,nm,km,lm->ikjl", u, u.conj(), shift, v, v.conj())
-    s_op = (s_in[:, None, :, None, :, None, :, None]
-            * np.eye(lay.d_a2).reshape(1, lay.d_a2, 1, 1, 1, lay.d_a2, 1, 1)
-            * np.eye(lay.d_b2).reshape(1, 1, 1, lay.d_b2, 1, 1, 1, lay.d_b2)).reshape(split.kappa1.shape)
+    frame = tensor_product([ba.vectors, np.eye(lay.d_a2), bb.vectors, np.eye(lay.d_b2)])
+    s_op = (frame * np.broadcast_to(shift[:, None, :, None], lay.dims).reshape(-1)) @ frame.conj().T
     x = (split.kappa1 - s_op + (1.0 + split.lambda0) * np.eye(lay.d_total)) / lay.d
     return separability._certified(w, np.stack((x, _span_project(w.matrix - x, lay.dims, "b_before_a"))), 1e-8, 1e-8)
 

@@ -1,5 +1,6 @@
 import functools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,20 @@ class TestHSDecomposition:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             hs_decompose(np.eye(8), (2, 2, 2, 2))
+
+    def test_complex_coefficients_rejected(self):
+        coeffs = np.zeros((4, 4), dtype=complex)
+        coeffs[0, 0] = 0.25 + 0.5j
+        with pytest.raises(ValueError, match="^coefficients must be real, got a nonzero imaginary part$"):
+            HSDecomposition((2, 2), coeffs)
+
+    def test_complex_coefficients_with_zero_imaginary_part_are_real(self):
+        coeffs = np.zeros((4, 4), dtype=complex)
+        coeffs[0, 0] = 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = HSDecomposition((2, 2), coeffs)
+        assert dec.coefficients.dtype == float and dec.coefficients[0, 0] == 0.25
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple), seed=st.integers(0, 2**16))
