@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "tensor": (
-        "HSDecomposition", "hermitian_basis", "hermitian_eig", "hs_decompose",
+        "HSDecomposition", "MeasurementBasis", "hermitian_basis", "hermitian_eig", "hs_decompose",
         "hs_reconstruct", "partial_trace", "partial_transpose", "tensor_product",
     ),
     "process": (
@@ -28,7 +28,7 @@ _EXPORTS = {
         "measure_reprepare", "probability_table",
     ),
     "effective": (
-        "DegenerateInputError", "EffectiveProcess", "MeasurementBasis", "classical_effective",
+        "DegenerateInputError", "EffectiveProcess", "classical_effective",
         "dephase_state", "indistinguishability_residual", "is_input_diagonal", "luders_input_dephase",
         "ppt_check", "random_cq_instrument", "selective_update",
     ),

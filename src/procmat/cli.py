@@ -13,10 +13,11 @@ separability, decomposition).
 Only ``validate``, ``separate`` and ``check-sep`` compute at a tolerance, so
 only they take ``--tol`` and echo it in their report.
 
-Every command reads or writes a document, so only ``io`` and ``process``
-are imported here, and ``process`` builds every fixture; each command imports
-the rest of the library it runs when it runs, so ``validate`` never loads the
-separability code and ``fixture ocb`` never loads the game.
+Every command reads or writes a document, so only ``io``, ``process`` and
+the ``tensor`` that ``process`` loads are imported here, and ``process``
+builds every fixture; each command imports the rest of the library it runs
+when it runs, so ``validate`` never loads the separability code and
+``fixture ocb`` never loads the game.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -42,9 +43,7 @@ from .process import (
     validate_process,
     w0_process,
 )
-
-if TYPE_CHECKING:
-    from .effective import MeasurementBasis
+from .tensor import MeasurementBasis, as_basis
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -81,8 +80,6 @@ def _read_input(args) -> tuple[ProcessMatrix, dict, RunReport]:
 
 
 def _load_basis_pair(args, layout: SystemLayout) -> tuple[MeasurementBasis, MeasurementBasis]:
-    from .effective import MeasurementBasis, as_basis
-
     spec = args.basis or "z"
     if spec == "z":
         return (
@@ -154,7 +151,7 @@ def _canonical_instruments(layout: SystemLayout, seed: int | None):
         instr_a, instr_b = (cq_instrument(np.eye(d_in), np.eye(d_in), [np.diag(np.eye(d_out)[0])] * d_in)
                             for d_in, d_out in ((layout.d_a1, layout.d_a2), (layout.d_b1, layout.d_b2)))
         return instr_a, instr_b, "z-measure-reprepare"
-    from .effective import MeasurementBasis, random_cq_instrument
+    from .effective import random_cq_instrument
 
     rng = np.random.default_rng(seed)
     instr_a = random_cq_instrument(MeasurementBasis.computational(layout.d_a1), layout.d_a2, rng)
@@ -190,7 +187,7 @@ def _cmd_dephase(args) -> tuple[RunReport, str]:
 
 
 def _cmd_effective_classical(args) -> tuple[RunReport, str]:
-    from .effective import MeasurementBasis, classical_effective
+    from .effective import classical_effective
 
     w, metadata, run = _read_input(args)
     result = classical_effective(w, *(MeasurementBasis.computational(d) for d in w.layout.dims))

@@ -22,72 +22,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .process import ProcessMatrix, _check_tol, validate_process
-from .tensor import _check_int, _eigvalsh, _kron, partial_transpose, require_hermitian
+from .tensor import MeasurementBasis, _check_int, _eigvalsh, _kron, as_basis, partial_transpose, require_hermitian
 
 # The two functions that sample instruments import ``instruments`` themselves,
 # so that dephasing and the separability code do not load it.
 if TYPE_CHECKING:
     from .instruments import Instrument
 
-ORTHONORMALITY_TOL = 1e-10
-
 
 class DegenerateInputError(ValueError):
     """Selective update conditioned on a block of zero weight."""
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Orthonormal basis of one factor, stored as the columns of a unitary."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
-            raise ValueError(f"basis must be a non-empty square matrix of column vectors, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("basis has non-finite entries")
-        gram = v.conj().T @ v
-        defect = float(np.max(np.abs(gram - np.eye(v.shape[0]))))
-        if defect > ORTHONORMALITY_TOL:
-            raise ValueError(f"basis is not orthonormal: max Gram defect {defect:.3e}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-    def vector(self, n: int) -> np.ndarray:
-        return self.vectors[:, _check_int(n, "index n", 0, self.dim, IndexError)]
-
-    def projector(self, n: int) -> np.ndarray:
-        v = self.vector(n)
-        return np.outer(v, v.conj())
-
-    @classmethod
-    def computational(cls, dim: int) -> "MeasurementBasis":
-        return cls(np.eye(_check_int(dim, "dim", 0), dtype=complex))
-
-    @classmethod
-    def random(cls, dim: int, seed) -> "MeasurementBasis":
-        """Haar-random basis, deterministic in the seed."""
-        dim = _check_int(dim, "dim", 0)
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(g)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        return cls(q)
-
-
-def as_basis(basis, dim: int) -> MeasurementBasis:
-    """Coerce an array of column vectors (or a MeasurementBasis) to the given dimension."""
-    b = basis if isinstance(basis, MeasurementBasis) else MeasurementBasis(basis)
-    if b.dim != dim:
-        raise ValueError(f"basis has dimension {b.dim}, expected {dim}")
-    return b
 
 
 @dataclass(frozen=True)
@@ -225,7 +169,7 @@ def random_cq_instrument(basis, output_dim: int, rng) -> Instrument:
 
     basis = basis if isinstance(basis, MeasurementBasis) else MeasurementBasis(basis)
     p, states = _cq_draws([rng], basis.dim, _check_int(output_dim, "output_dim", 1))
-    return cq_instrument(basis.vectors, p[0], states[0])
+    return cq_instrument(basis, p[0], states[0])
 
 
 def indistinguishability_residual(w: ProcessMatrix, effective: EffectiveProcess,

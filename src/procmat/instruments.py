@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .process import ProcessMatrix, _check_tol
-from .tensor import _check_int, _check_real, _eigvalsh, _kron, as_square_matrix, partial_trace
+from .tensor import _check_int, _check_real, _eigvalsh, _kron, as_basis, as_square_matrix, partial_trace
 
 COMPLETENESS_TOL = 1e-9
 CP_TOL = 1e-9
@@ -110,7 +110,7 @@ class ProbabilityTable:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float).copy()
+        e = _check_real(self.entries, "entries")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -155,18 +155,14 @@ def classical_instrument(p, basis_in, basis_out) -> Instrument:
     ``p[k, t, l]`` is the probability of outcome k and output block |b_t><b_t|,
     b_t column t of ``basis_out`` (so conj(b_t) is reprepared), given input
     basis state l; each column over l must be a distribution over (k, t).
+    Both bases pass :func:`as_basis` at the table's dimensions.
     """
     table = _check_real(p, "p")
     if table.ndim != 3:
         raise ValueError(f"p must have shape (outcomes, outputs, inputs), got {table.shape}")
     n_out, d_out, d_in = table.shape
-    bin_m, bout_m = (np.asarray(b, dtype=complex) for b in (basis_in, basis_out))
-    if bin_m.shape != (d_in, d_in) or bout_m.shape != (d_out, d_out):
-        raise ValueError("basis shapes do not match the probability table")
+    bin_m, bout_m = as_basis(basis_in, d_in).vectors, as_basis(basis_out, d_out).vectors
     states = np.einsum("it,jt->tij", bout_m, bout_m.conj())
-    not_unit = np.flatnonzero(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0) > 1e-9)
-    if not_unit.size:
-        raise ValueError(f"basis_out column {not_unit[0]} must be a unit vector")
     maps = _cq_maps(bin_m, table.reshape(-1, d_in), np.tile(states, (n_out, 1, 1)))
     return Instrument(tuple(CPMap(d_in, d_out, cj) for cj in maps.reshape((n_out, d_out) + maps.shape[1:]).sum(1)))
 
@@ -174,7 +170,8 @@ def classical_instrument(p, basis_in, basis_out) -> Instrument:
 def cq_instrument(basis_in, p, states: Sequence[np.ndarray]) -> Instrument:
     """Instrument measuring the input in a fixed basis with arbitrary repreparations.
 
-    ``p[i, n]`` is the probability of outcome i given input basis state n and
+    ``p[i, n]`` is the probability of outcome i given input basis state n,
+    ``basis_in`` passing :func:`as_basis` at the table's input dimension, and
     ``states[i]`` the density matrix reprepared on that outcome, stored as
     given (callers fix the output transpose when matching the Kraus-level
     convention against complex states).
@@ -185,9 +182,7 @@ def cq_instrument(basis_in, p, states: Sequence[np.ndarray]) -> Instrument:
     n_out, d_in = table.shape
     if len(states) != n_out:
         raise ValueError(f"expected {n_out} states, got {len(states)}")
-    basis = np.asarray(basis_in, dtype=complex)
-    if basis.shape != (d_in, d_in):
-        raise ValueError(f"basis has shape {basis.shape}, expected {(d_in, d_in)}")
+    basis = as_basis(basis_in, d_in).vectors
     rhos = np.stack([as_square_matrix(rho, f"states[{i}]") for i, rho in enumerate(states)])
     maps = _cq_maps(basis, table, rhos)
     not_psd = np.flatnonzero(_eigvalsh(rhos)[:, 0] < -1e-9)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .effective import MeasurementBasis, _input_frame, _off_block_norms2
+from .effective import _input_frame, _off_block_norms2
 from .process import (
     _PSD_FLOOR,
     ProcessMatrix,
@@ -41,7 +41,7 @@ from .process import (
     _w0_parts,
     validate_process,
 )
-from .tensor import _check_int, _eigvalsh, as_square_matrix, hermitian_eig
+from .tensor import MeasurementBasis, _check_int, _eigvalsh, as_square_matrix, hermitian_eig
 
 SEPARABLE = "separable"
 NOT_SEPARABLE = "not-separable-up-to-tolerance"

@@ -9,7 +9,10 @@ product Hilbert-Schmidt basis (identity plus traceless Hermitian elements
 per factor), which downstream code uses to reason about which tensor
 factors an operator acts on nontrivially.  ``hs_decompose``,
 ``hs_reconstruct`` and the stacked validity check in ``process`` share one
-expansion plan per layout, ``_hs_plan``.
+expansion plan per layout, ``_hs_plan``.  The argument rules live here too:
+integers (``_check_int``), real tables (``_check_real``), Hermitian matrices
+(``require_hermitian``) and bases (``MeasurementBasis``, and ``as_basis``
+where the dimension is fixed).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
+ORTHONORMALITY_TOL = 1e-10
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -89,6 +93,60 @@ def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     if defect > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {defect:.3e} > {HERMITICITY_TOL:.1e}")
     return m
+
+
+@dataclass(frozen=True)
+class MeasurementBasis:
+    """Orthonormal basis of one factor, stored as the columns of a unitary."""
+
+    vectors: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.vectors, dtype=complex)
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
+            raise ValueError(f"basis must be a non-empty square matrix of column vectors, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("basis has non-finite entries")
+        gram = v.conj().T @ v
+        defect = float(np.max(np.abs(gram - np.eye(v.shape[0]))))
+        if defect > ORTHONORMALITY_TOL:
+            raise ValueError(f"basis is not orthonormal: max Gram defect {defect:.3e}")
+        v = v.copy()
+        v.setflags(write=False)
+        object.__setattr__(self, "vectors", v)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
+
+    def vector(self, n: int) -> np.ndarray:
+        return self.vectors[:, _check_int(n, "index n", 0, self.dim, IndexError)]
+
+    def projector(self, n: int) -> np.ndarray:
+        v = self.vector(n)
+        return np.outer(v, v.conj())
+
+    @classmethod
+    def computational(cls, dim: int) -> "MeasurementBasis":
+        return cls(np.eye(_check_int(dim, "dim", 0), dtype=complex))
+
+    @classmethod
+    def random(cls, dim: int, seed) -> "MeasurementBasis":
+        """Haar-random basis, deterministic in the seed."""
+        dim = _check_int(dim, "dim", 0)
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(g)
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        return cls(q)
+
+
+def as_basis(basis, dim: int) -> MeasurementBasis:
+    """Coerce an array of column vectors (or a MeasurementBasis) to the given dimension."""
+    b = basis if isinstance(basis, MeasurementBasis) else MeasurementBasis(basis)
+    if b.dim != dim:
+        raise ValueError(f"basis has dimension {b.dim}, expected {dim}")
+    return b
 
 
 def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:

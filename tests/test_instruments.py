@@ -8,6 +8,7 @@ from procmat import (
     CPMap,
     Instrument,
     MeasurementBasis,
+    ProbabilityTable,
     SystemLayout,
     born_probability,
     channel_process,
@@ -142,13 +143,17 @@ class TestClassicalInstrument:
         # sum_(t, l) p[k, t, l] |u_l><u_l| (x) |b_t><b_t| in Haar-random bases.
         raw = rng.uniform(0.05, 1.0, size=(3, 2, 3))
         p = raw / raw.sum(axis=(0, 1))
-        u, b = MeasurementBasis.random(3, seed=1).vectors, MeasurementBasis.random(2, seed=2).vectors
+        bases = MeasurementBasis.random(3, seed=1), MeasurementBasis.random(2, seed=2)
+        u, b = (basis.vectors for basis in bases)
         instr = classical_instrument(p, u, b)
         for k, outcome in enumerate(instr.outcomes):
             expected = sum(p[k, t, l] * np.kron(np.outer(u[:, l], u[:, l].conj()), np.outer(b[:, t], b[:, t].conj()))
                            for t in range(2) for l in range(3))
             assert np.abs(outcome.cj - expected).max() <= 1e-15
         assert check_instrument(instr).overall
+        # A MeasurementBasis is its vectors.
+        wrapped = classical_instrument(p, *bases)
+        assert all(np.array_equal(x.cj, y.cj) for x, y in zip(wrapped.outcomes, instr.outcomes))
 
 
 class TestCqInstrument:
@@ -170,6 +175,9 @@ class TestCqInstrument:
         instr = cq_instrument(np.eye(2), np.ones((1, 2)), [rho])
         assert np.allclose(instr.outcomes[0].cj, np.kron(np.eye(2), rho))
         assert check_instrument(instr).overall
+        # A MeasurementBasis is its vectors.
+        wrapped = cq_instrument(MeasurementBasis.computational(2), np.ones((1, 2)), [rho])
+        assert np.array_equal(wrapped.outcomes[0].cj, instr.outcomes[0].cj)
 
     def test_random_cq_instrument_valid(self, rng):
         raw = rng.uniform(0.1, 1.0, size=(3, 2))
@@ -230,6 +238,14 @@ class TestComplexTables:
             got = self.BUILDERS[builder]((1.0 + 0.0j) * np.eye(2))
         want = self.BUILDERS[builder](np.eye(2))
         assert all(np.array_equal(g.cj, w.cj) for g, w in zip(got.outcomes, want.outcomes))
+
+    def test_probability_table_entries(self):
+        with pytest.raises(ValueError, match="^entries must be real, got a nonzero imaginary part$"):
+            ProbabilityTable(np.array([[0.5 + 0.5j, 0.5]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = ProbabilityTable(np.array([[0.5 + 0.0j, 0.5]]))
+        assert table.entries.dtype == float and np.array_equal(table.entries, [[0.5, 0.5]])
 
 
 class TestStackedCqTables:
@@ -419,6 +435,8 @@ class TestProbabilityTable:
 
 
 STATE = np.eye(2) / 2.0
+# Unit columns (1, 0) and (1, 1)/sqrt(2), not orthogonal: Gram defect 1/sqrt(2).
+SKEWED = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.array([1.0, np.sqrt(2.0)])
 MALFORMED = {
     "cpmap-shape": (lambda: CPMap(2, 2, np.eye(2)), "cj has shape (2, 2), expected (4, 4)"),
     "no-outcomes": (lambda: Instrument(()), "instrument needs at least one outcome"),
@@ -428,17 +446,27 @@ MALFORMED = {
     "classical-2d": (lambda: classical_instrument(np.full((2, 2), 0.5), E, E),
                      "p must have shape (outcomes, outputs, inputs), got (2, 2)"),
     "classical-bases": (lambda: classical_instrument(np.full((2, 2, 2), 0.25), np.eye(3), E),
-                        "basis shapes do not match the probability table"),
+                        "basis has dimension 3, expected 2"),
+    "classical-basis-in-skewed": (lambda: classical_instrument(np.full((1, 2, 2), 0.5), SKEWED, E),
+                                  "basis is not orthonormal: max Gram defect 7.071e-01"),
+    "classical-basis-out-skewed": (lambda: classical_instrument(np.full((1, 2, 2), 0.5), E, SKEWED),
+                                   "basis is not orthonormal: max Gram defect 7.071e-01"),
+    "classical-basis-nan": (lambda: classical_instrument(np.full((1, 2, 2), 0.5), np.full((2, 2), np.nan), E),
+                            "basis has non-finite entries"),
     "classical-negative": (lambda: classical_instrument(np.array([[[1.25, 0.25]], [[-0.25, 0.75]]]), E, np.eye(1)),
                            "probabilities must be nonnegative"),
     "classical-non-stochastic": (lambda: classical_instrument(np.full((2, 2, 2), 0.5), E, E),
                                  "p must be column stochastic: each column must sum to 1 over outcomes"),
     "classical-basis-out-norm": (lambda: classical_instrument(np.full((1, 2, 2), 0.5), E, np.diag([1.0, 1.5])),
-                                 "basis_out column 1 must be a unit vector"),
+                                 "basis is not orthonormal: max Gram defect 1.250e+00"),
     "cq-1d": (lambda: cq_instrument(E, np.full(2, 0.5), [STATE] * 2), "p must have shape (outcomes, inputs), got (2,)"),
     "cq-states": (lambda: cq_instrument(E, np.full((2, 2), 0.5), [STATE]), "expected 2 states, got 1"),
     "cq-basis": (lambda: cq_instrument(np.eye(3), np.full((2, 2), 0.5), [STATE] * 2),
-                 "basis has shape (3, 3), expected (2, 2)"),
+                 "basis has dimension 3, expected 2"),
+    "cq-basis-skewed": (lambda: cq_instrument(SKEWED, np.full((2, 2), 0.5), [STATE] * 2),
+                        "basis is not orthonormal: max Gram defect 7.071e-01"),
+    "cq-basis-nan": (lambda: cq_instrument(np.full((2, 2), np.nan), np.full((2, 2), 0.5), [STATE] * 2),
+                     "basis has non-finite entries"),
     "stacked-negative": (lambda: _cq_born_tables((random_process(5),),
                                                  (E, np.array([[[1.25, 0.5], [-0.25, 0.5]]]), np.stack([[STATE] * 2])),
                                                  (E, np.full((1, 2, 2), 0.5), np.stack([[STATE] * 2]))),

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from procmat import effective, separability, tensor
 from procmat import (
     CausalDecomposition,
+    CausalWitness,
     DecompositionReport,
     EigenstructureError,
     HSDecomposition,
@@ -539,6 +540,17 @@ class TestVerifyDecomposition:
             with pytest.raises(ValueError, match=r"layout \(.*\), W has \("):
                 verify_decomposition(w, split)
 
+    def test_each_part_is_checked(self):
+        # OCB = (1/4 + (2 OCB - 1/4)) / 2 sums exactly, and 1/4 is a valid A < B part,
+        # but 2 OCB - 1/4 is neither positive nor in the B < A span: its report fails the split.
+        w = ocb_process()
+        eye = np.eye(w.layout.d_total)
+        split = CausalDecomposition(0.5, ProcessMatrix(w.layout, eye / 4),
+                                    ProcessMatrix(w.layout, 2 * w.matrix - eye / 4))
+        check = verify_decomposition(w, split)
+        assert not check.ok
+        assert check.report_ab.overall and not check.report_ba.overall
+
     def test_no_parts_fails_without_raising(self):
         check = verify_decomposition(w0_process(0.5), CausalDecomposition(0.5, None, None))
         assert not check.ok and not check.p_ok
@@ -1050,10 +1062,10 @@ class TestNoisyFixtureThreshold:
         return ProcessMatrix(ocb.layout, t * ocb.matrix + (1.0 - t) * w0_process(p).matrix)
 
     def test_barely_separable_needs_many_sweeps(self):
-        # OCB mixed with a random process, 1e-3 below its threshold near
-        # 0.6866: feasible, but neither the equal split of the shared terms
-        # nor the identity split is, so the solver genuinely has to iterate.
-        # The violation one iteration before the stop is 2.4e-4.
+        # OCB mixed with a random process, 7e-4 below its threshold, which lies
+        # in (0.68625, 0.68635): feasible, but neither the equal split of the
+        # shared terms nor the identity split is, so the solver genuinely has
+        # to iterate.  The violation one iteration before the stop is 2.4e-4.
         ocb = ocb_process()
         w = ProcessMatrix(ocb.layout, 0.6856 * ocb.matrix + 0.3144 * random_process(1).matrix)
         report = dykstra_separability(w, tol=1e-8)
@@ -1260,6 +1272,17 @@ class TestCausalWitness:
         w, witness = witnessed
         allowed = project_to_valid_span(random_hermitian(rng, 16), w.layout, "a_before_b")
         assert not verify_witness(w, dataclasses.replace(witness, q1=witness.q1 + 1e-3 * allowed))
+
+    def test_q1_inside_its_span_rejected(self):
+        # w0 at p = 1 is causally separable, so no witness holds for it.  S = -(W - L_BA(W)) + 1e-3 1
+        # has Tr(S W) = -0.996 and S - Q2 = 1e-3 1 with Q2 off the B < A span, but Q1 = S - 10 1
+        # carries the identity, an A < B term: projecting Q1 onto its span complement exposes it.
+        w = w0_process(1.0)
+        eye = np.eye(w.layout.d_total)
+        s = -(w.matrix - project_to_valid_span(w.matrix, w.layout, "b_before_a")) + 1e-3 * eye
+        value = float(np.vdot(w.matrix, s).real)
+        assert value == pytest.approx(-0.996, abs=1e-12)
+        assert not verify_witness(w, CausalWitness(s, s - 10.0 * eye, s - 1e-3 * eye, value, 0.0))
 
     def test_value_above_minus_margin_rejected(self, witnessed):
         w, witness = witnessed
