@@ -43,7 +43,7 @@ from .process import (
     validate_process,
     w0_process,
 )
-from .tensor import MeasurementBasis, as_basis
+from .tensor import DEFAULT_TOL, MeasurementBasis, as_basis
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", help="process document path (default: stdin)")
         p.add_argument("--output", help="write the produced document or report here")
         if with_tol:
-            p.add_argument("--tol", type=float, default=1e-8, help="numeric tolerance (default 1e-8)")
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric tolerance (default 1e-8)")
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
     p = sub.add_parser("validate", help="check positivity, trace and term structure")

@@ -21,8 +21,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .process import ProcessMatrix, _check_tol, validate_process
-from .tensor import MeasurementBasis, _check_int, _eigvalsh, _kron, as_basis, partial_transpose, require_hermitian
+from .process import ProcessMatrix, validate_process
+from .tensor import (DEFAULT_TOL, PPT_TOL, ZERO_TOL, MeasurementBasis, _check_int, _check_tol, _eigvalsh, _kron,
+                     as_basis, partial_transpose, require_hermitian)
 
 # The two functions that sample instruments import ``instruments`` themselves,
 # so that dephasing and the separability code do not load it.
@@ -96,7 +97,7 @@ def classical_effective(w: ProcessMatrix, basis_a1, basis_a2, basis_b1, basis_b2
     return ProcessMatrix._exact(layout, _dephase(w.matrix, bases))
 
 
-def is_input_diagonal(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8):
+def is_input_diagonal(w: ProcessMatrix, basis_a1, basis_b1, tol: float = DEFAULT_TOL):
     """Whether all cross-input blocks of W vanish within ``tol`` in the given bases.
 
     Returns ``(flag, max_off_block_norm)`` where the norm is the largest Frobenius
@@ -148,7 +149,7 @@ def selective_update(w: ProcessMatrix, n: int, m: int, basis_a1, basis_b1):
     inner = t[n, :, m, :, n, :, m].reshape(cols.shape[1], -1)
     block = cols @ inner @ cols.conj().T
     weight = float(np.trace(inner).real)
-    if weight <= 1e-12:
+    if weight <= ZERO_TOL:
         raise DegenerateInputError(f"block ({n}, {m}) has zero weight; cannot renormalize")
     pm = ProcessMatrix(layout, block * (layout.target_trace / weight))
     return pm, validate_process(pm)
@@ -204,7 +205,7 @@ def dephase_state(rho, basis_a, basis_b) -> np.ndarray:
     return _dephase(require_hermitian(r, name="state"), (ba, bb))
 
 
-def ppt_check(rho, dims: tuple[int, int] = (2, 2), tol: float = 1e-10):
+def ppt_check(rho, dims: tuple[int, int] = (2, 2), tol: float = PPT_TOL):
     """Positive-partial-transpose test, restricted to 2x2 and 2x3 systems.
 
     In those dimensions PPT decides separability, so the returned flag is a

@@ -18,12 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .process import ProcessMatrix, _check_tol
-from .tensor import _check_int, _check_real, _eigvalsh, _kron, as_basis, as_square_matrix, partial_trace
-
-COMPLETENESS_TOL = 1e-9
-CP_TOL = 1e-9
-IMAG_TOL = 1e-10
+from .process import ProcessMatrix
+from .tensor import (IMAG_TOL, INSTRUMENT_TOL, ORTHONORMALITY_TOL, ZERO_TOL, _check_int, _check_real, _check_tol,
+                     _eigvalsh, _kron, as_basis, as_square_matrix, partial_trace)
 
 
 class NumericIntegrityError(ArithmeticError):
@@ -31,9 +28,9 @@ class NumericIntegrityError(ArithmeticError):
 
 
 def _require_cp(cj: np.ndarray) -> None:
-    """Every CJ matrix of a ``(..., side, side)`` stack must be positive to ``CP_TOL``."""
+    """Every CJ matrix of a ``(..., side, side)`` stack must be positive to ``INSTRUMENT_TOL``."""
     worst = float(_eigvalsh(cj)[..., 0].min())
-    if worst < -CP_TOL:
+    if worst < -INSTRUMENT_TOL:
         raise ValueError(f"cj is not completely positive: min eigenvalue {worst:.3e}")
 
 
@@ -143,7 +140,7 @@ def measure_reprepare(phi1, phi2) -> CPMap:
     v2 = np.asarray(phi2, dtype=complex).reshape(-1)
     for name, v in (("phi1", v1), ("phi2", v2)):
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > ORTHONORMALITY_TOL:
             raise ValueError(f"{name} must be a unit vector, got norm {norm:.12f}")
     return cj_from_kraus([np.outer(v2, v1.conj())], v1.size, v2.size)
 
@@ -185,7 +182,7 @@ def cq_instrument(basis_in, p, states: Sequence[np.ndarray]) -> Instrument:
     basis = as_basis(basis_in, d_in).vectors
     rhos = np.stack([as_square_matrix(rho, f"states[{i}]") for i, rho in enumerate(states)])
     maps = _cq_maps(basis, table, rhos)
-    not_psd = np.flatnonzero(_eigvalsh(rhos)[:, 0] < -1e-9)
+    not_psd = np.flatnonzero(_eigvalsh(rhos)[:, 0] < -INSTRUMENT_TOL)
     if not_psd.size:
         raise ValueError(f"states[{not_psd[0]}] is not positive semidefinite")
     return Instrument(tuple(CPMap(d_in, rhos.shape[-1], cj) for cj in maps))
@@ -193,12 +190,12 @@ def cq_instrument(basis_in, p, states: Sequence[np.ndarray]) -> Instrument:
 
 def _cq_maps(basis: np.ndarray, table: np.ndarray, states: np.ndarray) -> np.ndarray:
     """CJ matrices kron(sum_n p[..., i, n] |n><n|, states[..., i]) of checked, stacked cq instruments."""
-    if np.any(table < -1e-12):
+    if np.any(table < -ZERO_TOL):
         raise ValueError("probabilities must be nonnegative")
-    if not (np.abs(table.sum(axis=-2) - 1.0) <= 1e-9).all():
+    if not (np.abs(table.sum(axis=-2) - 1.0) <= INSTRUMENT_TOL).all():
         raise ValueError("p must be column stochastic: each column must sum to 1 over outcomes")
     traces = np.trace(states, axis1=-2, axis2=-1)
-    bad = np.argwhere((np.abs(traces.real - 1.0) > 1e-9) | (np.abs(traces.imag) > 1e-9))
+    bad = np.argwhere((np.abs(traces.real - 1.0) > INSTRUMENT_TOL) | (np.abs(traces.imag) > INSTRUMENT_TOL))
     if bad.size:
         raise ValueError(f"states[{bad[0, -1]}] must have unit trace")
     weights = np.einsum("...in,jn,kn->...ijk", table, basis, basis.conj())
@@ -206,7 +203,7 @@ def _cq_maps(basis: np.ndarray, table: np.ndarray, states: np.ndarray) -> np.nda
     return np.einsum("...ijk,...iab->...ijakb", weights, states).reshape(states.shape[:-2] + (side, side))
 
 
-def check_instrument(instrument: Instrument, tol: float = COMPLETENESS_TOL) -> InstrumentReport:
+def check_instrument(instrument: Instrument, tol: float = INSTRUMENT_TOL) -> InstrumentReport:
     """Report per-outcome positivity and the trace-preservation residual."""
     _check_tol(tol)
     min_eigs = [float(e) for e in _eigvalsh(np.stack([m.cj for m in instrument.outcomes]))[:, 0]]

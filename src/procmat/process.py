@@ -19,13 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
 from typing import Iterable
 
 import numpy as np
 
-from .tensor import (_EYE2, _SIGMA_X, _SIGMA_Z, _check_int, _eigvalsh, _hs_coefficients, _kron,
-                     check_factor_dims, require_hermitian)
+from .tensor import (_EYE2, _SIGMA_X, _SIGMA_Z, DEFAULT_TOL, ZERO_TOL, _check_int, _check_tol, _eigvalsh,
+                     _hs_coefficients, _kron, _psd_floor, check_factor_dims, require_hermitian)
 
 A1, A2, B1, B2 = 0, 1, 2, 3
 FACTOR_NAMES = ("A1", "A2", "B1", "B2")
@@ -150,9 +149,6 @@ class ValidityReport:
     overall: bool
 
 
-_PSD_FLOOR = 1e-9  # per unit of side: the default positivity floor is -1e-9 * side
-
-
 @lru_cache(maxsize=None)
 def _allowed_coefficient_mask(dims: tuple[int, ...], variant: str) -> np.ndarray:
     """Boolean array over HS coefficient indices: True where the pattern is allowed.
@@ -187,14 +183,6 @@ def _forbidden_index(dims: tuple[int, ...], variant: str) -> np.ndarray:
     return np.flatnonzero(~_allowed_coefficient_mask(dims, variant))
 
 
-def _check_tol(tol, psd_tol=None) -> None:
-    """Reject a bool, a non-number, or a NaN, infinite or negative tolerance; 0 is allowed."""
-    for name, value in (("tol", tol), ("psd_tol", psd_tol)):
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (Real, np.ndarray))
-                                  or not 0.0 <= value < math.inf):
-            raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
-
-
 def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants, psd_tol: float | None):
     """Validity reports of a ``(k, n, n)`` stack, member i checked against ``variants[i]``.
 
@@ -209,7 +197,7 @@ def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants
     """
     dims = layout.dims
     if psd_tol is None:
-        psd_tol = _PSD_FLOOR * layout.d_total
+        psd_tol = _psd_floor(layout.d_total)
     m = np.asarray(mats, dtype=complex)
     min_eigs = np.linalg.eigvalsh(m)[:, 0].tolist()
     shape = tuple(d * d for d in dims)
@@ -228,7 +216,7 @@ def _validate_stack(layout: SystemLayout, mats: np.ndarray, tol: float, variants
 
 def validate_process(
     w: ProcessMatrix,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     variant: str = "general",
     psd_tol: float | None = None,
 ) -> ValidityReport:
@@ -236,7 +224,7 @@ def validate_process(
 
     ``tol`` bounds the trace deviation and the magnitude of forbidden
     Hilbert-Schmidt coefficients.  The positivity floor defaults to
-    ``1e-9 * side`` to leave headroom for eigensolver accuracy.
+    ``tensor.PSD_FLOOR * side`` to leave headroom for eigensolver accuracy.
     """
     _check_tol(tol, psd_tol)
     return _validate_stack(w.layout, w.matrix[None], tol, (variant,), psd_tol)[0]
@@ -379,7 +367,7 @@ def random_process(seed: int, layout: SystemLayout | None = None, strength: floa
     projected = project_to_valid_span(herm, layout)
     traceless = projected - np.trace(projected) / side * np.eye(side)
     min_eig = float(_eigvalsh(traceless)[0])
-    if abs(min_eig) < 1e-12:
+    if abs(min_eig) < ZERO_TOL:
         return identity_process(layout)
     t = strength / (layout.d * abs(min_eig))
     m = (np.eye(side, dtype=complex) + t * traceless) / layout.d

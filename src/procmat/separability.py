@@ -31,17 +31,16 @@ import numpy as np
 
 from .effective import _input_frame, _off_block_norms2
 from .process import (
-    _PSD_FLOOR,
     ProcessMatrix,
     SystemLayout,
     ValidityReport,
-    _check_tol,
     _span_project,
     _validate_stack,
     _w0_parts,
     validate_process,
 )
-from .tensor import MeasurementBasis, _check_int, _eigvalsh, as_square_matrix, hermitian_eig
+from .tensor import (DEFAULT_TOL, WITNESS_MARGIN, MeasurementBasis, _check_int, _check_tol, _eigvalsh, _psd_floor,
+                     _search_check_tol, as_square_matrix, hermitian_eig)
 
 SEPARABLE = "separable"
 NOT_SEPARABLE = "not-separable-up-to-tolerance"
@@ -84,9 +83,10 @@ class KappaSplit:
 
 
 def _require_valid(w: ProcessMatrix, caller: str) -> ValidityReport:
-    """W's validity report at ``validate_process``'s defaults (tol 1e-8, floor
-    1e-9·side), whatever tolerance the caller runs at; an invalid W raises
-    ``ValueError`` naming the offending terms, the min eigenvalue and the trace."""
+    """W's validity report at ``validate_process``'s defaults (``DEFAULT_TOL``,
+    floor ``PSD_FLOOR``·side), whatever tolerance the caller runs at; an
+    invalid W raises ``ValueError`` naming the offending terms, the min
+    eigenvalue and the trace."""
     report = validate_process(w)
     if not report.overall:
         terms = "; ".join(f"{','.join(pattern)} {magnitude:.3g}" for pattern, magnitude in report.offending_terms)
@@ -165,7 +165,7 @@ def _input_blocks(w_eff: ProcessMatrix, kappas, basis_a1, basis_b1, tol: float):
     return ba1, bb1, frame, t[1:], blocks, np.einsum("abrsts->abrt", blocks[0]) / w_eff.layout.d_b2
 
 
-def eigenstructure(w_eff: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8) -> EigenStructure:
+def eigenstructure(w_eff: ProcessMatrix, basis_a1, basis_b1, tol: float = DEFAULT_TOL) -> EigenStructure:
     """Extract and diagonalize the per-block operators of ``kappa_split(w_eff)``.
 
     The audit of the proof behind ``constructive_decomposition``, on its
@@ -256,7 +256,7 @@ class DecompositionReport:
 
 
 def verify_decomposition(w: ProcessMatrix, decomposition: CausalDecomposition,
-                         tol: float = 1e-8, psd_tol: float | None = None) -> DecompositionReport:
+                         tol: float = DEFAULT_TOL, psd_tol: float | None = None) -> DecompositionReport:
     """Check reconstruction, weight range and one-way validity of both parts,
     the parts in one stacked validity check."""
     _check_tol(tol, psd_tol)
@@ -278,7 +278,7 @@ def verify_decomposition(w: ProcessMatrix, decomposition: CausalDecomposition,
 
 
 def constructive_decomposition(w_eff: ProcessMatrix, basis_a1, basis_b1,
-                               tol: float = 1e-8) -> CausalDecomposition:
+                               tol: float = DEFAULT_TOL) -> CausalDecomposition:
     """Build a causal decomposition of an input-diagonal process matrix.
 
     The least eigenvalue s(n, m) of the block operator A_(n,m), with kappa1
@@ -336,7 +336,7 @@ def _failed_checks(check: DecompositionReport, p: float, layout: SystemLayout, t
         if report is None:
             continue
         if not report.is_psd:
-            floor = _PSD_FLOOR * layout.d_total
+            floor = _psd_floor(layout.d_total)
             failed.append(f"{name} psd: min eigenvalue {report.min_eigenvalue:.3e} below -{floor:g}")
         if not report.trace_ok:
             deviation = abs(report.trace_value - layout.target_trace)
@@ -398,13 +398,10 @@ def _psd_project(m: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(evals, 0.0)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-_WITNESS_MARGIN = 16.0
-
-
 def _witness_from(target: np.ndarray, s, q1, q2, dims: tuple[int, ...]) -> CausalWitness:
     """Hermitise (S, Q1, Q2), project each Q_i onto its span complement and
     shift S by delta * 1 to cover the negative eigenvalues of S - Q_i.  The
-    margin, _WITNESS_MARGIN * side * eps * (|S| + |Q1| + |Q2| + delta
+    margin, WITNESS_MARGIN * side * eps * (|S| + |Q1| + |Q2| + delta
     sqrt(side)) * |W|, bounds the rounding of the solves and the trace."""
     s, q1, q2 = ((m + m.conj().T) / 2.0 for m in (s, q1, q2))
     q1 -= _span_project(q1, dims, "a_before_b")
@@ -412,7 +409,7 @@ def _witness_from(target: np.ndarray, s, q1, q2, dims: tuple[int, ...]) -> Causa
     delta = max(0.0, -float(_eigvalsh(np.stack((s - q1, s - q2)))[:, 0].min()))
     side = len(s)
     norms = np.linalg.norm(s) + np.linalg.norm(q1) + np.linalg.norm(q2) + delta * math.sqrt(side)
-    margin = _WITNESS_MARGIN * side * np.finfo(float).eps * norms * np.linalg.norm(target)
+    margin = WITNESS_MARGIN * side * np.finfo(float).eps * norms * np.linalg.norm(target)
     value = float(np.vdot(target, s).real) + delta * float(np.trace(target).real)
     return CausalWitness(s + delta * np.eye(side), q1, q2, value, float(margin))
 
@@ -467,12 +464,12 @@ def _search(w: ProcessMatrix, tol: float, max_iter: int) -> FeasibilityReport:
     target, dims = w.matrix, w.layout.dims
     side = len(target)
     eye = np.eye(side)
-    check_tol = max(100.0 * tol, 1e-6)
+    check_tol = _search_check_tol(tol)
     w_ab = _span_project(target, dims, "a_before_b")
     w_c = _span_project(w_ab, dims, "b_before_a")
     w_a, w_b = w_ab - w_c, target - w_ab
-    y = np.stack((target, target)) / 2.0
-    u = np.zeros_like(y)
+    y = None  # the start Y = (W / 2, W / 2) is read only through zc = L_c(Y - U)
+    u = np.zeros((2, side, side), dtype=complex)
     zc = np.stack((w_c, w_c)) / 2.0
     rho = 1.0
     history = []
@@ -516,17 +513,19 @@ def _search(w: ProcessMatrix, tol: float, max_iter: int) -> FeasibilityReport:
                              plateau_residual=min(history[-window:]), witness=witness)
 
 
-def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50_000) -> FeasibilityReport:
+def dykstra_separability(w: ProcessMatrix, tol: float = DEFAULT_TOL,
+                         max_iter: int = 50_000) -> FeasibilityReport:
     """Decide causal separability of a valid W with the primal-dual search.
 
     A split candidate, the identity split included, whose violation is below
     ``tol`` ends the run separable once ``verify_decomposition`` passes it at
-    max(100 tol, 1e-6); a witness candidate ends it not-separable once it
-    verifies.  At the cap (``max_iter`` >= 1 iterations; memory grows with
-    the iterations run) with neither certificate the run is inconclusive.  At
-    ``tol`` = 0 no split is accepted and the search looks for a witness only;
-    its iterates do not depend on ``tol``.  W itself is checked at
-    ``validate_process``'s defaults, whatever ``tol``.
+    max(100 tol, ``SEARCH_CHECK_FLOOR``) (``_search_check_tol``); a witness
+    candidate ends it not-separable once it verifies.  At the cap
+    (``max_iter`` >= 1 iterations; memory grows with the iterations run) with
+    neither certificate the run is inconclusive.  At ``tol`` = 0 no split is
+    accepted and the search looks for a witness only; its iterates do not
+    depend on ``tol``.  W itself is checked at ``validate_process``'s
+    defaults, whatever ``tol``.
     """
     _check_tol(tol)
     _check_int(max_iter, "max_iter", 1)
@@ -534,7 +533,7 @@ def dykstra_separability(w: ProcessMatrix, tol: float = 1e-8, max_iter: int = 50
     return _search(w, tol, max_iter)
 
 
-def check_separability(w: ProcessMatrix, basis_a1, basis_b1, tol: float = 1e-8,
+def check_separability(w: ProcessMatrix, basis_a1, basis_b1, tol: float = DEFAULT_TOL,
                        max_iter: int = 50_000) -> FeasibilityReport:
     """Decide causal separability of W, its inputs measured in the given bases:
     by the constructive split where W is input-diagonal in them, else by

@@ -11,8 +11,9 @@ factors an operator acts on nontrivially.  ``hs_decompose``,
 ``hs_reconstruct`` and the stacked validity check in ``process`` share one
 expansion plan per layout, ``_hs_plan``.  The argument rules live here too:
 integers (``_check_int``), real tables (``_check_real``), Hermitian matrices
-(``require_hermitian``) and bases (``MeasurementBasis``, and ``as_basis``
-where the dimension is fixed).
+(``require_hermitian``), bases (``MeasurementBasis``, and ``as_basis``
+where the dimension is fixed) and tolerances (``_check_tol``), and so does
+the table of every tolerance the library decides with.
 """
 
 from __future__ import annotations
@@ -20,12 +21,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-10
+# Every tolerance the library decides with, each written once with its reason;
+# every check, decider and CLI default reads its bound here.
+HERMITICITY_TOL = 1e-10     # |M - M^dag| entry a Hermitian argument may carry: rounding of one built in floats
+ORTHONORMALITY_TOL = 1e-10  # Gram defect of a basis, and norm defect of a measured or reprepared unit vector
+DEFAULT_TOL = 1e-8          # default tol of every check and decider and of the CLI's --tol: well above rounding
+PSD_FLOOR = 1e-9            # per unit of side, a process's default positivity floor: the eigensolver's error
+SEARCH_CHECK_FLOOR = 1e-6   # least tolerance the search checks a split at: a lopsided part divides rounding by p
+WITNESS_MARGIN = 16.0       # a witness's margin per unit of side * eps * norms * |W|: rounding of solves and trace
+INSTRUMENT_TOL = 1e-9       # positivity, column sums and state traces of an instrument, and its completeness
+IMAG_TOL = 1e-10            # imaginary part a Born probability may carry from rounding
+PPT_TOL = 1e-10             # ppt_check's default floor on the partial transpose's least eigenvalue
+ZERO_TOL = 1e-12            # rounding-level zero: a negative table entry, a block weight, a degenerate draw
+
+
+def _psd_floor(side: int) -> float:
+    """The default positivity floor of a process matrix of side ``side``, ``PSD_FLOOR * side``."""
+    return PSD_FLOOR * side
+
+
+def _search_check_tol(tol: float) -> float:
+    """The tolerance at which the search checks a split whose violation is below ``tol``."""
+    return max(100.0 * tol, SEARCH_CHECK_FLOOR)
+
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -55,6 +78,14 @@ def _check_real(values, name: str) -> np.ndarray:
     if np.iscomplexobj(values) and values.imag.any():
         raise ValueError(f"{name} must be real, got a nonzero imaginary part")
     return np.array(values.real, dtype=float)
+
+
+def _check_tol(tol, psd_tol=None) -> None:
+    """Reject a bool, a non-number, or a NaN, infinite or negative tolerance; 0 is allowed."""
+    for name, value in (("tol", tol), ("psd_tol", psd_tol)):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (Real, np.ndarray))
+                                  or not 0.0 <= value < math.inf):
+            raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
 
 
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import procmat
+from procmat import tensor
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = os.path.dirname(os.path.dirname(procmat.__file__))
@@ -57,3 +58,10 @@ def test_command_line_block(tmp_path):
     assert "\nstatus: not-separable-up-to-tolerance\n" in check_sep
     assert round(float(_field(check_sep, "witness_value")), 4) == -0.0947
     assert _field(separate, "p") == "1.0" and _field(separate, "verified") == "True"
+
+
+def test_tolerance_table():
+    # The Conventions table lists each tolerance of procmat.tensor once, with its value.
+    rows = re.findall(r"^  \| `([A-Z_]+)` \| ([^|]+) \|", README.read_text(encoding="utf-8"), flags=re.M)
+    table = {name: value for name, value in vars(tensor).items() if name.isupper() and isinstance(value, float)}
+    assert len(rows) == len(table) and {name: float(value) for name, value in rows} == table

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from procmat import effective, separability, tensor
 from procmat import (
+    FACTOR_NAMES,
     CausalDecomposition,
     CausalWitness,
     DecompositionReport,
@@ -1390,8 +1391,9 @@ def _random_mixture(seed, t):
     return ProcessMatrix(ocb.layout, t * ocb.matrix + (1.0 - t) * random_process(seed).matrix)
 
 
-# Separability thresholds t*(s) of the qubit random mixtures, from bisection on certified verdicts.
-MIXTURE_THRESHOLDS = {1: 0.6866, 2: 0.6844}
+# Separability thresholds t*(s) of the qubit random mixtures, from bisection on certified verdicts:
+# t*(1) lies in (0.68625, 0.68635), see test_barely_separable_needs_many_sweeps.
+MIXTURE_THRESHOLDS = {1: 0.6863, 2: 0.6844}
 
 SEARCH_POINTS = {
     "noise-0.6": lambda: TestNoisyFixtureThreshold._noisy(0.6),
@@ -1476,3 +1478,46 @@ class TestSymmetryOracles:
         assert (report.path, report.status) == (image_report.path, image_report.status) == ("constructive", SEPARABLE)
         carried = self.carried_split(report.decomposition, layout, apply, swap)
         assert verify_decomposition(image, carried, tol=1e-8).ok
+
+
+def _slot_sets(both_inputs):
+    """The non-empty sets of slots, as factor indices, that hold both inputs or that omit one."""
+    sets = (frozenset(f for f in range(4) if bits >> f & 1) for bits in range(1, 16))
+    return [s for s in sets if ({0, 2} <= s) is both_inputs]
+
+
+class TestClassicalSlotLattice:
+    """Dephasing the slots of a set S in fixed bases makes D_S(W) causally
+    separable for every W exactly when S holds both inputs.  With both
+    inputs the paper's theorem splits D_S(W).  OCB's terms are z-diagonal on
+    A1, A2 and B2, and the party-swapped OCB's on A2, B1 and B2, so D_S in
+    z leaves one of the two unchanged for every S that omits an input, and
+    it stays not separable."""
+
+    @staticmethod
+    def dephased(w, slots, bases):
+        """D_S(W): the slots in ``slots`` dephased in ``bases``, the others untouched."""
+        kept = [bases[f] if f in slots else d for f, d in enumerate(w.layout.dims)]
+        return ProcessMatrix(w.layout, effective._dephase(w.matrix, kept))
+
+    @pytest.mark.parametrize("slots", _slot_sets(False), ids=lambda s: "-".join(FACTOR_NAMES[f] for f in sorted(s)))
+    def test_one_quantum_input_keeps_ocb(self, slots):
+        w = ocb_process()
+        if 2 in slots:  # S omits A1: the swapped OCB, built as TestSymmetryOracles builds the swap
+            swapped = w.matrix.reshape((2,) * 8).transpose(2, 3, 0, 1, 6, 7, 4, 5).reshape(16, 16)
+            w = ProcessMatrix(w.layout, swapped)
+        d = self.dephased(w, slots, [Z2] * 4)
+        assert np.array_equal(d.matrix, w.matrix)
+        report = check_separability(d, Z2, Z2, max_iter=1000)
+        assert (report.path, report.status) == ("dykstra", NOT_SEPARABLE)
+        assert verify_witness(d, report.witness)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 3, 2)], ids=lambda dims: "-".join(map(str, dims)))
+    @pytest.mark.parametrize("slots", _slot_sets(True), ids=lambda s: "-".join(FACTOR_NAMES[f] for f in sorted(s)))
+    def test_both_inputs_classical_split(self, slots, dims):
+        seed = sum(1 << f for f in slots)
+        bases = [MeasurementBasis.random(d, seed=(seed, f)) for f, d in enumerate(dims)]
+        d = self.dephased(random_process(seed, SystemLayout(*dims)), slots, bases)
+        report = check_separability(d, bases[0], bases[2])
+        assert (report.path, report.status) == ("constructive", SEPARABLE)
+        assert report.decomposition.check.ok and verify_decomposition(d, report.decomposition).ok
